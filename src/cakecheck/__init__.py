@@ -15,7 +15,6 @@ from .numerics import (
     certify_on_interval,
     get_backend,
     replay_certificate,
-    unwrap_phase,
 )
 from .hermitian import (
     GramContext,

@@ -349,6 +349,27 @@ def h5_presentation_check(cfg: TriangleConfiguration, tol: float = 1e-10):
     }
 
 
+def audit(cfg: TriangleConfiguration):
+    """Run the mapping-table, identification and five-generator checks.
+    Returns their counts (report keys) and the names of the failed ones."""
+    tables = verify_mapping_tables(cfg)
+    idents = verify_identifications(cfg)
+    h5 = h5_presentation_check(cfg)
+    failures = []
+    if not all(expected == observed for _, expected, observed in tables):
+        failures.append("mapping-table identity mismatch")
+    if not all(row["ok"] for row in idents):
+        failures.append("identification isometry endpoint mismatch")
+    if not h5["ok"]:
+        failures.append("five-generator presentation check failed")
+    counts = {
+        "mapping_table_count": len(tables),
+        "identification_count": len(idents),
+        "h5_ok": h5["ok"],
+    }
+    return counts, failures
+
+
 # ---------------------------------------------------------------------------
 # audit dump
 

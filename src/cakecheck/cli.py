@@ -2,7 +2,7 @@
 
 Subcommands:
   verify   full pipeline at a single t (report in text or structured form)
-  scan     condition values over a t-grid (text, structured, or CSV)
+  scan     condition values over a t-grid (CSV)
   certify  rigorous interval certificate for a t-range
   cake     combinatorial audit dump
 
@@ -48,33 +48,36 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scan_like=False):
+    def backend(sp):
         sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
-        sp.add_argument("--format", choices=("text", "structured", "csv"), default="text")
         sp.add_argument("--tol-abs", type=float, default=DEFAULT_ZERO_TOL,
                         help="zero-snap tolerance for approximate sign decisions")
-        sp.add_argument("--tol-rel", type=float, default=PUBLISHED_MATCH_RTOL,
-                        help="relative tolerance for published-value matching")
-        sp.add_argument("--out", help="also write the output to this file")
-        if scan_like:
-            sp.add_argument("--lo", type=float, default=2.13)
-            sp.add_argument("--hi", type=float, default=2.34)
+
+    def t_range(sp):
+        sp.add_argument("--lo", type=float, default=2.13)
+        sp.add_argument("--hi", type=float, default=2.34)
 
     sp = sub.add_parser("verify", help="full verification at one t")
     sp.add_argument("--t", type=float, default=2.22)
-    common(sp)
+    backend(sp)
+    sp.add_argument("--format", choices=("text", "structured"), default="text")
+    sp.add_argument("--tol-rel", type=float, default=PUBLISHED_MATCH_RTOL,
+                    help="relative tolerance for published-value matching")
 
     sp = sub.add_parser("scan", help="grid scan of condition values")
-    common(sp, scan_like=True)
+    t_range(sp)
     sp.add_argument("--steps", type=int, default=22)
+    backend(sp)
 
     sp = sub.add_parser("certify", help="rigorous interval certificate")
-    common(sp, scan_like=True)
+    t_range(sp)
     sp.add_argument("--max-depth", type=int, default=40)
 
     sp = sub.add_parser("cake", help="combinatorial audit dump")
     sp.add_argument("--t", type=float, default=2.22)
-    common(sp)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="also write the output to this file")
     return p
 
 
@@ -88,10 +91,7 @@ def _emit(text: str, out_path):
 def cmd_verify(args) -> int:
     report = verify_all(args.t, backend_name=args.backend,
                         zero_tol=args.tol_abs, rtol=args.tol_rel)
-    if args.format == "csv":
-        rows = scan(args.t, args.t, 1, args.backend, args.tol_abs)
-        _emit(scan_to_csv(rows), args.out)
-    elif args.format == "structured":
+    if args.format == "structured":
         _emit(render_report_structured(report), args.out)
     else:
         _emit(render_report_text(report), args.out)
@@ -100,7 +100,6 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     rows = scan(args.lo, args.hi, args.steps, args.backend, args.tol_abs)
-    # a scan is tabular by nature; all formats emit the CSV table
     _emit(scan_to_csv(rows), args.out)
     ok = all(
         row["status"] == "ok"
@@ -123,14 +122,7 @@ def cmd_cake(args) -> int:
     cfg = build_configuration(args.t)
     mirror_construction(cfg)
     text = cake_mod.dump(cfg)
-    tables = cake_mod.verify_mapping_tables(cfg)
-    idents = cake_mod.verify_identifications(cfg)
-    h5 = cake_mod.h5_presentation_check(cfg)
-    ok = (
-        all(expected == observed for _, expected, observed in tables)
-        and all(row["ok"] for row in idents)
-        and h5["ok"]
-    )
+    ok = not cake_mod.audit(cfg)[1]
     text += f"[verdicts] mapping_tables={'ok' if ok else 'FAIL'}\n"
     _emit(text, args.out)
     return EXIT_OK if ok else EXIT_FAIL

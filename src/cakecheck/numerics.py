@@ -9,7 +9,6 @@ decision made on an enclosure that excludes 0 is certified.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -27,11 +26,6 @@ class DomainError(ValueError):
 class IndeterminateError(ValueError):
     """An enclosure was too wide to decide a required sign; the caller should
     subdivide the parameter interval."""
-
-
-class UndersampledPathError(ValueError):
-    """Consecutive phase samples differ by pi/2 or more (or a sample vanishes);
-    the path must be sampled more densely."""
 
 
 class SignVerdict(enum.Enum):
@@ -674,39 +668,6 @@ def get_backend(name: str):
 
 
 # ---------------------------------------------------------------------------
-# phase unwrapping
-
-
-def unwrap_phase(samples) -> float:
-    """Continuous argument variation along an ordered list of nonzero complex
-    samples: the sum of principal-branch argument deltas between consecutive
-    samples.  Rejects undersampled paths (any delta >= pi/2) and near-zero
-    samples."""
-    samples = [complex(z) for z in samples]
-    if len(samples) < 1:
-        raise ValueError("empty sample list")
-    scale = max(abs(z) for z in samples)
-    if scale == 0.0:
-        raise UndersampledPathError("all samples vanish")
-    floor = 1e-13 * scale
-    prev = samples[0]
-    if abs(prev) < floor:
-        raise UndersampledPathError("sample 0 is (numerically) zero")
-    total = 0.0
-    for k, z in enumerate(samples[1:], start=1):
-        if abs(z) < floor:
-            raise UndersampledPathError(f"sample {k} is (numerically) zero")
-        delta = cmath.phase(z / prev)
-        if abs(delta) >= math.pi / 2:
-            raise UndersampledPathError(
-                f"argument step {delta:.6f} at sample {k} exceeds pi/2; densify"
-            )
-        total += delta
-        prev = z
-    return total
-
-
-# ---------------------------------------------------------------------------
 # interval certification by adaptive bisection
 
 
@@ -783,15 +744,25 @@ def certify_on_interval(evaluator, lo: float, hi: float, max_depth: int = 40) ->
 
 
 def replay_certificate(evaluator, cert: Certificate) -> bool:
-    """Re-evaluate the predicate on every leaf subinterval and confirm the
-    recorded verdicts reproduce.  Leaves sharing a subinterval (one per
-    condition) are replayed with a single evaluation."""
-    cache = {}
+    """Check that the leaf subintervals tile [lo, hi] exactly, that each
+    carries one certified-positive leaf for every condition the predicate
+    evaluates there, and that re-evaluating the predicate on it reproduces
+    those verdicts.  Since every subinterval carries every condition, each
+    condition's leaves tile [lo, hi]."""
+    recorded = {}
     for leaf in cert.leaves:
-        key = (leaf.lo, leaf.hi)
-        if key not in cache:
-            _, items = evaluator(Interval(leaf.lo, leaf.hi))
-            cache[key] = {cid: certified_sign(val) for cid, val in items}
-        if cache[key].get(leaf.condition) is not SignVerdict.POSITIVE:
+        recorded.setdefault((leaf.lo, leaf.hi), {})[leaf.condition] = leaf.verdict
+    edge = cert.lo
+    for a, b in sorted(recorded):
+        if a != edge or not a < b:
+            return False
+        edge = b
+    if edge != cert.hi:
+        return False
+    positive = SignVerdict.POSITIVE.value
+    for (a, b), verdicts in recorded.items():
+        complete, items = evaluator(Interval(a, b))
+        replayed = {cid: certified_sign(val).value for cid, val in items}
+        if not complete or verdicts != replayed or any(v != positive for v in verdicts.values()):
             return False
     return True

@@ -2,13 +2,14 @@
 
 Covers: the strict inequalities (the existence conditions numbered 3-8
 in the reports), the seven-letter group relation, the slice symmetry
-checks, the Toledo invariant by continuous phase tracking, the Euler
-number side test, the invariant bookkeeping ledger, grid scans, and the
-rigorous interval certification of the whole admissible range.
+checks, the Toledo invariant in closed form, the Euler number side test,
+the invariant bookkeeping ledger, grid scans, and the rigorous interval
+certification of the whole admissible range.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .numerics import (
     certify_on_interval,
     get_backend,
     replay_certificate,
-    unwrap_phase,
 )
 from .hermitian import (
     GeometryError,
@@ -161,6 +161,13 @@ class ConditionReport:
                 return cid
         return None
 
+    def plain(self, cid):
+        """The reported value of condition ``cid`` as a plain number: the
+        midpoint of an enclosure, complex for 6b and float otherwise."""
+        b = get_backend(self.backend)
+        v = self.values[cid]
+        return b.mid(v) if cid == "6b" else b.mid_real(v)
+
 
 def evaluate_conditions(cfg: TriangleConfiguration, zero_tol: float = DEFAULT_ZERO_TOL):
     complete, values, positives = condition_items(cfg)
@@ -275,58 +282,51 @@ class ToledoReport:
     end_branch: float  # the continuous final Arg value, anchored at pi
     candidates: tuple
     rejected: tuple
-    side_variations: tuple
-    samples: int
 
 
-def _geodesic_samples(a, bpt, n):
-    """Sample points of the geodesic from a to b, geometric in the vertex
-    parameter (n + 1 points including both ends)."""
-    geo = geodesic_through(a, bpt)
-    xa = geo.param_of(a)
-    xb = geo.param_of(bpt)
-    ratio = (xb / xa) ** (1.0 / n)
-    return [geo.point(xa * ratio**k) for k in range(n + 1)]
+def toledo(cfg: TriangleConfiguration) -> ToledoReport:
+    """The Toledo invariant in closed form.
 
+    Tracks the argument of h(x) = conj(<c1,x><x,c2>/<c1,c2>) while x runs
+    along the real segment x(s) = (1-s) c2 + s y, s in [0, 1], from c2 to
+    y = -<c2,c3> c3 (projectively c3; the scale makes <c2,y> real
+    negative, so the segment is the geodesic from c2 to c3).  The pairing
+    is conjugated because that disc orientation makes the surface relation
+    2(chi + e) = 3 tau come out coherent.  Both factors are linear in s,
+    so h(s) = h0 + h1 s + h2 s^2 with h0 = <c2,c2> < 0 real, anchoring the
+    continuous argument at pi, and Im h(s) = s (a + b s) with a = Im h1,
+    b = Im h2.  When a < 0 and a + b < 0, h stays in the open lower half
+    plane on (0, 1], so the argument ends in (pi, 2 pi) at the principal
+    argument of h(1) plus 2 pi; any other sign pattern is rejected.  The
+    invariant is tau = -(16/pi) V for the argument variation V.
 
-def toledo(cfg: TriangleConfiguration, num_samples: int = 2048) -> ToledoReport:
-    """The Toledo invariant by continuous phase tracking.
-
-    Samples h(x) = <c1,x><x,c2>/<c1,c2> while x runs along the geodesic
-    from c2 to c3.  At x = c2 the value is <c2,c2> < 0, anchoring the
-    continuous argument at pi; the invariant is tau = -(16/pi) V where V
-    is the total argument variation (twice the variation of (1/2)Arg h).
-    The result is snapped to the nearest multiple of 2/3 and cross-checked
-    against the two-candidate branch logic: the endpoint value
-    q = <c1,c3><c3,c2>/<c1,c2> lies in R theta-bar i, so the final branch
-    is pi/6 + k pi; since h is never real nonnegative the branch stays in
-    (0, 2 pi), leaving candidates 7pi/6 (tau = -8/3) and pi/6 (tau = 40/3),
-    and |tau| <= |chi| = 4 eliminates the latter.
+    The end argument must lie in the class pi/6 mod pi of the endpoint
+    value q = <c1,c3><c3,c2>/<c1,c2> in R theta-bar i: snapping tau to
+    the nearest multiple of 2/3 must move it by at most 1e-6.  The two
+    branches of that class in (0, 2 pi) give the candidates -8/3 (7 pi/6)
+    and 40/3 (pi/6), and |tau| <= |chi| = 4 must keep exactly the
+    computed one.
     """
     ctx = cfg.ctx
-    pts = _geodesic_samples(cfg.c2, cfg.c3, num_samples)
-    denom = complex(ctx.inner(cfg.c1, cfg.c2))
-    # conjugated pairing: the disc orientation that makes the surface
-    # relation 2(chi + e) = 3 tau come out coherent tracks the conjugates of
-    # the first-slot-linear products (tracking the products themselves gives
-    # the opposite sign, which the ledger check would reject)
-    samples = [
-        (complex(ctx.inner(cfg.c1, x)) * complex(ctx.inner(x, cfg.c2)) / denom).conjugate()
-        for x in pts
-    ]
-    for k, z in enumerate(samples):
-        if abs(z.imag) < 1e-12 * abs(z) and z.real >= 0.0:
-            raise VerificationError(
-                f"integrand sample {k} is real nonnegative ({z}); "
-                "mis-sampled path or out-of-regime parameter"
-            )
-    variation = unwrap_phase(samples)
-    end_branch = math.pi + variation  # anchored at Arg <c2,c2> = pi
-    if not 0.0 < end_branch < 2.0 * math.pi:
+    b = cfg.backend
+    c1, c2 = cfg.c1, cfg.c2
+    y = cfg.c3.scale(-ctx.inner(c2, cfg.c3))
+    c12 = ctx.inner(c1, c2)
+    # <c1,x> = c12 + l1 s and <x,c2> = c22 + r1 s; Im conj(z) = -Im z
+    c22 = ctx.inner(c2, c2)
+    l1 = ctx.inner(c1, y) - c12
+    r1 = ctx.inner(y, c2) - c22
+    a = -b.im(r1 + l1 * c22 / c12)
+    a_plus_b = a - b.im(l1 * r1 / c12)
+    if not (certified_sign(a) is SignVerdict.NEGATIVE
+            and certified_sign(a_plus_b) is SignVerdict.NEGATIVE):
         raise VerificationError(
-            f"continuous final branch {end_branch} escaped (0, 2 pi); "
-            "contradicts the never-real-nonnegative property"
+            f"Im h(s) = s (a + b s) with a = {b.mid_real(a)}, a + b = "
+            f"{b.mid_real(a_plus_b)} is not negative on (0, 1]: out-of-regime parameter"
         )
+    h_end = b.mid(b.conj(ctx.inner(c1, y) * ctx.inner(y, c2) / c12))
+    end_branch = cmath.phase(h_end) + 2.0 * math.pi
+    variation = end_branch - math.pi  # anchored at Arg <c2,c2> = pi
     presnap = -16.0 * variation / math.pi
     tau = Fraction(round(presnap * 3 / 2) * 2, 3)
     if abs(presnap - float(tau)) > 1e-6:
@@ -344,21 +344,9 @@ def toledo(cfg: TriangleConfiguration, num_samples: int = 2048) -> ToledoReport:
     rejected = tuple(c for c in candidates if abs(c) > 4)
     if len(keep) != 1 or tau != keep[0]:
         raise VerificationError(
-            f"phase-tracked tau {tau} disagrees with branch logic {candidates}"
+            f"closed-form tau {tau} disagrees with branch logic {candidates}"
         )
 
-    # the two side integrals relative to c1 must vanish (their integrand
-    # |<c1,x>|^2 / <c1,c1> is real, so its argument cannot move)
-    side_vars = []
-    n_side = max(64, num_samples // 8)
-    c11 = complex(ctx.inner(cfg.c1, cfg.c1))
-    for a, bpt in ((cfg.c1, cfg.c2), (cfg.c3, cfg.c1)):
-        pts = _geodesic_samples(a, bpt, n_side)
-        vals = [
-            complex(ctx.inner(cfg.c1, x)) * complex(ctx.inner(x, cfg.c1)) / c11
-            for x in pts
-        ]
-        side_vars.append(abs(unwrap_phase(vals)))
     return ToledoReport(
         tau=tau,
         presnap=presnap,
@@ -366,8 +354,6 @@ def toledo(cfg: TriangleConfiguration, num_samples: int = 2048) -> ToledoReport:
         end_branch=end_branch,
         candidates=tuple(candidates),
         rejected=rejected,
-        side_variations=tuple(side_vars),
-        samples=num_samples,
     )
 
 
@@ -375,18 +361,16 @@ def toledo(cfg: TriangleConfiguration, num_samples: int = 2048) -> ToledoReport:
 # Euler number side test and ledger
 
 
-def euler_side_test(cfg: TriangleConfiguration, zero_tol: float = DEFAULT_ZERO_TOL):
+def euler_side_test(report: ConditionReport):
     """Decide the Euler number from the side on which f1 = R(q1)R(q3)w3
-    lies: the sign of s = Im(<b2,f1><f1,e2>/<b2,e2>).  Positive means the
-    trivial bundle (e = 0); negative would mean e = -16.  Either outcome
-    is 0 mod 8, the parity constraint on the example family."""
-    if cfg.w3 is None:
+    lies: the sign of s = Im(<b2,f1><f1,e2>/<b2,e2>), which is condition
+    6c, so its verdict and value are read from the condition report.
+    Positive means the trivial bundle (e = 0); negative would mean
+    e = -16.  Either outcome is 0 mod 8, the parity constraint on the
+    example family."""
+    if "6c" not in report.verdicts:
         raise VerificationError("w3 unavailable (u > 1 not certain): side test undefined")
-    ctx = cfg.ctx
-    b = cfg.backend
-    f1 = (reflection(cfg.q1) * reflection(cfg.q3)).apply(cfg.w3)
-    s = b.im(ctx.inner(cfg.b2, f1) * ctx.inner(f1, cfg.e2) / ctx.inner(cfg.b2, cfg.e2))
-    verdict = certified_sign(s, zero_tol)
+    verdict = report.verdicts["6c"]
     if verdict is SignVerdict.POSITIVE:
         e = 0
     elif verdict is SignVerdict.NEGATIVE:
@@ -396,7 +380,7 @@ def euler_side_test(cfg: TriangleConfiguration, zero_tol: float = DEFAULT_ZERO_T
             "side-test sign indeterminate or zero: degenerate configuration"
         )
     assert e % 8 == 0
-    return {"s": b.mid_real(s) if b.rigorous else float(s), "e": e, "verdict": verdict}
+    return {"s": report.plain("6c"), "e": e, "verdict": verdict}
 
 
 @dataclass
@@ -431,7 +415,7 @@ def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None):
     if toledo_report is None:
         toledo_report = toledo(cfg)
     if side is None:
-        side = euler_side_test(cfg)
+        side = euler_side_test(evaluate_conditions(cfg))
     beta = angles(cfg)
     rel = check_relation(cfg)
     ledger = InvariantLedger(
@@ -466,14 +450,10 @@ def published_match(cfg: TriangleConfiguration, report: ConditionReport, rtol: f
     row("t1", t1)
     row("t2", t2)
     for cid in CONDITION_IDS:
-        val = report.values.get(cid)
-        if val is None:
+        if cid not in report.values:
             rows.append({"key": cid, "printed": PRINTED_VALUES[cid], "computed": None, "ok": False})
             continue
-        if cid == "6b":
-            row(cid, b.mid(val))
-        else:
-            row(cid, b.mid_real(val) if b.rigorous else float(val))
+        row(cid, report.plain(cid))
     return rows
 
 
@@ -546,15 +526,14 @@ def replay_range_certificate(cert: Certificate) -> bool:
 
 
 def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
-               zero_tol: float = DEFAULT_ZERO_TOL, rtol: float = PUBLISHED_MATCH_RTOL,
-               num_samples: int = 2048):
+               zero_tol: float = DEFAULT_ZERO_TOL, rtol: float = PUBLISHED_MATCH_RTOL):
     """Run the whole verification pipeline at a single t and return a
     structured report (plain dict with stable key order)."""
     from . import cake  # local import: cake depends on this module's siblings only
 
     backend = get_backend(backend_name)
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "backend": backend_name,
         "parameters": {},
         "conditions": {},
@@ -582,10 +561,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
 
     cond = evaluate_conditions(cfg, zero_tol)
     report["conditions"] = {
-        "values": {
-            cid: (b.mid(v) if cid == "6b" else (b.mid_real(v) if b.rigorous else float(v)))
-            for cid, v in cond.values.items()
-        },
+        "values": {cid: cond.plain(cid) for cid in cond.values},
         "verdicts": {cid: v.value for cid, v in cond.verdicts.items()},
         "complete": cond.complete,
     }
@@ -629,8 +605,8 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             failures.append("segment geodesics coincide")
 
         beta = angles(cfg)
-        tol_rep = toledo(cfg, num_samples)
-        side = euler_side_test(cfg, zero_tol)
+        tol_rep = toledo(cfg)
+        side = euler_side_test(cond)
         ledger = invariant_ledger(cfg, tol_rep, side)
         report["invariants"] = {
             "angles": list(beta),
@@ -639,7 +615,6 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             "toledo": str(tol_rep.tau),
             "toledo_presnap": tol_rep.presnap,
             "toledo_rejected": [str(c) for c in tol_rep.rejected],
-            "toledo_side_variations": list(tol_rep.side_variations),
             "euler": side["e"],
             "chi": ledger.chi,
             "genus": ledger.genus,
@@ -659,18 +634,9 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             "euler_characteristic": cake_report.euler_characteristic,
             "genus": cake_report.genus,
         }
-        tables = cake.verify_mapping_tables(cfg)
-        if not all(ok == expected for _, expected, ok in tables):
-            failures.append("mapping-table identity mismatch")
-        idents = cake.verify_identifications(cfg)
-        if not all(row["ok"] for row in idents):
-            failures.append("identification isometry endpoint mismatch")
-        h5 = cake.h5_presentation_check(cfg)
-        if not h5["ok"]:
-            failures.append("five-generator presentation check failed")
-        report["invariants"]["mapping_table_count"] = len(tables)
-        report["invariants"]["identification_count"] = len(idents)
-        report["invariants"]["h5_ok"] = h5["ok"]
+        counts, cake_failures = cake.audit(cfg)
+        failures.extend(cake_failures)
+        report["invariants"].update(counts)
 
     report["passed"] = not failures
     return report
@@ -780,17 +746,13 @@ def scan_to_csv(rows) -> str:
         rec["status"] = row["status"]
         rep = row["report"]
         if rep is not None:
-            b = get_backend(rep.backend)
-            for cid in CONDITION_IDS:
-                if cid not in rep.values:
-                    continue
-                v = rep.values[cid]
+            for cid in rep.values:
+                v = rep.plain(cid)
                 if cid == "6b":
-                    z = b.mid(v)
-                    rec["cond_6b_re"] = _fmt(z.real)
-                    rec["cond_6b_im"] = _fmt(z.imag)
+                    rec["cond_6b_re"] = _fmt(v.real)
+                    rec["cond_6b_im"] = _fmt(v.imag)
                 else:
-                    rec[f"cond_{cid}"] = _fmt(b.mid_real(v) if b.rigorous else float(v))
+                    rec[f"cond_{cid}"] = _fmt(v)
         if row["angle_sum"] is not None:
             rec["angle_sum"] = _fmt(row["angle_sum"])
         if row["relation_residual"] is not None:

@@ -1,6 +1,5 @@
 """Shared fixtures: the configuration at the published parameter value is
-expensive enough (mirror construction, Toledo sampling downstream) to build
-once per session."""
+expensive enough (mirror construction) to build once per session."""
 
 import pytest
 

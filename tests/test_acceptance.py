@@ -98,7 +98,7 @@ def test_criterion_04_toledo(cfg222, capsys):
 
 
 def test_criterion_05_euler_and_ledger(cfg222, capsys):
-    side = euler_side_test(cfg222)
+    side = euler_side_test(evaluate_conditions(cfg222))
     ledger = invariant_ledger(cfg222, side=side)
     ok = side["e"] == 0 and side["e"] % 8 == 0
     ok = ok and 2 * (ledger.chi + ledger.e) == 3 * ledger.tau

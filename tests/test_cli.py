@@ -98,3 +98,8 @@ def test_usage_errors(capsys):
     assert run([], capsys)[0] == EXIT_USAGE
     assert run(["frobnicate"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "--backend", "exact"], capsys)[0] == EXIT_USAGE
+    # each subcommand accepts only the options it reads
+    assert run(["certify", "--backend", "fast"], capsys)[0] == EXIT_USAGE
+    assert run(["cake", "--format", "structured"], capsys)[0] == EXIT_USAGE
+    assert run(["scan", "--tol-rel", "0.1"], capsys)[0] == EXIT_USAGE
+    assert run(["verify", "--format", "csv"], capsys)[0] == EXIT_USAGE

@@ -1,9 +1,10 @@
 """Soundness of the scalar backends: interval enclosures against an exact
-rational oracle, Taylor model containment, phase unwrapping, and the
-bisection certifier."""
+rational oracle, Taylor model containment, and the bisection certifier
+with its replay."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,10 @@ from cakecheck.numerics import (
     TaylorBackend,
     TaylorComplex,
     TaylorScalar,
-    UndersampledPathError,
     certified_sign,
     certify_on_interval,
     get_backend,
     replay_certificate,
-    unwrap_phase,
 )
 
 
@@ -189,36 +188,6 @@ def test_taylor_backend_protocol_surface():
 
 
 # ---------------------------------------------------------------------------
-# phase unwrapping
-
-
-def test_unwrap_phase_full_turn():
-    n = 64
-    samples = [complex(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
-               for k in range(n + 1)]
-    assert abs(unwrap_phase(samples) - 2 * math.pi) < 1e-12
-
-
-def test_unwrap_phase_additive_under_concatenation():
-    rng = random.Random(5)
-    phases = [0.0]
-    for _ in range(100):
-        phases.append(phases[-1] + rng.uniform(-1.2, 1.2))
-    samples = [complex(math.cos(p), math.sin(p)) * (1 + 0.1 * math.sin(p)) for p in phases]
-    total = unwrap_phase(samples)
-    split = unwrap_phase(samples[:50]) + unwrap_phase(samples[49:])
-    assert abs(total - (phases[-1] - phases[0])) < 1e-10
-    assert abs(total - split) < 1e-10
-
-
-def test_unwrap_phase_rejects_undersampling_and_zeros():
-    with pytest.raises(UndersampledPathError):
-        unwrap_phase([1 + 0j, -1 + 0j])  # pi jump
-    with pytest.raises(UndersampledPathError):
-        unwrap_phase([1 + 0j, 0j, -1 + 0j])
-
-
-# ---------------------------------------------------------------------------
 # certification
 
 
@@ -234,6 +203,28 @@ def test_certify_positive_predicate():
     spans = sorted((leaf.lo, leaf.hi) for leaf in cert.leaves)
     assert spans[0][0] == 1.5 and spans[-1][1] == 2.0
     assert replay_certificate(_sq_minus_two, cert)
+
+
+def _two_conditions(t_box):
+    # t^2 - 2t + 1/2 > 0 on [1.8, 2], but only after bisection: the interval
+    # evaluation loses the dependency between t^2 and 2t
+    return True, [("sq", t_box * t_box - 2), ("dep", t_box * t_box - 2 * t_box + 0.5)]
+
+
+@pytest.mark.parametrize("tamper", ["drop", "shift", "flip"])
+def test_replay_rejects_tampered_certificate(tamper):
+    cert = certify_on_interval(_two_conditions, 1.8, 2.0)
+    assert cert.certified and len(cert.leaves) >= 4
+    assert replay_certificate(_two_conditions, cert)
+    leaves = list(cert.leaves)
+    leaf = leaves[2]
+    if tamper == "drop":
+        del leaves[2]
+    elif tamper == "shift":
+        leaves[2] = replace(leaf, hi=0.5 * (leaf.lo + leaf.hi))
+    else:
+        leaves[2] = replace(leaf, verdict=SignVerdict.NEGATIVE.value)
+    assert not replay_certificate(_two_conditions, replace(cert, leaves=leaves))
 
 
 def test_certify_finds_counterexample():

@@ -4,6 +4,7 @@ backend agreement, and interval certification."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -93,22 +94,27 @@ def test_slice_symmetry_suite(cfg222):
 
 
 def test_toledo_invariant(cfg222):
-    rep = toledo(cfg222)
-    assert rep.tau == Fraction(-8, 3)
-    assert abs(rep.presnap - float(rep.tau)) < 1e-6
-    assert rep.rejected == (Fraction(40, 3),)
-    assert abs(rep.end_branch - 7 * math.pi / 6) < 1e-9
-    assert all(v < 1e-8 for v in rep.side_variations)
+    rng = random.Random(20261018)
+    ts = [2.13, 2.34] + [rng.uniform(2.13, 2.34) for _ in range(20)]
+    for cfg in [cfg222] + [build_configuration(t) for t in ts]:
+        rep = toledo(cfg)
+        assert rep.tau == Fraction(-8, 3), cfg.t
+        assert abs(rep.presnap - float(rep.tau)) < 1e-6
+        assert rep.rejected == (Fraction(40, 3),)
+        assert abs(rep.end_branch - 7 * math.pi / 6) < 1e-9
 
 
-def test_toledo_monotone_refinement(cfg222):
-    coarse = toledo(cfg222, num_samples=2048).presnap
-    fine = toledo(cfg222, num_samples=4096).presnap
-    assert abs(coarse - fine) < 1e-8
+def test_toledo_rejects_reversed_orientation(cfg222):
+    # the antilinear R3 conjugates every inner product, so h moves into the
+    # upper half plane and the branch test must refuse to pick a value
+    mirrored = replace(cfg222, c1=cfg222.R3.apply(cfg222.c1),
+                       c2=cfg222.R3.apply(cfg222.c2), c3=cfg222.R3.apply(cfg222.c3))
+    with pytest.raises(VerificationError):
+        toledo(mirrored)
 
 
 def test_euler_side_test(cfg222):
-    side = euler_side_test(cfg222)
+    side = euler_side_test(evaluate_conditions(cfg222))
     assert side["e"] == 0
     assert side["s"] > 0
     assert side["verdict"] is SignVerdict.POSITIVE
@@ -236,7 +242,7 @@ def test_certify_finds_counterexample_below_range():
 def test_verify_all_passes_at_published_t():
     report = verify_all(2.22)
     assert report["passed"], report["failures"]
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     inv = report["invariants"]
     assert inv["toledo"] == "-8/3"
     assert inv["euler"] == 0
