@@ -216,12 +216,13 @@ def _corner_classes(cfg):
     return classes
 
 
-def build_cake(cfg: TriangleConfiguration) -> CakeReport:
+def build_cake(cfg: TriangleConfiguration, angle_sum=None) -> CakeReport:
     """Assemble and audit the cake at a built configuration.
 
     The corner coincidences are decided numerically, so a configuration is
     required; everything downstream of the coincidence classes is pure
-    combinatorics.
+    combinatorics.  ``angle_sum`` is beta1 + beta2 + beta3 when the caller
+    has it already; otherwise it is computed from ``cfg``.
     """
     classes = _corner_classes(cfg)
     for cls in classes:
@@ -295,8 +296,9 @@ def build_cake(cfg: TriangleConfiguration) -> CakeReport:
     genus = (2 - chi) // 2
 
     # the twelve sector angles at the central slice sum to 4(b1+b2+b3) = 2 pi
-    beta = angles(cfg)
-    angle_residual = abs(4.0 * sum(beta) - 2.0 * math.pi)
+    if angle_sum is None:
+        angle_sum = sum(angles(cfg))
+    angle_residual = abs(4.0 * angle_sum - 2.0 * math.pi)
 
     return CakeReport(
         triangle_count=len(TRIANGLES),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 _INF = math.inf
 
@@ -236,76 +237,167 @@ class ComplexBox:
 
 
 # ---------------------------------------------------------------------------
-# first-order Taylor models (centered forms)
+# order-n Taylor models with float coefficients
 #
 # Naive interval evaluation of the configuration suffers severe dependency
 # blowup: one parameter t feeds every matrix entry, and the enclosure width
-# of the worst condition grows like 1e9 times the width of t.  A first-order
-# Taylor model tracks, for a function f of t on [m - rad, m + rad],
+# of the worst condition grows like 1e9 times the width of t.  A Taylor
+# model of order n tracks, for a function f of t on [m - rad, m + rad],
 #
-#     f(m + delta)  in  c + d*delta + rem        for all |delta| <= rad,
+#     f(m + delta)  in  c0 + c1 delta + ... + cn delta^n + [-r, r]
 #
-# with c, d, rem outward-rounded intervals.  The range enclosure
-# c + d*[-rad, rad] + rem then has width ~ |f'|*2*rad + O(rad^2) instead of
-# K*2*rad for a huge dependency constant K, which is what makes range
-# certification feasible.
+# for all |delta| <= rad, with float coefficients ck and one remainder
+# radius r (Makino & Berz 2003; Revol, Makino & Berz 2005).  Coefficients
+# are computed in round-to-nearest, and every operation adds to r a bound
+# on what the polynomial part leaves out.  With |A| = sum |ak| rad^k, the
+# bound of the polynomial part of A over the box, these are:
+#
+#   - rounding: a computed coefficient is a float sum of at most n + 1
+#     products, off by at most _GAMMA times the sum of their magnitudes;
+#     over all coefficients of a product A*B that is _GAMMA |A| |B|, and
+#     _GAMMA |C| for a sum C = A + B or a scaled model C = x A;
+#   - truncation: the product terms of degree > n that A*B drops, bounded
+#     by sum_{k>n} |pk| rad^k;
+#   - remainders: |A| rb + |B| ra + ra rb for A*B;
+#   - constants: an Interval constant enters as its midpoint, with its
+#     radius in r, and so does a rounded 1/c0 or sqrt(c0);
+#   - series rest: 1/x and sqrt(x) write x = c0 (1 + g) with |g| <= q < 1
+#     over the box, sum the first n + 1 terms of the series of 1/(1+g) and
+#     sqrt(1+g), and add the Lagrange rest q^(n+1) / (1-q), respectively
+#     |binom(1/2, n+1)| q^(n+1) / (1-q)^(n+1/2).
+#
+# Each bound is itself a float sum of nonnegative terms; multiplying it by
+# _SLACK and adding _TINY makes it an upper bound despite its own rounding
+# and any underflow.  range() rounds outward.  The range enclosure has width
+# ~ |f'| * 2 rad + O(rad^(n+1)) instead of K * 2 rad for a huge dependency
+# constant K, which is what makes range certification feasible.  At order
+# 0 and radius 0 a model is a midpoint-radius interval.
+
+TAYLOR_ORDER = 6
+
+_GAMMA = 2.0 ** -48  # >= gamma_31 = 31u/(1 - 31u), u = 2^-53: sums of <= 31 products
+_SLACK = 1.0 + 2.0 ** -40
+_TINY = 2.0 ** -1000
 
 
-class TaylorScalar:
-    """Real first-order Taylor model in one parameter: value coefficient,
-    linear coefficient and rigorous remainder, all intervals, valid for
-    parameter offsets |delta| <= rad."""
+def _series_coefficients(a: Fraction, terms: int) -> tuple:
+    """binom(a, k) for k < terms, as floats; exact for the dyadic a used."""
+    out, s = [], Fraction(1)
+    for k in range(terms):
+        if float(s) != s:
+            raise ValueError(f"binom({a}, {k}) is not a float")
+        out.append(float(s))
+        s = s * (a - k) / (k + 1)
+    return tuple(out)
 
-    __slots__ = ("c", "d", "rem", "rad")
 
-    def __init__(self, c: Interval, d: Interval, rem: Interval, rad: float):
+# series of (1 + g)^-1 and (1 + g)^(1/2), up to the rest term of order 20
+_INV_SERIES = _series_coefficients(Fraction(-1), 22)
+_SQRT_SERIES = _series_coefficients(Fraction(1, 2), 22)
+
+
+def _norm(c, pw) -> float:
+    """sum |ck| rad^k (before slack): bound of a polynomial part."""
+    s = 0.0
+    for ck, p in zip(c, pw):
+        s += abs(ck) * p
+    return s
+
+
+def _mid_rad(x: Interval):
+    m = 0.5 * (x.lo + x.hi)
+    return m, max(x.hi - m, m - x.lo) * _SLACK
+
+
+class TaylorModel:
+    """Real Taylor model in one parameter: float coefficients ``c`` of a
+    polynomial of degree len(c) - 1 <= n in delta = t - mid, and a
+    remainder radius ``r``, valid for |delta| <= rad.  ``pw`` holds
+    upward-rounded powers rad^0 .. rad^(2n), shared by all models of one
+    backend, whose order n is len(pw) // 2.  A constant has one
+    coefficient.  ``nb`` caches the bound |c| of the polynomial part."""
+
+    __slots__ = ("c", "r", "pw", "nb")
+
+    def __init__(self, c: list, r: float, pw: tuple, nb: float | None = None):
         self.c = c
-        self.d = d
-        self.rem = rem
-        self.rad = rad
+        self.r = r
+        self.pw = pw
+        self.nb = nb
+
+    def _bound(self) -> float:
+        if self.nb is None:
+            self.nb = _norm(self.c, self.pw)
+        return self.nb
 
     def __repr__(self):
-        return f"TaylorScalar({self.c!r}, {self.d!r}, {self.rem!r}, rad={self.rad!r})"
+        return f"TaylorModel({self.c!r}, r={self.r!r})"
+
+    def _const(self, v: float, r: float = 0.0) -> "TaylorModel":
+        return TaylorModel([v], r, self.pw)
 
     def _lift(self, x):
-        if isinstance(x, TaylorScalar):
+        if isinstance(x, TaylorModel):
             return x
         if isinstance(x, Interval):
-            return TaylorScalar(x, Interval(0.0), Interval(0.0), self.rad)
+            return self._const(*_mid_rad(x))
         if isinstance(x, (int, float)):
-            return TaylorScalar(Interval(float(x)), Interval(0.0), Interval(0.0), self.rad)
+            return self._const(float(x))
         return None
-
-    def _delta(self) -> Interval:
-        return Interval(-self.rad, self.rad)
-
-    def _delta_sq(self) -> Interval:
-        return Interval(0.0, _up(self.rad * self.rad))
 
     def range(self) -> Interval:
         """Plain interval enclosure of all values on the parameter interval."""
-        return self.c + self.d * self._delta() + self.rem
-
-    # deviation from the constant coefficient: d*delta + rem
-    def _dev(self) -> Interval:
-        return self.d * self._delta() + self.rem
+        c, pw = self.c, self.pw
+        lo = hi = c[0]
+        mag = abs(lo)
+        for k in range(1, len(c)):
+            x = c[k] * pw[k]
+            mag += abs(x)
+            if k & 1:
+                lo -= abs(x)
+                hi += abs(x)
+            elif x > 0.0:
+                hi += x
+            else:
+                lo += x
+        err = (_GAMMA * mag + self.r) * _SLACK + _TINY
+        return Interval(_down(lo - err), _up(hi + err))
 
     def __neg__(self):
-        return TaylorScalar(-self.c, -self.d, -self.rem, self.rad)
+        return TaylorModel([-x for x in self.c], self.r, self.pw)
+
+    def _shift(self, v: float) -> "TaylorModel":
+        c = list(self.c)
+        c[0] += v
+        return TaylorModel(c, (self.r + _GAMMA * abs(c[0])) * _SLACK + _TINY, self.pw)
 
     def __add__(self, other):
+        if isinstance(other, (int, float)):
+            return self._shift(float(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return TaylorScalar(self.c + o.c, self.d + o.d, self.rem + o.rem, self.rad)
+        return self._sum(o.c, o.r)
 
     __radd__ = __add__
 
+    def _sum(self, b: list, rb: float) -> "TaylorModel":
+        a = self.c
+        if len(a) < len(b):
+            a, b = b, a
+        c = list(a)
+        for i, y in enumerate(b):
+            c[i] += y
+        nc = _norm(c, self.pw)
+        return TaylorModel(c, (self.r + rb + _GAMMA * nc) * _SLACK + _TINY, self.pw, nc)
+
     def __sub__(self, other):
+        if isinstance(other, (int, float)):
+            return self._shift(-float(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return TaylorScalar(self.c - o.c, self.d - o.d, self.rem - o.rem, self.rad)
+        return self._sum([-y for y in o.c], o.r)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -313,33 +405,76 @@ class TaylorScalar:
             return NotImplemented
         return o - self
 
+    def _scale(self, x: float, xr: float = 0.0) -> "TaylorModel":
+        """The model times a constant known to lie in [x - xr, x + xr]."""
+        na = self._bound()
+        if x == 0.0:
+            return TaylorModel([0.0], xr * (na + self.r) * _SLACK + _TINY, self.pw)
+        ax = abs(x)
+        r = (ax * self.r + xr * (na + self.r) + _GAMMA * ax * na) * _SLACK + _TINY
+        return TaylorModel([x * ck for ck in self.c], r, self.pw)
+
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        # (c1 + d1 D + r1)(c2 + d2 D + r2) =
-        #   c1 c2 + (c1 d2 + c2 d1) D
-        #   + d1 d2 D^2 + f1 r2 + (c2 + d2 D) r1
-        c = self.c * o.c
-        d = self.c * o.d + o.c * self.d
-        rem = (
-            (self.d * o.d) * self._delta_sq()
-            + self.range() * o.rem
-            + (o.c + o.d * self._delta()) * self.rem
-        )
-        return TaylorScalar(c, d, rem, self.rad)
+        if isinstance(other, TaylorModel):
+            return self._mul(other)
+        if isinstance(other, (int, float)):
+            return self._scale(float(other))
+        if isinstance(other, Interval):
+            return self._scale(*_mid_rad(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def inv(self) -> "TaylorScalar":
-        # 1/(c+x) = 1/c - x/c^2 + x^2/(c^2 (c+x)), x = d*delta + rem
+    def _mul(self, o: "TaylorModel") -> "TaylorModel":
+        a, b, pw = self.c, o.c, self.pw
+        if len(a) == 1:
+            return o._scale(a[0], self.r)
+        if len(b) == 1:
+            return self._scale(b[0], o.r)
+        n = len(pw) // 2
+        p = [0.0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for k, bj in enumerate(b, i):
+                p[k] += ai * bj
+        dropped = 0.0
+        for k in range(n + 1, len(p)):
+            dropped += abs(p[k]) * pw[k]
+        del p[n + 1:]
+        na, nb = self._bound(), o._bound()
+        ra, rb = self.r, o.r
+        r = (dropped + _GAMMA * na * nb + na * rb + nb * ra + ra * rb) * _SLACK + _TINY
+        return TaylorModel(p, r, pw)
+
+    def _series_argument(self, op: str):
+        """``(g, q)`` with self = c0 (1 + g) and |g| <= q < 1 on the box."""
+        c0 = self.c[0]
+        if c0 != 0.0:
+            inv0 = 1.0 / c0
+            dev = TaylorModel([0.0] + self.c[1:], self.r, self.pw)
+            g = dev._scale(inv0, _GAMMA * abs(inv0))
+            q = (g._bound() + g.r) * _SLACK
+            if q < 1.0:
+                return g, q
         G = self.range()
         if G.lo <= 0.0 <= G.hi:
-            raise DomainError("division by a Taylor model whose range contains zero")
-        c2 = self.c.sqr()
-        X = self._dev()
-        rem = -self.rem / c2 + X.sqr() / (c2 * G)
-        return TaylorScalar(1.0 / self.c, -self.d / c2, rem, self.rad)
+            raise DomainError(f"{op} of a Taylor model whose range [{G.lo}, {G.hi}] contains zero")
+        raise DomainError(f"{op}: series argument bound q >= 1 on [{G.lo}, {G.hi}]")
+
+    def _series(self, coeffs, rest: float) -> "TaylorModel":
+        """sum_k coeffs[k] self^k by Horner's rule, plus [-rest, rest]."""
+        acc = self._const(coeffs[-1])
+        for ck in reversed(coeffs[:-1]):
+            acc = (acc * self)._shift(ck)
+        acc.r = (acc.r + rest) * _SLACK + _TINY
+        return acc
+
+    def inv(self) -> "TaylorModel":
+        # 1/(c0 (1+g)) = (1/c0) (sum_{k<=n} (-g)^k + (-g)^(n+1) / (1+g))
+        g, q = self._series_argument("division")
+        n = len(self.pw) // 2
+        p = g._series(_INV_SERIES[: n + 1], q ** (n + 1) / (1.0 - q))
+        inv0 = 1.0 / self.c[0]
+        return p._scale(inv0, _GAMMA * abs(inv0))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -353,23 +488,21 @@ class TaylorScalar:
             return NotImplemented
         return o * self.inv()
 
-    def sqr(self) -> "TaylorScalar":
+    def sqr(self) -> "TaylorModel":
         return self * self
 
-    def sqrt(self) -> "TaylorScalar":
-        # sqrt(c+x) = sqrt(c) + x/(2 sqrt(c)) - x^2/(2 sqrt(c) (S + sqrt(c))^2)
-        # with S = sqrt(c+x); the last term is the exact Lagrange-style rest.
-        G = self.range()
-        if G.lo < 0.0:
-            raise DomainError(
-                f"sqrt argument enclosure [{G.lo}, {G.hi}] is not nonnegative"
-            )
-        sc = self.c.sqrt()
-        S = G.sqrt()
-        X = self._dev()
-        two_sc = 2.0 * sc
-        rem = self.rem / two_sc - X.sqr() / (two_sc * (S + sc).sqr())
-        return TaylorScalar(sc, self.d / two_sc, rem, self.rad)
+    def sqrt(self) -> "TaylorModel":
+        # sqrt(c0 (1+g)) = sqrt(c0) (sum_{k<=n} binom(1/2, k) g^k + rest)
+        g, q = self._series_argument("sqrt")
+        c0 = self.c[0]
+        if c0 < 0.0:
+            G = self.range()
+            raise DomainError(f"sqrt argument enclosure [{G.lo}, {G.hi}] is not nonnegative")
+        n = len(self.pw) // 2
+        rest = abs(_SQRT_SERIES[n + 1]) * q ** (n + 1) / ((1.0 - q) ** n * math.sqrt(1.0 - q))
+        p = g._series(_SQRT_SERIES[: n + 1], rest)
+        s0 = math.sqrt(c0)
+        return p._scale(s0, _GAMMA * s0)
 
 
 class TaylorComplex:
@@ -377,7 +510,7 @@ class TaylorComplex:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: TaylorScalar, im: TaylorScalar):
+    def __init__(self, re: TaylorModel, im: TaylorModel):
         self.re = re
         self.im = im
 
@@ -387,15 +520,12 @@ class TaylorComplex:
     def _lift(self, x):
         if isinstance(x, TaylorComplex):
             return x
-        if isinstance(x, TaylorScalar):
-            return TaylorComplex(x, x._lift(0.0))
         if isinstance(x, complex):
-            re = self.re._lift(x.real)
-            return TaylorComplex(re, self.re._lift(x.imag))
+            return TaylorComplex(self.re._lift(x.real), self.re._lift(x.imag))
         lifted = self.re._lift(x)
         if lifted is None:
             return None
-        return TaylorComplex(lifted, self.re._lift(0.0))
+        return TaylorComplex(lifted, self.re._const(0.0))
 
     def range(self) -> ComplexBox:
         return ComplexBox(self.re.range(), self.im.range())
@@ -406,7 +536,7 @@ class TaylorComplex:
     def conjugate(self) -> "TaylorComplex":
         return TaylorComplex(self.re, -self.im)
 
-    def abs2(self) -> TaylorScalar:
+    def abs2(self) -> TaylorModel:
         return self.re.sqr() + self.im.sqr()
 
     def __neg__(self):
@@ -461,7 +591,7 @@ class TaylorComplex:
 def certified_sign(x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
     """Sign decision. Enclosures yield a certified verdict only when they
     exclude 0; point values are snapped to zero within ``zero_tol``."""
-    if isinstance(x, TaylorScalar):
+    if isinstance(x, TaylorModel):
         x = x.range()
     if isinstance(x, Interval):
         if x.lo > 0.0:
@@ -578,9 +708,10 @@ class RigorousBackend:
 
 
 class TaylorBackend:
-    """Interval arithmetic through first-order Taylor models centered at
-    ``mid`` with parameter radius ``rad``.  Same enclosure guarantees as the
-    plain rigorous backend, but vastly tighter on narrow parameter ranges."""
+    """Interval arithmetic through Taylor models of order ``TAYLOR_ORDER``
+    centered at ``mid`` with parameter radius ``rad`` (order 0 when rad is
+    0).  Same enclosure guarantees as the plain rigorous backend, but vastly
+    tighter on narrow parameter ranges."""
 
     name = "rigorous-taylor"
     rigorous = True
@@ -590,27 +721,30 @@ class TaylorBackend:
             raise ValueError("negative Taylor model radius")
         self._mid = float(mid)
         self._rad = float(rad)
+        self.order = TAYLOR_ORDER if self._rad > 0.0 else 0
+        pw = [1.0]
+        for _ in range(2 * self.order):
+            pw.append(_up(pw[-1] * self._rad))
+        self._pw = tuple(pw)
 
     @classmethod
     def for_interval(cls, box: Interval) -> "TaylorBackend":
         m = box.mid()
-        rad = _up(max(m - box.lo, box.hi - m, 0.0))
-        return cls(m, rad)
+        rad = max(m - box.lo, box.hi - m)
+        return cls(m, _up(rad) if rad > 0.0 else 0.0)
 
-    def variable(self) -> TaylorScalar:
+    def variable(self) -> TaylorModel:
         """The parameter itself as a Taylor model."""
-        return TaylorScalar(
-            Interval(self._mid), Interval(1.0), Interval(0.0), self._rad
-        )
+        if self.order == 0:
+            return TaylorModel([self._mid], self._rad, self._pw)
+        return TaylorModel([self._mid, 1.0], 0.0, self._pw)
 
-    def _const(self, x) -> TaylorScalar:
-        zero = Interval(0.0)
-        if isinstance(x, Interval):
-            return TaylorScalar(x, zero, zero, self._rad)
-        return TaylorScalar(Interval(float(x)), zero, zero, self._rad)
+    def _const(self, x) -> TaylorModel:
+        m, r = _mid_rad(x) if isinstance(x, Interval) else (float(x), 0.0)
+        return TaylorModel([m], r, self._pw)
 
     def real(self, x):
-        if isinstance(x, TaylorScalar):
+        if isinstance(x, TaylorModel):
             return x
         if isinstance(x, (Interval, int, float)):
             return self._const(x)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import numerics
 from .numerics import (
     DEFAULT_ZERO_TOL,
     FAST,
@@ -408,23 +409,27 @@ class InvariantLedger:
         return True
 
 
-def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None):
+def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None,
+                     angle_sum=None, relation_residual=None):
     """Ledger for the genus-3 surface (chi = 3 - 8 + 1 = -4) and the derived
     genus-2 cover (chi = -2, e = 0, tau = -4/3); both must satisfy
-    2(chi + e) = 3 tau exactly, in rational arithmetic."""
+    2(chi + e) = 3 tau exactly, in rational arithmetic.  Each input not
+    given is computed from ``cfg``."""
     if toledo_report is None:
         toledo_report = toledo(cfg)
     if side is None:
         side = euler_side_test(evaluate_conditions(cfg))
-    beta = angles(cfg)
-    rel = check_relation(cfg)
+    if angle_sum is None:
+        angle_sum = sum(angles(cfg))
+    if relation_residual is None:
+        relation_residual = check_relation(cfg)["relation_residual"]
     ledger = InvariantLedger(
         tau=toledo_report.tau,
         e=side["e"],
         chi=-4,
         genus=3,
-        angle_sum=sum(beta),
-        relation_residual=rel["relation_residual"],
+        angle_sum=angle_sum,
+        relation_residual=relation_residual,
     )
     ledger.check()
     return ledger
@@ -605,13 +610,14 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             failures.append("segment geodesics coincide")
 
         beta = angles(cfg)
+        angle_sum = sum(beta)
         tol_rep = toledo(cfg)
         side = euler_side_test(cond)
-        ledger = invariant_ledger(cfg, tol_rep, side)
+        ledger = invariant_ledger(cfg, tol_rep, side, angle_sum, rel["relation_residual"])
         report["invariants"] = {
             "angles": list(beta),
-            "angle_sum": sum(beta),
-            "angle_sum_residual": abs(sum(beta) - math.pi / 2),
+            "angle_sum": angle_sum,
+            "angle_sum_residual": abs(angle_sum - math.pi / 2),
             "toledo": str(tol_rep.tau),
             "toledo_presnap": tol_rep.presnap,
             "toledo_rejected": [str(c) for c in tol_rep.rejected],
@@ -620,14 +626,14 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             "genus": ledger.genus,
             "ledger_ok": ledger.check(),
         }
-        if abs(sum(beta) - math.pi / 2) > 1e-9:
+        if abs(angle_sum - math.pi / 2) > 1e-9:
             failures.append("angle sum differs from pi/2")
         if tol_rep.tau != Fraction(-8, 3):
             failures.append(f"Toledo invariant {tol_rep.tau} != -8/3")
         if side["e"] != 0:
             failures.append(f"Euler number {side['e']} != 0")
 
-        cake_report = cake.build_cake(cfg)
+        cake_report = cake.build_cake(cfg, angle_sum)
         report["invariants"]["cake"] = {
             "vertex_cycles": cake_report.vertex_cycles,
             "edge_pairs": cake_report.edge_pairs,
@@ -762,15 +768,18 @@ def scan_to_csv(rows) -> str:
 
 
 def certificate_lines(cert: Certificate):
-    """Line-delimited certificate: a header, then one flat record per leaf."""
+    """Line-delimited certificate: a header, then one flat record per leaf.
+    Endpoints are written with ``repr``, which reads back as the same float,
+    so the file holds exactly the leaves that were certified; ``order`` is
+    the Taylor model order of the evaluator."""
     lines = [
-        f"# certificate status={cert.status} lo={_fmt(cert.lo)} hi={_fmt(cert.hi)} "
-        f"max_depth={cert.max_depth} leaves={len(cert.leaves)} "
-        f"evaluations={cert.evaluations}"
+        f"# certificate status={cert.status} lo={cert.lo!r} hi={cert.hi!r} "
+        f"max_depth={cert.max_depth} order={numerics.TAYLOR_ORDER} "
+        f"leaves={len(cert.leaves)} evaluations={cert.evaluations}"
     ]
     if cert.failure is not None:
-        lines.append(f"# failure lo={_fmt(cert.failure[0])} hi={_fmt(cert.failure[1])} "
+        lines.append(f"# failure lo={cert.failure[0]!r} hi={cert.failure[1]!r} "
                      f"condition={cert.failure[2]}")
     for leaf in cert.leaves:
-        lines.append(f"{_fmt(leaf.lo)} {_fmt(leaf.hi)} {leaf.condition} {leaf.verdict}")
+        lines.append(f"{leaf.lo!r} {leaf.hi!r} {leaf.condition} {leaf.verdict}")
     return lines

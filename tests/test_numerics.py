@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cakecheck import numerics
 from cakecheck.numerics import (
     ComplexBox,
     DomainError,
@@ -16,7 +17,7 @@ from cakecheck.numerics import (
     SignVerdict,
     TaylorBackend,
     TaylorComplex,
-    TaylorScalar,
+    TaylorModel,
     certified_sign,
     certify_on_interval,
     get_backend,
@@ -106,7 +107,20 @@ def test_get_backend_names():
 
 
 # ---------------------------------------------------------------------------
-# Taylor models
+# Taylor models, at every order from 0 to the shipped one
+
+ORDERS = range(numerics.TAYLOR_ORDER + 1)
+
+
+def _taylor_backend(monkeypatch, order, mid, rad):
+    monkeypatch.setattr(numerics, "TAYLOR_ORDER", order)
+    return TaylorBackend(mid, rad)
+
+
+@pytest.fixture(params=ORDERS)
+def order(request, monkeypatch):
+    monkeypatch.setattr(numerics, "TAYLOR_ORDER", request.param)
+    return request.param
 
 
 def _taylor_pipeline(x):
@@ -123,66 +137,227 @@ def _float_pipeline(x):
     return math.sqrt(z * z + 5) + y - z
 
 
-def test_taylor_scalar_encloses_true_values():
-    rng = random.Random(3)
-    for _ in range(50):
+def _poly_value(model, delta):
+    """The polynomial part of ``model`` at parameter offset ``delta``, exactly."""
+    return sum(Fraction(c) * delta ** k for k, c in enumerate(model.c))
+
+
+def _exact_bounds(model, delta):
+    """Exact rational bounds of ``model`` at ``delta``: its polynomial part
+    there, widened by its remainder."""
+    value = _poly_value(model, delta)
+    return value - Fraction(model.r), value + Fraction(model.r)
+
+
+def _encloses(model, delta, exact):
+    lo, hi = _exact_bounds(model, delta)
+    rng = model.range()
+    return lo <= exact <= hi and Fraction(rng.lo) <= exact <= Fraction(rng.hi)
+
+
+def _encloses_sqrt(model, delta, square):
+    """``model`` encloses sqrt(square) at ``delta``, decided exactly by
+    comparing squares."""
+    lo, hi = _exact_bounds(model, delta)
+    rng = model.range()
+    return all((a <= 0 or a * a <= square) and b >= 0 and b * b >= square
+               for a, b in ((lo, hi), (Fraction(rng.lo), Fraction(rng.hi))))
+
+
+def _oracle_operands(x):
+    """Two models with dependency on x, and their exact rational values as
+    functions of t."""
+    a = (x * x - x + 1) / (x + 2)
+    b = (2 * a + x) * (a - 3) + x / a
+
+    def fa(t):
+        return (t * t - t + 1) / (t + 2)
+
+    def fb(t):
+        return (2 * fa(t) + t) * (fa(t) - 3) + t / fa(t)
+
+    return a, b, fa, fb
+
+
+def test_taylor_ops_contain_exact_values(order):
+    """+, -, *, / and sqrt enclose the exact rational values at rational
+    points inside the box, pointwise for the model and for its range."""
+    rng = random.Random(20261018 + order)
+    for _ in range(12):
         m = rng.uniform(0.5, 3.0)
-        rad = 10.0 ** rng.uniform(-6, -2)
+        rad = 10.0 ** rng.uniform(-6, -1)
         backend = TaylorBackend(m, rad)
-        enc = _taylor_pipeline(backend.variable()).range()
-        for _ in range(20):
-            t = rng.uniform(m - rad, m + rad)
-            v = _float_pipeline(t)
-            assert enc.lo - 1e-9 <= v <= enc.hi + 1e-9, (m, rad, t)
+        a, b, fa, fb = _oracle_operands(backend.variable())
+        shifted = 3 - a * 0.1 + Interval(0.25, 0.5)
+        cases = [
+            (a + b, lambda t: fa(t) + fb(t)),
+            (a - b, lambda t: fa(t) - fb(t)),
+            (a * b, lambda t: fa(t) * fb(t)),
+            (a / b, lambda t: fa(t) / fb(t)),
+            # an Interval constant stands for each of its points
+            (shifted, lambda t: 3 - fa(t) * Fraction(0.1) + Fraction(0.25)),
+            (shifted, lambda t: 3 - fa(t) * Fraction(0.1) + Fraction(0.5)),
+        ]
+        root = (b * b + a).sqrt()
+        for k in range(-4, 5):
+            delta = Fraction(k, 4) * Fraction(rad)
+            t = Fraction(m) + delta
+            for model, exact in cases:
+                assert _encloses(model, delta, exact(t)), (order, m, rad, k)
+            assert _encloses_sqrt(root, delta, fb(t) * fb(t) + fa(t)), (order, m, rad, k)
 
 
-def test_taylor_width_tracks_derivative_not_dependency():
-    # ten reuses of x: naive intervals amplify, the model must not
-    backend = TaylorBackend(2.0, 1e-4)
+def test_taylor_rounding_goes_into_remainder(order):
+    """Operands that are exact polynomials (remainder 0) with random float
+    coefficients: every rounding of a single operation must land in the
+    remainder of its result."""
+    rng = random.Random(7 + order)
+    half = order // 2 + 1  # two such factors multiply without truncation
+    for _ in range(40):
+        m, rad = rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-6, -1)
+        pw = TaylorBackend(m, rad).variable().pw
+
+        def poly(length, c0):
+            return TaylorModel([c0] + [rng.uniform(-1, 1) for _ in range(length - 1)], 0.0, pw)
+
+        a, b = poly(half, rng.uniform(5, 9)), poly(half, rng.uniform(-9, 9))
+        def fa(d):
+            return _poly_value(a, d)
+
+        def fb(d):
+            return _poly_value(b, d)
+
+        x = rng.uniform(-3, 3)
+        iv = Interval(x, x + 0.5)
+        a_iv = a * iv
+        fx = Fraction(x)
+        cases = [
+            (a + b, lambda d: fa(d) + fb(d)),
+            (a - b, lambda d: fa(d) - fb(d)),
+            (a * b, lambda d: fa(d) * fb(d)),
+            (a + x, lambda d: fa(d) + fx),
+            (a * x, lambda d: fa(d) * fx),
+            (b / x, lambda d: fb(d) / fx),
+            (a_iv, lambda d: fa(d) * fx),
+            (a_iv, lambda d: fa(d) * Fraction(iv.hi)),
+            (a.inv(), lambda d: 1 / fa(d)),
+        ]
+        root = a.sqrt()
+        for k in range(-4, 5):
+            delta = Fraction(k, 4) * Fraction(rad)
+            for model, exact in cases:
+                assert _encloses(model, delta, exact(delta)), (order, m, rad, k)
+            assert _encloses_sqrt(root, delta, fa(delta)), (order, m, rad, k)
+
+
+def test_taylor_complex_division_contains_exact_values(order):
+    rng = random.Random(11 + order)
+    m, rad = 2.2, 1e-3
+    backend = TaylorBackend(m, rad)
     x = backend.variable()
-    acc = x
+    z = TaylorComplex(x * 2 - 1, x * x)
+    w = TaylorComplex(x + 3, 1 - x)
+    q = z / w
     for _ in range(10):
-        acc = acc * x - x
-    # true derivative of the iterate is ~2047, so |f'| * 2 rad ~ 0.41
-    assert acc.range().width() < 0.5
+        delta = Fraction(rng.randint(-1000, 1000), 1000) * Fraction(rad)
+        t = Fraction(m) + delta
+        zr, zi, wr, wi = 2 * t - 1, t * t, t + 3, 1 - t
+        d = wr * wr + wi * wi
+        assert _encloses(q.re, delta, (zr * wr + zi * wi) / d)
+        assert _encloses(q.im, delta, (zi * wr - zr * wi) / d)
+
+
+def test_taylor_scalar_encloses_true_values(monkeypatch):
+    rng = random.Random(3)
+    for order in ORDERS:
+        for _ in range(50):
+            m = rng.uniform(0.5, 3.0)
+            rad = 10.0 ** rng.uniform(-6, -2)
+            backend = _taylor_backend(monkeypatch, order, m, rad)
+            enc = _taylor_pipeline(backend.variable()).range()
+            for _ in range(20):
+                t = rng.uniform(m - rad, m + rad)
+                v = _float_pipeline(t)
+                assert enc.lo - 1e-9 <= v <= enc.hi + 1e-9, (order, m, rad, t)
+
+
+def test_taylor_width_tracks_derivative_not_dependency(monkeypatch):
+    # ten reuses of x: naive intervals amplify, the model must not
     naive = Interval(2.0 - 1e-4, 2.0 + 1e-4)
     acc_n = naive
     for _ in range(10):
         acc_n = acc_n * naive - naive
-    assert acc.range().width() < acc_n.width()
+    for order in ORDERS[1:]:
+        x = _taylor_backend(monkeypatch, order, 2.0, 1e-4).variable()
+        acc = x
+        for _ in range(10):
+            acc = acc * x - x
+        # true derivative of the iterate is ~2047, so |f'| * 2 rad ~ 0.41
+        assert acc.range().width() < 0.5
+        assert acc.range().width() < acc_n.width()
 
 
-def test_taylor_complex_division_round_trip():
+def test_taylor_higher_order_tightens_remainder(monkeypatch):
+    # the quadratic part of x^2 - 4x cancels nothing at order 1 but is
+    # carried exactly from order 2 on, where only rounding is left over
+    widths = []
+    for order in ORDERS[1:]:
+        x = _taylor_backend(monkeypatch, order, 2.0, 1e-2).variable()
+        f = x * x - 4 * x
+        widths.append(f.range().width())
+        if order >= 2:
+            assert f.r < 1e-12
+    # true range of (t - 2)^2 - 4 on [1.99, 2.01] is [-4, -3.9999]
+    assert widths[0] > 1e-4 and all(w < 1.01e-4 for w in widths[1:])
+
+
+def test_taylor_complex_division_round_trip(monkeypatch):
     rng = random.Random(11)
-    backend = TaylorBackend(2.2, 1e-5)
-    x = backend.variable()
-    z = TaylorComplex(x * 2 - 1, x * x)
-    w = TaylorComplex(x + 3, 1 - x)
-    back = (z / w) * w
-    for _ in range(10):
-        t = rng.uniform(2.2 - 1e-5, 2.2 + 1e-5)
-        want = complex(2 * t - 1, t * t)
-        got = back.range()
-        assert got.re.lo - 1e-9 <= want.real <= got.re.hi + 1e-9
-        assert got.im.lo - 1e-9 <= want.imag <= got.im.hi + 1e-9
+    for order in ORDERS:
+        backend = _taylor_backend(monkeypatch, order, 2.2, 1e-5)
+        x = backend.variable()
+        z = TaylorComplex(x * 2 - 1, x * x)
+        w = TaylorComplex(x + 3, 1 - x)
+        back = (z / w) * w
+        for _ in range(10):
+            t = rng.uniform(2.2 - 1e-5, 2.2 + 1e-5)
+            want = complex(2 * t - 1, t * t)
+            got = back.range()
+            assert got.re.lo - 1e-9 <= want.real <= got.re.hi + 1e-9
+            assert got.im.lo - 1e-9 <= want.imag <= got.im.hi + 1e-9
 
 
-def test_taylor_domain_guards():
-    backend = TaylorBackend(0.0, 1.0)
-    x = backend.variable()
-    with pytest.raises(DomainError):
-        (1 / x)
-    with pytest.raises(DomainError):
-        (x - 2).sqrt()
+def test_taylor_domain_guards(monkeypatch):
+    for order in ORDERS:
+        x = _taylor_backend(monkeypatch, order, 0.0, 1.0).variable()
+        with pytest.raises(DomainError, match="contains zero"):
+            (1 / x)
+        with pytest.raises(DomainError, match="not nonnegative"):
+            (x - 2).sqrt()
+        # 1 + x^2 on [-1, 1]: q = 1, so neither series converges; from
+        # order 2 on the range [1, 2] excludes zero and only q rejects it
+        y = 1 + x * x
+        with pytest.raises(DomainError):
+            y.inv()
+        with pytest.raises(DomainError):
+            y.sqrt()
+        if order >= 2:
+            assert y.range().lo > 0.0
+            with pytest.raises(DomainError, match="series argument"):
+                y.inv()
+            with pytest.raises(DomainError, match="series argument"):
+                y.sqrt()
 
 
 def test_taylor_backend_protocol_surface():
     backend = TaylorBackend.for_interval(Interval(2.21, 2.23))
     t = backend.variable()
     assert backend.rigorous
+    assert backend.order == numerics.TAYLOR_ORDER
+    assert TaylorBackend.for_interval(Interval(2.22, 2.22)).order == 0
     th = backend.theta
     assert abs(backend.mid(th) - complex(0.5, math.sqrt(3) / 2)) < 1e-12
-    assert isinstance(backend.re(th * backend.conj(th)), TaylorScalar)
+    assert isinstance(backend.re(th * backend.conj(th)), TaylorModel)
     assert abs(backend.mid_real(t) - 2.22) < 1e-12
     assert backend.sign(t) is SignVerdict.POSITIVE
 

@@ -9,8 +9,16 @@ from fractions import Fraction
 
 import pytest
 
+from cakecheck import cake, numerics, verification
 from cakecheck.construction import build_configuration, mirror_construction
-from cakecheck.numerics import FAST, RIGOROUS, Interval, SignVerdict
+from cakecheck.numerics import (
+    FAST,
+    RIGOROUS,
+    CertificateLeaf,
+    Interval,
+    SignVerdict,
+    certify_on_interval,
+)
 from cakecheck.verification import (
     CONDITION_IDS,
     PRINTED_VALUES,
@@ -129,6 +137,24 @@ def test_invariant_ledger(cfg222):
     assert ledger.check()
 
 
+def test_verify_all_computes_angles_and_relation_once(monkeypatch):
+    calls = {"angles": 0, "check_relation": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the ledger and the cake both need the angle sum
+    for module in (verification, cake):
+        monkeypatch.setattr(module, "angles", counted("angles", module.angles))
+    monkeypatch.setattr(verification, "check_relation",
+                        counted("check_relation", verification.check_relation))
+    assert verify_all(2.22)["passed"]
+    assert calls == {"angles": 1, "check_relation": 1}
+
+
 # ---------------------------------------------------------------------------
 # backend agreement
 
@@ -225,6 +251,33 @@ def test_certify_subrange_and_replay():
     lines = certificate_lines(cert)
     assert lines[0].startswith("# certificate status=certified")
     assert len(lines) == 1 + len(cert.leaves)
+
+
+def test_certify_counts_at_shipped_order():
+    # pinned at TAYLOR_ORDER = 6: a looser enclosure shows up as more work
+    assert numerics.TAYLOR_ORDER == 6
+    cert = certify_range(2.13, 2.34)
+    assert cert.certified
+    assert (cert.evaluations, len(cert.leaves)) == (4, 22)
+    window = certify_range(2.2, 2.20075)
+    assert window.certified and window.evaluations == 1
+
+
+def test_certificate_lines_are_lossless():
+    def narrow(box):
+        # certified only on boxes narrower than 0.01: 32 leaves whose
+        # endpoints need all 17 significant digits
+        return True, [("narrow", Interval(0.01 - (box.hi - box.lo), 1.0))]
+
+    for cert in (certify_range(2.13, 2.34), certify_on_interval(narrow, 2.13, 2.34)):
+        lines = certificate_lines(cert)
+        header = dict(token.split("=") for token in lines[0].split()[2:])
+        assert header["status"] == "certified"
+        assert (float(header["lo"]), float(header["hi"])) == (cert.lo, cert.hi)
+        assert int(header["order"]) == numerics.TAYLOR_ORDER
+        parsed = [CertificateLeaf(float(lo), float(hi), cid, verdict)
+                  for lo, hi, cid, verdict in (line.split() for line in lines[1:])]
+        assert parsed == cert.leaves
 
 
 def test_certify_finds_counterexample_below_range():
