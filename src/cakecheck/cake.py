@@ -16,13 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hermitian import Isometry, projectively_equal
+from .hermitian import RESIDUAL_TOL, Isometry, projectively_equal
 from .construction import THETA_INV_SQ, TriangleConfiguration, angles
 
 # generator indices into cfg.reflections()
 R0, R1, R2, R3 = 0, 1, 2, 3
 
 RELATOR = (R3, R1, R2, R3, R2, R1, R3, R1, R2, R3, R2, R1)
+
+# bound on the involution residuals X_i^2 - Id of the five-generator cover
+H5_INVOLUTION_TOL = 1e-10
 
 
 class CakeReconstructionError(ValueError):
@@ -152,7 +155,7 @@ def _slice_vector(cfg, slice_ref):
     return realize_word(letters, cfg).apply(_slice_point(cfg, k))
 
 
-def verify_identifications(cfg: TriangleConfiguration, tol: float = 1e-9):
+def verify_identifications(cfg: TriangleConfiguration):
     """Each identification must preserve the form and send the begin/end
     slices of its source side to the begin/end slices of its target side."""
     rows = []
@@ -164,17 +167,17 @@ def verify_identifications(cfg: TriangleConfiguration, tol: float = 1e-9):
         _, s_begin, s_end = BOUNDARY_SIDES[src]
         _, t_begin, t_end = BOUNDARY_SIDES[dst]
         begin_ok = projectively_equal(
-            iso.apply(_slice_vector(cfg, s_begin)), _slice_vector(cfg, t_begin), tol
+            iso.apply(_slice_vector(cfg, s_begin)), _slice_vector(cfg, t_begin)
         )
         end_ok = projectively_equal(
-            iso.apply(_slice_vector(cfg, s_end)), _slice_vector(cfg, t_end), tol
+            iso.apply(_slice_vector(cfg, s_end)), _slice_vector(cfg, t_end)
         )
         rows.append({
             "name": name,
             "form_residual": form_res,
             "begin_ok": begin_ok,
             "end_ok": end_ok,
-            "ok": begin_ok and end_ok and form_res < tol,
+            "ok": begin_ok and end_ok and form_res < RESIDUAL_TOL,
         })
     return rows
 
@@ -326,7 +329,7 @@ H5_WORDS = (
 )
 
 
-def h5_presentation_check(cfg: TriangleConfiguration, tol: float = 1e-10):
+def h5_presentation_check(cfg: TriangleConfiguration):
     """The index-2 cover generators: each X_i is an involution, all are
     linear (even R3 count), and X5 X4 X3 X2 X1 is the scalar theta^-2."""
     realized = {name: realize_word(letters, cfg) for name, letters in H5_WORDS}
@@ -340,8 +343,8 @@ def h5_presentation_check(cfg: TriangleConfiguration, tol: float = 1e-10):
     all_linear = not any(iso.antilinear for iso in realized.values())
     ok = (
         all_linear
-        and all(r < tol for r in inv_residuals.values())
-        and prod_residual < 1e-9
+        and all(r < H5_INVOLUTION_TOL for r in inv_residuals.values())
+        and prod_residual < RESIDUAL_TOL
     )
     return {
         "involution_residuals": inv_residuals,

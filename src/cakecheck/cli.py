@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .numerics import DEFAULT_ZERO_TOL, DomainError, IndeterminateError
+from .numerics import DomainError
 from .hermitian import GeometryError
 from .construction import (
     ParameterDomainError,
@@ -23,7 +23,6 @@ from .construction import (
     mirror_construction,
 )
 from .verification import (
-    PUBLISHED_MATCH_RTOL,
     SignVerdict,
     VerificationError,
     certificate_lines,
@@ -48,26 +47,19 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def backend(sp):
-        sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
-        sp.add_argument("--tol-abs", type=float, default=DEFAULT_ZERO_TOL,
-                        help="zero-snap tolerance for approximate sign decisions")
-
     def t_range(sp):
         sp.add_argument("--lo", type=float, default=2.13)
         sp.add_argument("--hi", type=float, default=2.34)
 
     sp = sub.add_parser("verify", help="full verification at one t")
     sp.add_argument("--t", type=float, default=2.22)
-    backend(sp)
+    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
     sp.add_argument("--format", choices=("text", "structured"), default="text")
-    sp.add_argument("--tol-rel", type=float, default=PUBLISHED_MATCH_RTOL,
-                    help="relative tolerance for published-value matching")
 
     sp = sub.add_parser("scan", help="grid scan of condition values")
     t_range(sp)
     sp.add_argument("--steps", type=int, default=22)
-    backend(sp)
+    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
 
     sp = sub.add_parser("certify", help="rigorous interval certificate")
     t_range(sp)
@@ -89,8 +81,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_verify(args) -> int:
-    report = verify_all(args.t, backend_name=args.backend,
-                        zero_tol=args.tol_abs, rtol=args.tol_rel)
+    report = verify_all(args.t, backend_name=args.backend)
     if args.format == "structured":
         _emit(render_report_structured(report), args.out)
     else:
@@ -99,7 +90,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    rows = scan(args.lo, args.hi, args.steps, args.backend, args.tol_abs)
+    rows = scan(args.lo, args.hi, args.steps, args.backend)
     _emit(scan_to_csv(rows), args.out)
     ok = all(
         row["status"] == "ok"
@@ -147,8 +138,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (DomainError, GeometryError, ParameterDomainError, IndeterminateError,
-            ValueError) as exc:
+    except (DomainError, GeometryError, ParameterDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .numerics import FAST, SignVerdict, certified_sign
 from .hermitian import (
+    RESIDUAL_TOL,
     GeometryError,
     GramContext,
     Isometry,
@@ -62,14 +63,13 @@ def solve_parameters(t, backend=FAST) -> ParameterTriple:
     t1 is the larger root of the parameter polynomial, written in the
     discriminant form that stays manifestly nonnegative for t > 3/2;
     t2 = (2 t t1 - t - t1 + 1)/2.  Raises ParameterDomainError unless
-    t > 3/2 is certain.
+    t > 3/2 is certain, and for a non-finite float t.
     """
+    if isinstance(t, (int, float)) and not math.isfinite(t):
+        raise ParameterDomainError(f"parameter t = {t} is not finite")
     b = backend
     t = b.real(t)
-    gate = certified_sign(t - 1.5, zero_tol=0.0) if b.rigorous else b.sign(
-        b.mid_real(t) - 1.5, zero_tol=0.0
-    )
-    if gate is not SignVerdict.POSITIVE:
+    if certified_sign(t - 1.5, zero_tol=0.0) is not SignVerdict.POSITIVE:
         raise ParameterDomainError("parameter t must satisfy t > 3/2")
     disc = (2 * t * t - 2 * t - 1) * (t - 1) / (2 * t + 1)
     t1 = (t - 1) / (2 * t - 3) + (2 / (2 * t - 3)) * b.sqrt(disc)
@@ -247,7 +247,7 @@ THETA_INV_SQ = complex(-0.5, -math.sqrt(3.0) / 2.0)  # theta^{-2} = exp(-2 i pi/
 THETA_SQ = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 
-def mirror_construction(cfg: TriangleConfiguration, tol: float = 1e-9):
+def mirror_construction(cfg: TriangleConfiguration):
     """Construct the antiholomorphic generator R3 (fast backend only).
 
     The product I = theta^2 R2 R1 R0 is loxodromic with real trace 2t > 3;
@@ -289,7 +289,7 @@ def mirror_construction(cfg: TriangleConfiguration, tol: float = 1e-9):
         tuple(complex(ctx.inner(triple[i], triple[j])) for j in range(3)) for i in range(3)
     )
     gram_residual = mat_max_abs_diff(actual, expected)
-    if gram_residual > tol * max(1.0, max(abs(x) for row in expected for x in row)):
+    if gram_residual > RESIDUAL_TOL * max(1.0, max(abs(x) for row in expected for x in row)):
         raise GeometryError(
             f"mirrored triangle Gram residual {gram_residual:.3e} exceeds tolerance"
         )
@@ -305,7 +305,7 @@ def mirror_construction(cfg: TriangleConfiguration, tol: float = 1e-9):
 
     ident = R3 * R3
     involution_residual = ident.scalar_residual(1.0)
-    if involution_residual > tol:
+    if involution_residual > RESIDUAL_TOL:
         raise GeometryError(f"R3^2 residual {involution_residual:.3e} exceeds tolerance")
     form_residual = R3.form_residual(
         [(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.m1, cfg.c1), (cfg.c2, cfg.d3)]

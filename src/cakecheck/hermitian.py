@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from .numerics import SignVerdict, certified_sign
 
 
+# bound on every floating-point residual check: projective equality, the
+# relation, angle sum, slice symmetries, mirror and cake identifications
+RESIDUAL_TOL = 1e-9
+
+
 class ContextMismatchError(ValueError):
     """Vectors from different Gram contexts were combined."""
 
@@ -227,14 +232,14 @@ def _coord_scale(v: ProjVector) -> float:
     return max(abs(complex(c)) for c in v.approx())
 
 
-def projectively_equal(u: ProjVector, v: ProjVector, tol: float = 1e-9) -> bool:
+def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
     """True iff all 2x2 minors of the 3x2 coordinate matrix vanish to
-    tolerance, scaled by the coordinate magnitudes.  Fast backend."""
+    ``RESIDUAL_TOL``, scaled by the coordinate magnitudes.  Fast backend."""
     a = u.approx()
     b = v.approx()
     scale = max(_coord_scale(u), 1e-300) * max(_coord_scale(v), 1e-300)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        if abs(a[i] * b[j] - a[j] * b[i]) > tol * scale:
+        if abs(a[i] * b[j] - a[j] * b[i]) > RESIDUAL_TOL * scale:
             return False
     return True
 

@@ -24,11 +24,6 @@ class DomainError(ValueError):
     by an interval containing zero, parameter out of range)."""
 
 
-class IndeterminateError(ValueError):
-    """An enclosure was too wide to decide a required sign; the caller should
-    subdivide the parameter interval."""
-
-
 class SignVerdict(enum.Enum):
     POSITIVE = "certified-positive"
     NEGATIVE = "certified-negative"
@@ -505,6 +500,10 @@ class TaylorModel:
         return p._scale(s0, _GAMMA * s0)
 
 
+def _is_zero(x: TaylorModel) -> bool:
+    return x.r == 0.0 and len(x.c) == 1 and x.c[0] == 0.0
+
+
 class TaylorComplex:
     """Complex Taylor model: a pair of real ones."""
 
@@ -566,6 +565,13 @@ class TaylorComplex:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        # the products with a part that is the exact constant 0 (of a lifted
+        # real or imaginary constant) are exactly 0 and are skipped
+        a, b = (o, self) if _is_zero(self.im) or _is_zero(self.re) else (self, o)
+        if _is_zero(b.im):
+            return TaylorComplex(a.re * b.re, a.im * b.re)
+        if _is_zero(b.re):
+            return TaylorComplex(-(a.im * b.im), a.re * b.im)
         return TaylorComplex(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -647,9 +653,6 @@ class FastBackend:
             raise DomainError(f"sqrt of negative value {x}")
         return math.sqrt(x)
 
-    def sign(self, x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
-        return certified_sign(float(x), zero_tol)
-
     def mid(self, z) -> complex:
         return complex(z)
 
@@ -694,9 +697,6 @@ class RigorousBackend:
 
     def sqrt(self, x):
         return self.real(x).sqrt()
-
-    def sign(self, x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
-        return certified_sign(self.real(x))
 
     def mid(self, z) -> complex:
         if isinstance(z, Interval):
@@ -776,9 +776,6 @@ class TaylorBackend:
     def sqrt(self, x):
         return self.real(x).sqrt()
 
-    def sign(self, x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
-        return certified_sign(self.real(x))
-
     def mid(self, z) -> complex:
         if isinstance(z, TaylorComplex):
             return z.mid()
@@ -839,6 +836,8 @@ def certify_on_interval(evaluator, lo: float, hi: float, max_depth: int = 40) ->
     at a midpoint sample) is a counterexample; otherwise the subinterval is
     split until ``max_depth``.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"certification interval [{lo}, {hi}] is not finite")
     if not lo < hi:
         raise ValueError("certification interval requires lo < hi")
     cert = Certificate(status="certified", lo=lo, hi=hi, max_depth=max_depth)

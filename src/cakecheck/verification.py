@@ -28,6 +28,7 @@ from .numerics import (
     replay_certificate,
 )
 from .hermitian import (
+    RESIDUAL_TOL,
     GeometryError,
     geodesic_through,
     projectively_equal,
@@ -48,7 +49,8 @@ from .construction import (
 CONDITION_IDS = ("3", "4a", "4b", "5", "6a", "6b", "6c", "7a", "7b", "7c", "8")
 
 # the two-decimal values published for t = 2.22, matched within
-# 0.02 * max(1, |printed|)
+# PUBLISHED_MATCH_RTOL * max(1, |printed|)
+PUBLISHED_MATCH_RTOL = 0.02
 PRINTED_VALUES = {
     "t1": 2.23,
     "t2": 3.22,
@@ -66,7 +68,6 @@ PRINTED_VALUES = {
 }
 
 PUBLISHED_T = 2.22
-PUBLISHED_MATCH_RTOL = 0.02
 
 
 class VerificationError(ValueError):
@@ -145,7 +146,7 @@ def condition_items(cfg: TriangleConfiguration):
 
 @dataclass
 class ConditionReport:
-    backend: str
+    backend: object
     values: dict
     verdicts: dict
     complete: bool
@@ -165,16 +166,16 @@ class ConditionReport:
     def plain(self, cid):
         """The reported value of condition ``cid`` as a plain number: the
         midpoint of an enclosure, complex for 6b and float otherwise."""
-        b = get_backend(self.backend)
+        b = self.backend
         v = self.values[cid]
         return b.mid(v) if cid == "6b" else b.mid_real(v)
 
 
-def evaluate_conditions(cfg: TriangleConfiguration, zero_tol: float = DEFAULT_ZERO_TOL):
+def evaluate_conditions(cfg: TriangleConfiguration):
     complete, values, positives = condition_items(cfg)
-    verdicts = {cid: certified_sign(val, zero_tol) for cid, val in positives.items()}
+    verdicts = {cid: certified_sign(val) for cid, val in positives.items()}
     return ConditionReport(
-        backend=cfg.backend.name, values=values, verdicts=verdicts, complete=complete
+        backend=cfg.backend, values=values, verdicts=verdicts, complete=complete
     )
 
 
@@ -209,7 +210,7 @@ def check_relation(cfg: TriangleConfiguration):
 # slice symmetries
 
 
-def check_slice_symmetries(cfg: TriangleConfiguration, tol: float = 1e-9):
+def check_slice_symmetries(cfg: TriangleConfiguration):
     """The three assertions about the spine geodesics and the real plane:
 
     (a) R3 fixes c3 and d1 up to the scalar -theta^-2 (and c1 exactly,
@@ -237,7 +238,7 @@ def check_slice_symmetries(cfg: TriangleConfiguration, tol: float = 1e-9):
     # unimodular scalar already certifies membership in the real plane.
     out["r3_c3_residual"] = scalar_image_residual(cfg.c3.scale(THETA.conjugate()))
     out["r3_d1_residual"] = scalar_image_residual(cfg.d1)
-    out["r3_c1_fixed"] = projectively_equal(cfg.R3.apply(cfg.c1), cfg.c1, tol)
+    out["r3_c1_fixed"] = projectively_equal(cfg.R3.apply(cfg.c1), cfg.c1)
 
     # endpoint argument class, in the pairing orientation for which the
     # counterclockwise triangle bounds the disc (conjugate of the first-slot
@@ -250,10 +251,10 @@ def check_slice_symmetries(cfg: TriangleConfiguration, tol: float = 1e-9):
     arg_mod_pi = math.atan2(q.imag, q.real) % math.pi
     out["q"] = q
     out["q_arg_mod_pi_residual"] = abs(arg_mod_pi - math.pi / 6)
-    out["c1c2_real"] = abs(complex(ctx.inner(cfg.c1, cfg.c2)).imag) < tol * max(
+    out["c1c2_real"] = abs(complex(ctx.inner(cfg.c1, cfg.c2)).imag) < RESIDUAL_TOL * max(
         1.0, abs(complex(ctx.inner(cfg.c1, cfg.c2)))
     )
-    out["c3c2_real"] = abs(complex(ctx.inner(cfg.c3, cfg.c2)).imag) < tol * max(
+    out["c3c2_real"] = abs(complex(ctx.inner(cfg.c3, cfg.c2)).imag) < RESIDUAL_TOL * max(
         1.0, abs(complex(ctx.inner(cfg.c3, cfg.c2)))
     )
 
@@ -439,9 +440,8 @@ def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None,
 # published-value comparison
 
 
-def published_match(cfg: TriangleConfiguration, report: ConditionReport, rtol: float = PUBLISHED_MATCH_RTOL):
-    """Compare against the published two-decimal table at t = 2.22; each
-    entry must satisfy |computed - printed| <= rtol * max(1, |printed|)."""
+def published_match(cfg: TriangleConfiguration, report: ConditionReport):
+    """Compare against the published two-decimal table at t = 2.22."""
     b = cfg.backend
     t1, t2 = b.mid_real(cfg.params.t1), b.mid_real(cfg.params.t2)
     rows = []
@@ -449,7 +449,7 @@ def published_match(cfg: TriangleConfiguration, report: ConditionReport, rtol: f
     def row(key, computed):
         printed = PRINTED_VALUES[key]
         delta = abs(computed - printed)
-        ok = delta <= rtol * max(1.0, abs(printed))
+        ok = delta <= PUBLISHED_MATCH_RTOL * max(1.0, abs(printed))
         rows.append({"key": key, "printed": printed, "computed": computed, "ok": ok})
 
     row("t1", t1)
@@ -466,13 +466,14 @@ def published_match(cfg: TriangleConfiguration, report: ConditionReport, rtol: f
 # scans and certification
 
 
-def scan(lo: float, hi: float, steps: int, backend_name: str = "fast",
-         zero_tol: float = DEFAULT_ZERO_TOL):
+def scan(lo: float, hi: float, steps: int, backend_name: str = "fast"):
     """Evaluate the conditions (plus, on the fast backend, the angle sum and
     the relation residual) on an equispaced grid; per-row errors are
     recorded and the scan continues."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"scan range [{lo}, {hi}] is not finite")
     if steps > 1 and not lo < hi:
         raise ValueError("scan range requires lo < hi")
     backend = get_backend(backend_name)
@@ -482,8 +483,8 @@ def scan(lo: float, hi: float, steps: int, backend_name: str = "fast",
         row = {"t": t, "status": "ok", "error": None, "report": None,
                "angle_sum": None, "relation_residual": None}
         try:
-            cfg = build_configuration(backend.real(t), backend)
-            row["report"] = evaluate_conditions(cfg, zero_tol)
+            cfg = build_configuration(t, backend)
+            row["report"] = evaluate_conditions(cfg)
             if not backend.rigorous:
                 mirror_construction(cfg)
                 row["angle_sum"] = sum(angles(cfg))
@@ -530,8 +531,7 @@ def replay_range_certificate(cert: Certificate) -> bool:
 # full pipeline
 
 
-def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
-               zero_tol: float = DEFAULT_ZERO_TOL, rtol: float = PUBLISHED_MATCH_RTOL):
+def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
     """Run the whole verification pipeline at a single t and return a
     structured report (plain dict with stable key order)."""
     from . import cake  # local import: cake depends on this module's siblings only
@@ -545,17 +545,17 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
         "relations": {},
         "invariants": {},
         "tolerances": {
-            "zero_tol": zero_tol,
-            "published_rtol": rtol,
-            "relation_tol": 1e-9,
-            "angle_sum_tol": 1e-9,
+            "zero_tol": DEFAULT_ZERO_TOL,
+            "published_rtol": PUBLISHED_MATCH_RTOL,
+            "relation_tol": RESIDUAL_TOL,
+            "angle_sum_tol": RESIDUAL_TOL,
         },
         "passed": False,
         "failures": [],
     }
     failures = report["failures"]
 
-    cfg = build_configuration(backend.real(t), backend)
+    cfg = build_configuration(t, backend)
     b = backend
     t1, t2 = b.mid_real(cfg.params.t1), b.mid_real(cfg.params.t2)
     r1, r2 = parameter_residuals(cfg.params)
@@ -564,7 +564,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
         "equation_residuals": [r1, r2],
     }
 
-    cond = evaluate_conditions(cfg, zero_tol)
+    cond = evaluate_conditions(cfg)
     report["conditions"] = {
         "values": {cid: cond.plain(cid) for cid in cond.values},
         "verdicts": {cid: v.value for cid, v in cond.verdicts.items()},
@@ -574,7 +574,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
         failures.append(f"condition {cond.first_failure()} not certified positive")
 
     if abs(t - PUBLISHED_T) < 1e-12:
-        rows = published_match(cfg, cond, rtol)
+        rows = published_match(cfg, cond)
         report["conditions"]["published_match"] = rows
         for r in rows:
             if not r["ok"]:
@@ -589,9 +589,9 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             "square_residual": rel["square_residual"],
             "square_is_nontrivial_in_su": rel["square_is_nontrivial_in_su"],
         }
-        if rel["relation_residual"] > 1e-9:
+        if rel["relation_residual"] > RESIDUAL_TOL:
             failures.append("seven-letter relation residual exceeds 1e-9")
-        if rel["square_residual"] > 1e-9:
+        if rel["square_residual"] > RESIDUAL_TOL:
             failures.append("six-letter-word square is not theta^2 Id")
 
         cor = check_slice_symmetries(cfg)
@@ -602,9 +602,9 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             "q_arg_mod_pi_residual": cor["q_arg_mod_pi_residual"],
             "segment_geodesics_distinct": list(cor["segment_geodesics_distinct"]),
         }
-        if cor["r3_c3_residual"] > 1e-9 or cor["r3_d1_residual"] > 1e-9:
+        if cor["r3_c3_residual"] > RESIDUAL_TOL or cor["r3_d1_residual"] > RESIDUAL_TOL:
             failures.append("antilinear generator does not fix the spine points as claimed")
-        if cor["q_arg_mod_pi_residual"] > 1e-9:
+        if cor["q_arg_mod_pi_residual"] > RESIDUAL_TOL:
             failures.append("endpoint argument class is not pi/6 mod pi")
         if not all(cor["segment_geodesics_distinct"]):
             failures.append("segment geodesics coincide")
@@ -626,7 +626,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast",
             "genus": ledger.genus,
             "ledger_ok": ledger.check(),
         }
-        if abs(angle_sum - math.pi / 2) > 1e-9:
+        if abs(angle_sum - math.pi / 2) > RESIDUAL_TOL:
             failures.append("angle sum differs from pi/2")
         if tol_rep.tau != Fraction(-8, 3):
             failures.append(f"Toledo invariant {tol_rep.tau} != -8/3")

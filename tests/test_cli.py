@@ -25,6 +25,9 @@ def test_verify_out_of_range_fails_with_named_condition(capsys):
     assert code == EXIT_FAIL
     assert "4a" in out
     assert "result: FAIL" in out
+    code, out, _ = run(["verify", "--t", "2.5"], capsys)
+    assert code == EXIT_FAIL
+    assert "(4b) -1.8397" in out and "condition 4b not certified positive" in out
 
 
 def test_verify_domain_error_is_usage(capsys):
@@ -103,3 +106,12 @@ def test_usage_errors(capsys):
     assert run(["cake", "--format", "structured"], capsys)[0] == EXIT_USAGE
     assert run(["scan", "--tol-rel", "0.1"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "--format", "csv"], capsys)[0] == EXIT_USAGE
+    # verdict tolerances are constants, not options
+    assert run(["verify", "--t", "2.5", "--tol-abs", "-10"], capsys)[0] == EXIT_USAGE
+    assert run(["verify", "--tol-rel", "1"], capsys)[0] == EXIT_USAGE
+    assert run(["scan", "--tol-abs", "-100"], capsys)[0] == EXIT_USAGE
+    # non-finite inputs are domain errors
+    assert run(["scan", "--lo", "2.13", "--hi", "inf", "--steps", "3"], capsys)[0] == EXIT_USAGE
+    assert run(["certify", "--hi", "inf"], capsys)[0] == EXIT_USAGE
+    assert run(["verify", "--t", "nan", "--backend", "rigorous"], capsys)[0] == EXIT_USAGE
+    assert run(["verify", "--t", "inf"], capsys)[0] == EXIT_USAGE

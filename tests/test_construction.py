@@ -19,7 +19,7 @@ from cakecheck.construction import (
     solve_parameters,
 )
 from cakecheck.hermitian import GeometryError, projectively_equal, reflection
-from cakecheck.numerics import FAST, RIGOROUS, Interval
+from cakecheck.numerics import FAST, RIGOROUS, Interval, TaylorBackend
 
 GRID = [1.6 + (3.0 - 1.6) * k / 49 for k in range(50)]
 
@@ -50,6 +50,10 @@ def test_parameter_domain_gate():
         solve_parameters(1.2)
     with pytest.raises(ParameterDomainError):
         solve_parameters(Interval(1.49, 1.51), RIGOROUS)
+    for backend in (FAST, RIGOROUS, TaylorBackend(2.2, 1e-3)):
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="not finite"):
+                solve_parameters(t, backend)
 
 
 def test_parameter_grid_residuals_and_order():

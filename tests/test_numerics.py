@@ -267,6 +267,35 @@ def test_taylor_complex_division_contains_exact_values(order):
         assert _encloses(q.im, delta, (zi * wr - zr * wi) / d)
 
 
+def test_taylor_complex_product_with_zero_part_contains_exact_values(order):
+    """Products where one factor has an exact-zero real or imaginary part
+    (a lifted real or imaginary constant) enclose the exact values."""
+    rng = random.Random(13 + order)
+    m, rad = 2.2, 1e-3
+    x = TaylorBackend(m, rad).variable()
+    z = TaylorComplex(x * 2 - 1, x * x)
+    real = TaylorComplex(x + 3, x._const(0.0))
+    imag = TaylorComplex(x._const(0.0), x + 3)
+    iv = z * Interval(0.5, 0.75)
+    cases = [
+        (z * 3, lambda zr, zi, t: (3 * zr, 3 * zi)),
+        (3 * z, lambda zr, zi, t: (3 * zr, 3 * zi)),
+        (z * 2j, lambda zr, zi, t: (-2 * zi, 2 * zr)),
+        # an Interval constant stands for each of its points
+        (iv, lambda zr, zi, t: (zr / 2, zi / 2)),
+        (iv, lambda zr, zi, t: (zr * 3 / 4, zi * 3 / 4)),
+        (real * z, lambda zr, zi, t: ((t + 3) * zr, (t + 3) * zi)),
+        (imag * z, lambda zr, zi, t: (-(t + 3) * zi, (t + 3) * zr)),
+    ]
+    for _ in range(10):
+        delta = Fraction(rng.randint(-1000, 1000), 1000) * Fraction(rad)
+        t = Fraction(m) + delta
+        for prod, exact in cases:
+            want_re, want_im = exact(2 * t - 1, t * t, t)
+            assert _encloses(prod.re, delta, want_re), (order, delta)
+            assert _encloses(prod.im, delta, want_im), (order, delta)
+
+
 def test_taylor_scalar_encloses_true_values(monkeypatch):
     rng = random.Random(3)
     for order in ORDERS:
@@ -359,7 +388,7 @@ def test_taylor_backend_protocol_surface():
     assert abs(backend.mid(th) - complex(0.5, math.sqrt(3) / 2)) < 1e-12
     assert isinstance(backend.re(th * backend.conj(th)), TaylorModel)
     assert abs(backend.mid_real(t) - 2.22) < 1e-12
-    assert backend.sign(t) is SignVerdict.POSITIVE
+    assert certified_sign(t) is SignVerdict.POSITIVE
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +451,6 @@ def test_certify_depth_exceeded_reported():
 def test_certify_rejects_bad_range():
     with pytest.raises(ValueError):
         certify_on_interval(_sq_minus_two, 2.0, 1.0)
+    for lo, hi in ((2.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            certify_on_interval(_sq_minus_two, lo, hi)

@@ -17,6 +17,7 @@ from cakecheck.numerics import (
     CertificateLeaf,
     Interval,
     SignVerdict,
+    TaylorBackend,
     certify_on_interval,
 )
 from cakecheck.verification import (
@@ -174,6 +175,18 @@ def test_fast_values_inside_rigorous_enclosures():
             assert iv.lo - slack <= v <= iv.hi + slack, (t, cid)
 
 
+def test_condition_report_plain_on_taylor_range():
+    backend = TaylorBackend.for_interval(Interval(2.2, 2.2005))
+    rep = evaluate_conditions(build_configuration(backend.variable(), backend))
+    assert rep.complete
+    cfg = build_configuration(2.20025)
+    _, fast_vals, _ = condition_items(cfg)
+    for cid in CONDITION_IDS:
+        got = rep.plain(cid)
+        assert isinstance(got, complex if cid == "6b" else float)
+        assert abs(got - fast_vals[cid]) < 0.01 * max(1.0, abs(fast_vals[cid])), cid
+
+
 def test_taylor_enclosures_contain_fast_values():
     rng = random.Random(31)
     for _ in range(10):
@@ -231,6 +244,9 @@ def test_scan_argument_validation():
         scan(2.3, 2.2, 5)
     with pytest.raises(ValueError):
         scan(2.2, 2.3, 0)
+    for lo, hi in ((2.13, math.inf), (-math.inf, 2.2), (math.nan, 2.2)):
+        with pytest.raises(ValueError, match="not finite"):
+            scan(lo, hi, 3)
 
 
 # ---------------------------------------------------------------------------
