@@ -41,13 +41,23 @@ def subword(i: int):
 
 
 def realize_word(letters, cfg: TriangleConfiguration) -> Isometry:
-    """Juxtaposition acts on the left: the rightmost letter applies first."""
-    gens = cfg.reflections()
-    if any(k == R3 for k in letters) and gens[R3] is None:
-        raise ValueError("word uses R3 but the mirror construction has not run")
-    iso = Isometry.identity(cfg.ctx)
-    for k in letters:
-        iso = iso * gens[k]
+    """Juxtaposition acts on the left: the rightmost letter applies first.
+
+    A word is composed once per configuration, as its prefix times its last
+    letter (((Id R_a) R_b) R_c, left to right), and then served from
+    ``cfg.cake_memo``; most cake words are relator prefixes, so they share
+    the compositions of the shorter ones."""
+    letters = tuple(letters)
+    iso = cfg.cake_memo.get(letters)
+    if iso is None:
+        if not letters:
+            iso = Isometry.identity(cfg.ctx)
+        else:
+            gen = cfg.reflections()[letters[-1]]
+            if gen is None:
+                raise ValueError("word uses R3 but the mirror construction has not run")
+            iso = realize_word(letters[:-1], cfg) * gen
+        cfg.cake_memo[letters] = iso
     return iso
 
 
@@ -151,8 +161,14 @@ TRIANGLES = tuple(
 
 
 def _slice_vector(cfg, slice_ref):
-    letters, k = slice_ref
-    return realize_word(letters, cfg).apply(_slice_point(cfg, k))
+    # memoized next to the words: a (letters, k) key never equals a word key,
+    # whose entries are letters, not tuples
+    vec = cfg.cake_memo.get(slice_ref)
+    if vec is None:
+        letters, k = slice_ref
+        vec = realize_word(letters, cfg).apply(_slice_point(cfg, k))
+        cfg.cake_memo[slice_ref] = vec
+    return vec
 
 
 def verify_identifications(cfg: TriangleConfiguration):

@@ -11,7 +11,7 @@ m3, the isotropic direction w3, and the generating reflections R0..R3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .numerics import FAST, SignVerdict, certified_sign
 from .hermitian import (
@@ -168,6 +168,10 @@ class TriangleConfiguration:
     p2p: ProjVector | None = None
     R3: Isometry | None = None
 
+    # cake words and slice vectors realized at this configuration, filled by
+    # the cake module; ``dataclasses.replace`` starts an empty one
+    cake_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     @property
     def backend(self):
         return self.params.backend
@@ -315,6 +319,7 @@ def mirror_construction(cfg: TriangleConfiguration):
     cfg.m2p = m2p
     cfg.p2p = p2p
     cfg.R3 = R3
+    cfg.cake_memo.clear()  # nothing realized against the previous generators survives
     return {
         "trace_residual": trace_residual,
         "gram_residual": gram_residual,

@@ -228,8 +228,12 @@ class ProjVector:
         return tuple(self.ctx.backend.mid(c) for c in self.coords)
 
 
+def _max_abs(coords) -> float:
+    return max(abs(complex(c)) for c in coords)
+
+
 def _coord_scale(v: ProjVector) -> float:
-    return max(abs(complex(c)) for c in v.approx())
+    return _max_abs(v.approx())
 
 
 def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
@@ -237,7 +241,7 @@ def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
     ``RESIDUAL_TOL``, scaled by the coordinate magnitudes.  Fast backend."""
     a = u.approx()
     b = v.approx()
-    scale = max(_coord_scale(u), 1e-300) * max(_coord_scale(v), 1e-300)
+    scale = max(_max_abs(a), 1e-300) * max(_max_abs(b), 1e-300)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if abs(a[i] * b[j] - a[j] * b[i]) > RESIDUAL_TOL * scale:
             return False

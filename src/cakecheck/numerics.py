@@ -840,6 +840,8 @@ def certify_on_interval(evaluator, lo: float, hi: float, max_depth: int = 40) ->
         raise ValueError(f"certification interval [{lo}, {hi}] is not finite")
     if not lo < hi:
         raise ValueError("certification interval requires lo < hi")
+    if max_depth < 0:
+        raise ValueError(f"max_depth {max_depth} is negative")
     cert = Certificate(status="certified", lo=lo, hi=hi, max_depth=max_depth)
     stack = [(lo, hi, 0)]
     while stack:

@@ -1,14 +1,23 @@
 """Cake combinatorics: subwords, mapping tables, identifications, the
 assembled 16-triangle surface, and the five-generator presentation."""
 
+from dataclasses import replace
+
 import pytest
 
 from cakecheck import cake
 from cakecheck.cake import (
     BOUNDARY_SIDES,
+    H5_WORDS,
     IDENTIFICATIONS,
+    R1,
+    R2,
     RELATOR,
     TRIANGLES,
+    W2R3,
+    W5R3,
+    W8R3,
+    W11R3,
     build_cake,
     h5_presentation_check,
     realize_word,
@@ -16,7 +25,9 @@ from cakecheck.cake import (
     verify_identifications,
     verify_mapping_tables,
 )
-from cakecheck.construction import build_configuration
+from cakecheck.construction import build_configuration, mirror_construction
+from cakecheck.hermitian import Isometry
+from cakecheck.verification import verify_all
 
 
 def test_relator_shape():
@@ -41,10 +52,75 @@ def test_realized_words(cfg222):
     assert w12.scalar_residual(s) < 1e-9
 
 
+def _mirrored(t=2.22):
+    cfg = build_configuration(t)
+    mirror_construction(cfg)
+    return cfg
+
+
+def _compose_from_identity(letters, cfg):
+    gens = cfg.reflections()
+    iso = Isometry.identity(cfg.ctx)
+    for k in letters:
+        iso = iso * gens[k]
+    return iso
+
+
+def _assert_same_isometry(a, b, label):
+    assert a.m == b.m, label
+    assert a.antilinear == b.antilinear, label
+
+
+CAKE_WORDS = (
+    [subword(i) for i in range(13)]
+    + [W2R3, W5R3, W8R3, W11R3]
+    + [letters for _, letters, _, _ in IDENTIFICATIONS]
+    + [letters for _, letters in H5_WORDS]
+)
+
+
+def test_memoized_words_are_bit_identical():
+    cfg, ref = _mirrored(), _mirrored()
+    for calls in ("first", "memoized"):
+        for letters in CAKE_WORDS:
+            _assert_same_isometry(realize_word(letters, cfg),
+                                  _compose_from_identity(letters, ref), (calls, letters))
+
+
+def test_verify_composes_each_word_once(monkeypatch):
+    count = [0]
+    compose = Isometry.compose
+
+    def counting(self, other):
+        count[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(Isometry, "compose", counting)
+    assert verify_all(2.22)["passed"]
+    # composing every cake word from the identity took 629
+    assert count[0] <= 110
+
+
 def test_word_needs_mirror():
     cfg = build_configuration(2.22)
+    # an R3-free word realized first must not let an R3 word through the memo
+    realize_word((R1, R2, R1), cfg)
     with pytest.raises(ValueError):
         realize_word(subword(1), cfg)
+    mirror_construction(cfg)
+    ref = _mirrored()
+    for letters in (subword(1), (R1, R2, R1), subword(12)):
+        _assert_same_isometry(realize_word(letters, cfg),
+                              _compose_from_identity(letters, ref), letters)
+
+
+def test_memo_is_per_configuration(cfg222):
+    realize_word((R1,), cfg222)
+    swapped = replace(cfg222, R1=cfg222.R2)
+    _assert_same_isometry(realize_word((R1,), swapped),
+                          _compose_from_identity((R2,), cfg222), "R1 := R2")
+    _assert_same_isometry(realize_word((R1,), cfg222),
+                          _compose_from_identity((R1,), cfg222), "R1")
 
 
 def test_mapping_tables(cfg222):

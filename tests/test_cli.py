@@ -113,5 +113,7 @@ def test_usage_errors(capsys):
     # non-finite inputs are domain errors
     assert run(["scan", "--lo", "2.13", "--hi", "inf", "--steps", "3"], capsys)[0] == EXIT_USAGE
     assert run(["certify", "--hi", "inf"], capsys)[0] == EXIT_USAGE
+    assert run(["certify", "--lo", "2.2", "--hi", "2.2001", "--max-depth", "-1"],
+               capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "nan", "--backend", "rigorous"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "inf"], capsys)[0] == EXIT_USAGE

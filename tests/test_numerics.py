@@ -454,3 +454,5 @@ def test_certify_rejects_bad_range():
     for lo, hi in ((2.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0)):
         with pytest.raises(ValueError, match="not finite"):
             certify_on_interval(_sq_minus_two, lo, hi)
+    with pytest.raises(ValueError, match="negative"):
+        certify_on_interval(_sq_minus_two, 1.0, 2.0, max_depth=-1)
