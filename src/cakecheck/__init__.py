@@ -7,7 +7,7 @@ from .numerics import (
     FAST,
     RIGOROUS,
     Certificate,
-    ComplexBox,
+    ComplexPair,
     Interval,
     SignVerdict,
     TaylorBackend,

@@ -23,7 +23,6 @@ from .construction import (
     mirror_construction,
 )
 from .verification import (
-    SignVerdict,
     VerificationError,
     certificate_lines,
     certify_range,
@@ -93,10 +92,7 @@ def cmd_scan(args) -> int:
     rows = scan(args.lo, args.hi, args.steps, args.backend)
     _emit(scan_to_csv(rows), args.out)
     ok = all(
-        row["status"] == "ok"
-        and row["report"] is not None
-        and row["report"].complete
-        and all(v is SignVerdict.POSITIVE for v in row["report"].verdicts.values())
+        row["status"] == "ok" and row["report"] is not None and row["report"].all_positive
         for row in rows
     )
     return EXIT_OK if ok else EXIT_FAIL

@@ -1,10 +1,12 @@
-"""Scalar backends: fast complex floating point and rigorous interval enclosures.
+"""Scalar backends: fast complex floating point and rigorous enclosures.
 
 All geometric code in this package is written against a tiny backend
-protocol, so the same code path runs in two modes: ordinary double
-precision ("fast") and outward-rounded interval arithmetic ("rigorous").
-In rigorous mode every operation encloses the exact result, so a sign
-decision made on an enclosure that excludes 0 is certified.
+protocol, so the same code path runs on three backends: ordinary double
+precision ("fast"), outward-rounded intervals ("rigorous", for points) and
+Taylor models in the parameter (for ranges).  The two enclosure backends
+share one protocol implementation and one complex type, ``ComplexPair``;
+every operation on them encloses the exact result, so a sign decision made
+on an enclosure that excludes 0 is certified.
 """
 
 from __future__ import annotations
@@ -60,12 +62,22 @@ class Interval:
     # -- helpers -----------------------------------------------------------
 
     @staticmethod
-    def _coerce(x):
+    def _lift(x):
         if isinstance(x, Interval):
             return x
         if isinstance(x, (int, float)):
             return Interval(float(x))
         return None
+
+    @staticmethod
+    def _const(v: float) -> "Interval":
+        return Interval(v)
+
+    def range(self) -> "Interval":
+        return self
+
+    def is_zero(self) -> bool:
+        return self.lo == 0.0 and self.hi == 0.0
 
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -85,7 +97,7 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other):
-        o = Interval._coerce(other)
+        o = Interval._lift(other)
         if o is None:
             return NotImplemented
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
@@ -93,19 +105,19 @@ class Interval:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Interval._coerce(other)
+        o = Interval._lift(other)
         if o is None:
             return NotImplemented
         return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other):
-        o = Interval._coerce(other)
+        o = Interval._lift(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = Interval._coerce(other)
+        o = Interval._lift(other)
         if o is None:
             return NotImplemented
         p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
@@ -114,7 +126,7 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Interval._coerce(other)
+        o = Interval._lift(other)
         if o is None:
             return NotImplemented
         if o.lo <= 0.0 <= o.hi:
@@ -123,7 +135,7 @@ class Interval:
         return Interval(_down(min(p)), _up(max(p)))
 
     def __rtruediv__(self, other):
-        o = Interval._coerce(other)
+        o = Interval._lift(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -143,92 +155,8 @@ class Interval:
             )
         return Interval(max(0.0, _down(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
 
-
-class ComplexBox:
-    """Rectangular complex enclosure: a pair of real intervals."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        self.re = re if isinstance(re, Interval) else Interval(float(re))
-        if im is None:
-            im = Interval(0.0)
-        self.im = im if isinstance(im, Interval) else Interval(float(im))
-
-    def __repr__(self):
-        return f"ComplexBox({self.re!r}, {self.im!r})"
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ComplexBox):
-            return x
-        if isinstance(x, Interval):
-            return ComplexBox(x)
-        if isinstance(x, (int, float)):
-            return ComplexBox(Interval(float(x)))
-        if isinstance(x, complex):
-            return ComplexBox(Interval(x.real), Interval(x.imag))
-        return None
-
-    def mid(self) -> complex:
-        return complex(self.re.mid(), self.im.mid())
-
-    def conjugate(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
-
-    def abs2(self) -> Interval:
-        return self.re.sqr() + self.im.sqr()
-
-    def contains(self, z: complex) -> bool:
-        return self.re.contains(z.real) and self.im.contains(z.imag)
-
-    def __neg__(self):
-        return ComplexBox(-self.re, -self.im)
-
-    def __add__(self, other):
-        o = ComplexBox._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBox(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = ComplexBox._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBox(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = ComplexBox._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = ComplexBox._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexBox(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = ComplexBox._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2()
-        n = self * o.conjugate()
-        return ComplexBox(n.re / d, n.im / d)
-
-    def __rtruediv__(self, other):
-        o = ComplexBox._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    def inv(self) -> "Interval":
+        return 1.0 / self
 
 
 # ---------------------------------------------------------------------------
@@ -499,53 +427,56 @@ class TaylorModel:
         s0 = math.sqrt(c0)
         return p._scale(s0, _GAMMA * s0)
 
+    def is_zero(self) -> bool:
+        return self.r == 0.0 and len(self.c) == 1 and self.c[0] == 0.0
 
-def _is_zero(x: TaylorModel) -> bool:
-    return x.r == 0.0 and len(x.c) == 1 and x.c[0] == 0.0
 
-
-class TaylorComplex:
-    """Complex Taylor model: a pair of real ones."""
+class ComplexPair:
+    """Complex enclosure: a pair of real ones of one type, Intervals or
+    Taylor models."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: TaylorModel, im: TaylorModel):
+    def __init__(self, re, im):
         self.re = re
         self.im = im
 
     def __repr__(self):
-        return f"TaylorComplex({self.re!r}, {self.im!r})"
+        return f"ComplexPair({self.re!r}, {self.im!r})"
 
     def _lift(self, x):
-        if isinstance(x, TaylorComplex):
+        if isinstance(x, ComplexPair):
             return x
         if isinstance(x, complex):
-            return TaylorComplex(self.re._lift(x.real), self.re._lift(x.imag))
+            return ComplexPair(self.re._lift(x.real), self.re._lift(x.imag))
         lifted = self.re._lift(x)
         if lifted is None:
             return None
-        return TaylorComplex(lifted, self.re._const(0.0))
+        return ComplexPair(lifted, self.re._const(0.0))
 
-    def range(self) -> ComplexBox:
-        return ComplexBox(self.re.range(), self.im.range())
+    def range(self) -> "ComplexPair":
+        return ComplexPair(self.re.range(), self.im.range())
 
     def mid(self) -> complex:
         return complex(self.re.range().mid(), self.im.range().mid())
 
-    def conjugate(self) -> "TaylorComplex":
-        return TaylorComplex(self.re, -self.im)
+    def contains(self, z: complex) -> bool:
+        return self.re.range().contains(z.real) and self.im.range().contains(z.imag)
 
-    def abs2(self) -> TaylorModel:
+    def conjugate(self) -> "ComplexPair":
+        return ComplexPair(self.re, -self.im)
+
+    def abs2(self):
         return self.re.sqr() + self.im.sqr()
 
     def __neg__(self):
-        return TaylorComplex(-self.re, -self.im)
+        return ComplexPair(-self.re, -self.im)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return TaylorComplex(self.re + o.re, self.im + o.im)
+        return ComplexPair(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -553,7 +484,7 @@ class TaylorComplex:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return TaylorComplex(self.re - o.re, self.im - o.im)
+        return ComplexPair(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -567,12 +498,12 @@ class TaylorComplex:
             return NotImplemented
         # the products with a part that is the exact constant 0 (of a lifted
         # real or imaginary constant) are exactly 0 and are skipped
-        a, b = (o, self) if _is_zero(self.im) or _is_zero(self.re) else (self, o)
-        if _is_zero(b.im):
-            return TaylorComplex(a.re * b.re, a.im * b.re)
-        if _is_zero(b.re):
-            return TaylorComplex(-(a.im * b.im), a.re * b.im)
-        return TaylorComplex(
+        a, b = (o, self) if self.im.is_zero() or self.re.is_zero() else (self, o)
+        if b.im.is_zero():
+            return ComplexPair(a.re * b.re, a.im * b.re)
+        if b.re.is_zero():
+            return ComplexPair(-(a.im * b.im), a.re * b.im)
+        return ComplexPair(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -585,7 +516,7 @@ class TaylorComplex:
             return NotImplemented
         d = o.abs2().inv()
         n = self * o.conjugate()
-        return TaylorComplex(n.re * d, n.im * d)
+        return ComplexPair(n.re * d, n.im * d)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -660,61 +591,73 @@ class FastBackend:
         return float(x)
 
 
-class RigorousBackend:
-    """Outward-rounded interval arithmetic; reals are Intervals, complex
-    values are ComplexBoxes."""
+class EnclosureBackend:
+    """The backend protocol over real enclosures of type ``real_type``, made
+    from floats and Intervals by ``_const``; complex values are
+    ComplexPairs of them."""
 
-    name = "rigorous"
     rigorous = True
 
     def real(self, x):
-        if isinstance(x, Interval):
+        if isinstance(x, self.real_type):
             return x
-        if isinstance(x, (int, float)):
-            return Interval(float(x))
-        raise TypeError(f"rigorous backend cannot lift {type(x).__name__} as a real")
+        if isinstance(x, (Interval, int, float)):
+            return self._const(x)
+        raise TypeError(f"{self.name} backend cannot lift {type(x).__name__} as a real")
 
     def complex_(self, re, im=0.0):
-        return ComplexBox(self.real(re), self.real(im))
+        return ComplexPair(self.real(re), self.real(im))
 
     @property
-    def theta(self) -> ComplexBox:
+    def theta(self) -> ComplexPair:
         half_sqrt3 = Interval(3.0).sqrt() / 2
-        return ComplexBox(Interval(0.5), half_sqrt3)
+        return ComplexPair(self._const(0.5), self._const(half_sqrt3))
 
     def conj(self, z):
-        return ComplexBox._coerce(z).conjugate()
+        if isinstance(z, ComplexPair):
+            return z.conjugate()
+        return self.complex_(z)
 
     def re(self, z):
-        if isinstance(z, Interval):
-            return z
-        return ComplexBox._coerce(z).re
+        if isinstance(z, ComplexPair):
+            return z.re
+        return self.real(z)
 
     def im(self, z):
-        if isinstance(z, Interval):
-            return Interval(0.0)
-        return ComplexBox._coerce(z).im
+        if isinstance(z, ComplexPair):
+            return z.im
+        return self._const(0.0)
 
     def sqrt(self, x):
         return self.real(x).sqrt()
 
     def mid(self, z) -> complex:
-        if isinstance(z, Interval):
-            return complex(z.mid(), 0.0)
-        return ComplexBox._coerce(z).mid()
+        if isinstance(z, ComplexPair):
+            return z.mid()
+        return complex(self.mid_real(z), 0.0)
 
     def mid_real(self, x) -> float:
-        return self.real(x).mid()
+        return self.real(x).range().mid()
 
 
-class TaylorBackend:
+class RigorousBackend(EnclosureBackend):
+    """Outward-rounded interval arithmetic: reals are Intervals."""
+
+    name = "rigorous"
+    real_type = Interval
+
+    def _const(self, x) -> Interval:
+        return Interval._lift(x)
+
+
+class TaylorBackend(EnclosureBackend):
     """Interval arithmetic through Taylor models of order ``TAYLOR_ORDER``
     centered at ``mid`` with parameter radius ``rad`` (order 0 when rad is
-    0).  Same enclosure guarantees as the plain rigorous backend, but vastly
-    tighter on narrow parameter ranges."""
+    0).  Same enclosure guarantees as the Interval-based rigorous backend,
+    but vastly tighter on narrow parameter ranges."""
 
     name = "rigorous-taylor"
-    rigorous = True
+    real_type = TaylorModel
 
     def __init__(self, mid: float, rad: float):
         if rad < 0.0:
@@ -742,47 +685,6 @@ class TaylorBackend:
     def _const(self, x) -> TaylorModel:
         m, r = _mid_rad(x) if isinstance(x, Interval) else (float(x), 0.0)
         return TaylorModel([m], r, self._pw)
-
-    def real(self, x):
-        if isinstance(x, TaylorModel):
-            return x
-        if isinstance(x, (Interval, int, float)):
-            return self._const(x)
-        raise TypeError(f"Taylor backend cannot lift {type(x).__name__} as a real")
-
-    def complex_(self, re, im=0.0):
-        return TaylorComplex(self.real(re), self.real(im))
-
-    @property
-    def theta(self) -> TaylorComplex:
-        half_sqrt3 = Interval(3.0).sqrt() / 2
-        return TaylorComplex(self._const(0.5), self._const(half_sqrt3))
-
-    def conj(self, z):
-        if isinstance(z, TaylorComplex):
-            return z.conjugate()
-        return self.complex_(self.real(z))
-
-    def re(self, z):
-        if isinstance(z, TaylorComplex):
-            return z.re
-        return self.real(z)
-
-    def im(self, z):
-        if isinstance(z, TaylorComplex):
-            return z.im
-        return self._const(0.0)
-
-    def sqrt(self, x):
-        return self.real(x).sqrt()
-
-    def mid(self, z) -> complex:
-        if isinstance(z, TaylorComplex):
-            return z.mid()
-        return complex(self.real(z).range().mid(), 0.0)
-
-    def mid_real(self, x) -> float:
-        return self.real(x).range().mid()
 
 
 FAST = FastBackend()

@@ -243,20 +243,15 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
     # endpoint argument class, in the pairing orientation for which the
     # counterclockwise triangle bounds the disc (conjugate of the first-slot
     # products used elsewhere)
-    q = (
-        complex(ctx.inner(cfg.c1, cfg.c3))
-        * complex(ctx.inner(cfg.c3, cfg.c2))
-        / complex(ctx.inner(cfg.c1, cfg.c2))
-    ).conjugate()
+    c13 = complex(ctx.inner(cfg.c1, cfg.c3))
+    c32 = complex(ctx.inner(cfg.c3, cfg.c2))
+    c12 = complex(ctx.inner(cfg.c1, cfg.c2))
+    q = (c13 * c32 / c12).conjugate()
     arg_mod_pi = math.atan2(q.imag, q.real) % math.pi
     out["q"] = q
     out["q_arg_mod_pi_residual"] = abs(arg_mod_pi - math.pi / 6)
-    out["c1c2_real"] = abs(complex(ctx.inner(cfg.c1, cfg.c2)).imag) < RESIDUAL_TOL * max(
-        1.0, abs(complex(ctx.inner(cfg.c1, cfg.c2)))
-    )
-    out["c3c2_real"] = abs(complex(ctx.inner(cfg.c3, cfg.c2)).imag) < RESIDUAL_TOL * max(
-        1.0, abs(complex(ctx.inner(cfg.c3, cfg.c2)))
-    )
+    out["c1c2_real"] = abs(c12.imag) < RESIDUAL_TOL * max(1.0, abs(c12))
+    out["c3c2_real"] = abs(c32.imag) < RESIDUAL_TOL * max(1.0, abs(c32))
 
     cs = (cfg.c1, cfg.c2, cfg.c3)
     ds = (cfg.d1, cfg.d2, cfg.d3)
@@ -581,7 +576,11 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
                 failures.append(f"published value mismatch for {r['key']}")
 
     if not backend.rigorous and cond.all_positive:
-        mirror_construction(cfg)
+        mirror = mirror_construction(cfg)
+        if mirror["trace_residual"] > RESIDUAL_TOL:
+            failures.append("mirror construction trace residual exceeds 1e-9")
+        if mirror["form_residual"] > RESIDUAL_TOL:
+            failures.append("mirror construction form residual exceeds 1e-9")
         rel = check_relation(cfg)
         report["relations"] = {
             "relation_residual": rel["relation_residual"],
@@ -604,8 +603,14 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
         }
         if cor["r3_c3_residual"] > RESIDUAL_TOL or cor["r3_d1_residual"] > RESIDUAL_TOL:
             failures.append("antilinear generator does not fix the spine points as claimed")
+        if not cor["r3_c1_fixed"]:
+            failures.append("antilinear generator does not fix c1")
         if cor["q_arg_mod_pi_residual"] > RESIDUAL_TOL:
             failures.append("endpoint argument class is not pi/6 mod pi")
+        if not cor["c1c2_real"]:
+            failures.append("<c1,c2> is not real")
+        if not cor["c3c2_real"]:
+            failures.append("<c3,c2> is not real")
         if not all(cor["segment_geodesics_distinct"]):
             failures.append("segment geodesics coincide")
 

@@ -1,5 +1,8 @@
-"""Command-line interface: exit codes, output formats, determinism, and the
---out file sink.  Everything runs in process through cli.main."""
+"""Command-line interface: exit codes, output formats, determinism, golden
+outputs and the --out file sink.  Everything runs in process through
+cli.main."""
+
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +120,22 @@ def test_usage_errors(capsys):
                capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "nan", "--backend", "rigorous"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "inf"], capsys)[0] == EXIT_USAGE
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--t", "2.22", "--backend", "rigorous", "--format", "structured"],
+     "verify_rigorous_structured.txt"),
+    (["scan", "--backend", "rigorous"], "scan_rigorous.csv"),
+    (["certify"], "certify.txt"),
+])
+def test_output_matches_golden_file(argv, name, capsys):
+    """These outputs use only IEEE + - * /, sqrt and nextafter, so they are
+    the same bytes on every platform; a change to them is a change to the
+    arithmetic.  Regenerate with ``cakecheck <argv> > tests/golden/<name>``
+    only when that change is intended."""
+    code, out, _ = run(argv, capsys)
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / name).read_bytes()

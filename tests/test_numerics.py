@@ -11,12 +11,12 @@ import pytest
 
 from cakecheck import numerics
 from cakecheck.numerics import (
-    ComplexBox,
+    RIGOROUS,
+    ComplexPair,
     DomainError,
     Interval,
     SignVerdict,
     TaylorBackend,
-    TaylorComplex,
     TaylorModel,
     certified_sign,
     certify_on_interval,
@@ -81,8 +81,8 @@ def test_complex_box_mul_contains_exact_product():
     for _ in range(200):
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        bz = ComplexBox._coerce(z)
-        bw = ComplexBox._coerce(w)
+        bz = RIGOROUS.complex_(z.real, z.imag)
+        bw = RIGOROUS.complex_(w.real, w.imag)
         prod = bz * bw
         exact = z * w
         # a few ulps of slack for the float reference product
@@ -255,8 +255,8 @@ def test_taylor_complex_division_contains_exact_values(order):
     m, rad = 2.2, 1e-3
     backend = TaylorBackend(m, rad)
     x = backend.variable()
-    z = TaylorComplex(x * 2 - 1, x * x)
-    w = TaylorComplex(x + 3, 1 - x)
+    z = ComplexPair(x * 2 - 1, x * x)
+    w = ComplexPair(x + 3, 1 - x)
     q = z / w
     for _ in range(10):
         delta = Fraction(rng.randint(-1000, 1000), 1000) * Fraction(rad)
@@ -273,9 +273,9 @@ def test_taylor_complex_product_with_zero_part_contains_exact_values(order):
     rng = random.Random(13 + order)
     m, rad = 2.2, 1e-3
     x = TaylorBackend(m, rad).variable()
-    z = TaylorComplex(x * 2 - 1, x * x)
-    real = TaylorComplex(x + 3, x._const(0.0))
-    imag = TaylorComplex(x._const(0.0), x + 3)
+    z = ComplexPair(x * 2 - 1, x * x)
+    real = ComplexPair(x + 3, x._const(0.0))
+    imag = ComplexPair(x._const(0.0), x + 3)
     iv = z * Interval(0.5, 0.75)
     cases = [
         (z * 3, lambda zr, zi, t: (3 * zr, 3 * zi)),
@@ -294,6 +294,37 @@ def test_taylor_complex_product_with_zero_part_contains_exact_values(order):
             want_re, want_im = exact(2 * t - 1, t * t, t)
             assert _encloses(prod.re, delta, want_re), (order, delta)
             assert _encloses(prod.im, delta, want_im), (order, delta)
+
+
+def _widened(q: Fraction) -> Interval:
+    """An Interval that contains the rational ``q``."""
+    return Interval(math.nextafter(float(q), -math.inf), math.nextafter(float(q), math.inf))
+
+
+def test_interval_complex_product_with_zero_part_contains_exact_values():
+    """The same on the rigorous backend's Interval-backed pairs, whose
+    exact-zero parts are the point interval [0, 0]."""
+    rng = random.Random(17)
+    for _ in range(100):
+        zr, zi, a = (Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(3))
+        z = RIGOROUS.complex_(_widened(zr), _widened(zi))
+        real = RIGOROUS.complex_(_widened(a))
+        imag = RIGOROUS.complex_(0, _widened(a))
+        assert real.im.is_zero() and imag.re.is_zero()
+        iv = z * Interval(0.5, 0.75)
+        cases = [
+            (z * 3, (3 * zr, 3 * zi)),
+            (3 * z, (3 * zr, 3 * zi)),
+            (z * 2j, (-2 * zi, 2 * zr)),
+            (iv, (zr / 2, zi / 2)),
+            (iv, (zr * 3 / 4, zi * 3 / 4)),
+            (real * z, (a * zr, a * zi)),
+            (imag * z, (-a * zi, a * zr)),
+            (z * imag, (-a * zi, a * zr)),
+        ]
+        for prod, (want_re, want_im) in cases:
+            assert Fraction(prod.re.lo) <= want_re <= Fraction(prod.re.hi), (zr, zi, a)
+            assert Fraction(prod.im.lo) <= want_im <= Fraction(prod.im.hi), (zr, zi, a)
 
 
 def test_taylor_scalar_encloses_true_values(monkeypatch):
@@ -345,8 +376,8 @@ def test_taylor_complex_division_round_trip(monkeypatch):
     for order in ORDERS:
         backend = _taylor_backend(monkeypatch, order, 2.2, 1e-5)
         x = backend.variable()
-        z = TaylorComplex(x * 2 - 1, x * x)
-        w = TaylorComplex(x + 3, 1 - x)
+        z = ComplexPair(x * 2 - 1, x * x)
+        w = ComplexPair(x + 3, 1 - x)
         back = (z / w) * w
         for _ in range(10):
             t = rng.uniform(2.2 - 1e-5, 2.2 + 1e-5)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from cakecheck import cake, numerics, verification
+from cakecheck.cli import EXIT_FAIL, main
 from cakecheck.construction import build_configuration, mirror_construction
 from cakecheck.numerics import (
     FAST,
@@ -169,9 +170,10 @@ def test_fast_values_inside_rigorous_enclosures():
         rig_cfg = build_configuration(Interval(t), RIGOROUS)
         _, rig_vals, rig_pos = condition_items(rig_cfg)
         assert set(fast_pos) == set(rig_pos)
-        for cid, iv in rig_pos.items():
+        for cid, enc in rig_pos.items():
             v = float(fast_pos[cid])
             slack = 1e-9 * max(1.0, abs(v))
+            iv = enc.range()
             assert iv.lo - slack <= v <= iv.hi + slack, (t, cid)
 
 
@@ -319,6 +321,41 @@ def test_verify_all_passes_at_published_t():
                            "euler_characteristic": -4, "genus": 3}
     assert inv["h5_ok"]
     assert report["relations"]["relation_residual"] < 1e-9
+
+
+def _forced(fn, **results):
+    """``fn`` with the given entries of its result dict overridden."""
+    def wrapper(*args, **kwargs):
+        return {**fn(*args, **kwargs), **results}
+    return wrapper
+
+
+def test_verify_all_enforces_slice_symmetry_results(monkeypatch):
+    monkeypatch.setattr(verification, "check_slice_symmetries", _forced(
+        verification.check_slice_symmetries,
+        r3_c1_fixed=False, c1c2_real=False, c3c2_real=False,
+    ))
+    report = verify_all(2.22)
+    assert not report["passed"]
+    assert report["failures"] == [
+        "antilinear generator does not fix c1",
+        "<c1,c2> is not real",
+        "<c3,c2> is not real",
+    ]
+    assert main(["verify"]) == EXIT_FAIL
+
+
+def test_verify_all_enforces_mirror_residuals(monkeypatch):
+    monkeypatch.setattr(verification, "mirror_construction", _forced(
+        verification.mirror_construction, trace_residual=1.0, form_residual=1.0,
+    ))
+    report = verify_all(2.22)
+    assert not report["passed"]
+    assert report["failures"] == [
+        "mirror construction trace residual exceeds 1e-9",
+        "mirror construction form residual exceeds 1e-9",
+    ]
+    assert main(["verify"]) == EXIT_FAIL
 
 
 def test_verify_all_fails_cleanly_out_of_range():
