@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         if args.command == "cake":
             return cmd_cake(args)
         return EXIT_USAGE
-    except VerificationError as exc:
+    except (VerificationError, cake_mod.CakeReconstructionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (DomainError, GeometryError, ParameterDomainError, ValueError) as exc:

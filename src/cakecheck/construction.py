@@ -135,7 +135,6 @@ class TriangleConfiguration:
     the discal-adjacency conditions and exists only when u > 1 is certain.
     """
 
-    t: object
     params: ParameterTriple
     ctx: GramContext
 
@@ -220,7 +219,6 @@ def build_configuration(t, backend=FAST) -> TriangleConfiguration:
         w3 = c3.scale(b.complex_(lam)) - d3.scale(coeff)
 
     return TriangleConfiguration(
-        t=params.t,
         params=params,
         ctx=ctx,
         p1=p1,

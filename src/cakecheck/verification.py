@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import numerics
+from . import cake, numerics
 from .numerics import (
     DEFAULT_ZERO_TOL,
     FAST,
@@ -117,11 +117,11 @@ def condition_items(cfg: TriangleConfiguration):
     if cfg.w3 is None:
         complete = False
     else:
-        z6b = ctx.inner(reflection(cfg.m3).apply(cfg.w3), (cfg.R1 * cfg.R2).apply(cfg.w3))
+        z6b = ctx.inner(reflection(cfg.m3).apply(cfg.w3), cfg.R1.apply(cfg.R2.apply(cfg.w3)))
         values["6b"] = z6b
         positives["6b"] = b.re(z6b * b.conj(z6b))
 
-        f1 = (reflection(cfg.q1) * reflection(cfg.q3)).apply(cfg.w3)
+        f1 = reflection(cfg.q1).apply(reflection(cfg.q3).apply(cfg.w3))
         v6c = b.im(ctx.inner(cfg.b2, f1) * ctx.inner(f1, cfg.e2) / ctx.inner(cfg.b2, cfg.e2))
         values["6c"] = v6c
         positives["6c"] = v6c
@@ -191,12 +191,12 @@ def check_relation(cfg: TriangleConfiguration):
     noninteger Toledo invariant."""
     if cfg.R3 is None:
         raise VerificationError("mirror construction must run before the relation check")
-    word = cfg.R3 * cfg.R1 * cfg.R2 * cfg.R3 * cfg.R2 * cfg.R1 * cfg.R0
+    half = cake.realize_word(cake.subword(6), cfg)
+    word = half * cfg.R0
     if word.antilinear:
         raise VerificationError("seven-letter word unexpectedly antilinear")
     residual = word.scalar_residual(THETA_INV_SQ)
 
-    half = cfg.R3 * cfg.R1 * cfg.R2 * cfg.R3 * cfg.R2 * cfg.R1
     square = half * half
     return {
         "relation_residual": residual,
@@ -248,7 +248,6 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
     c12 = complex(ctx.inner(cfg.c1, cfg.c2))
     q = (c13 * c32 / c12).conjugate()
     arg_mod_pi = math.atan2(q.imag, q.real) % math.pi
-    out["q"] = q
     out["q_arg_mod_pi_residual"] = abs(arg_mod_pi - math.pi / 6)
     out["c1c2_real"] = abs(c12.imag) < RESIDUAL_TOL * max(1.0, abs(c12))
     out["c3c2_real"] = abs(c32.imag) < RESIDUAL_TOL * max(1.0, abs(c32))
@@ -275,7 +274,6 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
 class ToledoReport:
     tau: Fraction
     presnap: float
-    variation: float
     end_branch: float  # the continuous final Arg value, anchored at pi
     candidates: tuple
     rejected: tuple
@@ -347,7 +345,6 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
     return ToledoReport(
         tau=tau,
         presnap=presnap,
-        variation=variation,
         end_branch=end_branch,
         candidates=tuple(candidates),
         rejected=rejected,
@@ -376,7 +373,6 @@ def euler_side_test(report: ConditionReport):
         raise VerificationError(
             "side-test sign indeterminate or zero: degenerate configuration"
         )
-    assert e % 8 == 0
     return {"s": report.plain("6c"), "e": e, "verdict": verdict}
 
 
@@ -386,8 +382,6 @@ class InvariantLedger:
     e: int
     chi: int
     genus: int
-    angle_sum: float
-    relation_residual: float
     cover2_tau: Fraction = Fraction(-4, 3)
     cover2_e: int = 0
     cover2_chi: int = -2
@@ -405,8 +399,7 @@ class InvariantLedger:
         return True
 
 
-def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None,
-                     angle_sum=None, relation_residual=None):
+def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None):
     """Ledger for the genus-3 surface (chi = 3 - 8 + 1 = -4) and the derived
     genus-2 cover (chi = -2, e = 0, tau = -4/3); both must satisfy
     2(chi + e) = 3 tau exactly, in rational arithmetic.  Each input not
@@ -415,18 +408,7 @@ def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None,
         toledo_report = toledo(cfg)
     if side is None:
         side = euler_side_test(evaluate_conditions(cfg))
-    if angle_sum is None:
-        angle_sum = sum(angles(cfg))
-    if relation_residual is None:
-        relation_residual = check_relation(cfg)["relation_residual"]
-    ledger = InvariantLedger(
-        tau=toledo_report.tau,
-        e=side["e"],
-        chi=-4,
-        genus=3,
-        angle_sum=angle_sum,
-        relation_residual=relation_residual,
-    )
+    ledger = InvariantLedger(tau=toledo_report.tau, e=side["e"], chi=-4, genus=3)
     ledger.check()
     return ledger
 
@@ -529,8 +511,6 @@ def replay_range_certificate(cert: Certificate) -> bool:
 def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
     """Run the whole verification pipeline at a single t and return a
     structured report (plain dict with stable key order)."""
-    from . import cake  # local import: cake depends on this module's siblings only
-
     backend = get_backend(backend_name)
     report = {
         "schema_version": 2,
@@ -618,7 +598,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
         angle_sum = sum(beta)
         tol_rep = toledo(cfg)
         side = euler_side_test(cond)
-        ledger = invariant_ledger(cfg, tol_rep, side, angle_sum, rel["relation_residual"])
+        ledger = invariant_ledger(cfg, tol_rep, side)
         report["invariants"] = {
             "angles": list(beta),
             "angle_sum": angle_sum,

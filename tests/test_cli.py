@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cakecheck import cake
 from cakecheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from cakecheck.verification import SCAN_COLUMNS
 
@@ -91,6 +92,21 @@ def test_cake_audit(capsys):
     assert code == EXIT_OK
     assert "[pairings]" in out
     assert "mapping_tables=ok" in out
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["cake"]])
+def test_failed_cake_reconstruction_is_a_verification_failure(argv, capsys, monkeypatch):
+    corner_classes = cake._corner_classes
+
+    def merged(cfg):
+        classes = corner_classes(cfg)
+        classes[0].append(classes[1].pop())
+        return classes
+
+    monkeypatch.setattr(cake, "_corner_classes", merged)
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_FAIL
+    assert "corner class of size 3" in err
 
 
 def test_out_file_sink(tmp_path, capsys):

@@ -2,16 +2,24 @@
 relation, the slice symmetries, Toledo, Euler side test, the ledger, scans,
 backend agreement, and interval certification."""
 
+import ast
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cakecheck import cake, numerics, verification
 from cakecheck.cli import EXIT_FAIL, main
-from cakecheck.construction import build_configuration, mirror_construction
+from cakecheck.construction import (
+    THETA_INV_SQ,
+    THETA_SQ,
+    build_configuration,
+    mirror_construction,
+)
+from cakecheck.hermitian import Isometry
 from cakecheck.numerics import (
     FAST,
     RIGOROUS,
@@ -83,6 +91,29 @@ def test_seven_letter_relation(cfg222):
     assert rel["square_is_nontrivial_in_su"]
 
 
+def test_relation_matches_explicit_chain(cfg222):
+    rng = random.Random(20261018)
+    cfgs = [cfg222]
+    for t in [rng.uniform(2.13, 2.34) for _ in range(5)]:
+        cfg = build_configuration(t)
+        mirror_construction(cfg)
+        cfgs.append(cfg)
+    for cfg in cfgs:
+        word = cfg.R3 * cfg.R1 * cfg.R2 * cfg.R3 * cfg.R2 * cfg.R1 * cfg.R0
+        half = cfg.R3 * cfg.R1 * cfg.R2 * cfg.R3 * cfg.R2 * cfg.R1
+        square = half * half
+        want = {
+            "relation_residual": word.scalar_residual(THETA_INV_SQ),
+            "square_scalar": square.scalar_part(),
+            "square_residual": square.scalar_residual(THETA_SQ),
+            "square_is_nontrivial_in_su": abs(square.scalar_part() - 1.0) > 0.5,
+        }
+        got = check_relation(cfg)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == value, (cfg.params.t, key)
+
+
 def test_relation_requires_mirror():
     cfg = build_configuration(2.22)
     with pytest.raises(VerificationError):
@@ -108,7 +139,7 @@ def test_toledo_invariant(cfg222):
     ts = [2.13, 2.34] + [rng.uniform(2.13, 2.34) for _ in range(20)]
     for cfg in [cfg222] + [build_configuration(t) for t in ts]:
         rep = toledo(cfg)
-        assert rep.tau == Fraction(-8, 3), cfg.t
+        assert rep.tau == Fraction(-8, 3), cfg.params.t
         assert abs(rep.presnap - float(rep.tau)) < 1e-6
         assert rep.rejected == (Fraction(40, 3),)
         assert abs(rep.end_branch - 7 * math.pi / 6) < 1e-9
@@ -139,6 +170,16 @@ def test_invariant_ledger(cfg222):
     assert ledger.check()
 
 
+def test_no_check_is_an_assert_statement():
+    # python -O strips assert statements, and the checks with them
+    sources = sorted(Path(verification.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, (path.name, asserts)
+
+
 def test_verify_all_computes_angles_and_relation_once(monkeypatch):
     calls = {"angles": 0, "check_relation": 0}
 
@@ -148,13 +189,25 @@ def test_verify_all_computes_angles_and_relation_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # the ledger and the cake both need the angle sum
+    # the report and the cake both need the angle sum
     for module in (verification, cake):
         monkeypatch.setattr(module, "angles", counted("angles", module.angles))
     monkeypatch.setattr(verification, "check_relation",
                         counted("check_relation", verification.check_relation))
     assert verify_all(2.22)["passed"]
     assert calls == {"angles": 1, "check_relation": 1}
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: condition_enclosures(Interval(2.2, 2.20075)),
+    lambda: verify_all(2.22, "rigorous"),
+], ids=["condition_enclosures", "verify_all_rigorous"])
+def test_condition_evaluation_composes_no_isometry(evaluate, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("condition evaluation composed an isometry")
+
+    monkeypatch.setattr(Isometry, "compose", refuse)
+    evaluate()
 
 
 # ---------------------------------------------------------------------------
