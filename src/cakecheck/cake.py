@@ -55,7 +55,7 @@ def realize_word(letters, cfg: TriangleConfiguration) -> Isometry:
         else:
             gen = cfg.reflections()[letters[-1]]
             if gen is None:
-                raise ValueError("word uses R3 but the mirror construction has not run")
+                raise ValueError(f"word uses R{letters[-1]} before the mirror construction ran")
             iso = realize_word(letters[:-1], cfg) * gen
         cfg.cake_memo[letters] = iso
     return iso
@@ -114,8 +114,8 @@ def verify_mapping_tables(cfg: TriangleConfiguration):
 # boundary sides and identifications
 
 # each boundary side is (triangle label, begin slice, end slice); a slice is
-# (word letters, basis index).  The sides are listed in the boundary cyclic
-# order that the corner matching below must confirm.
+# (word letters, basis index).  The list order is not the boundary order:
+# build_cake discovers the cyclic order from the corner coincidences.
 W2R3 = subword(2) + (R3,)
 W5R3 = subword(5) + (R3,)
 W8R3 = subword(8) + (R3,)

@@ -73,10 +73,11 @@ def build_parser():
 
 
 def _emit(text: str, out_path):
-    sys.stdout.write(text)
+    # --out first: an unwritable path is a usage error and prints no report
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     except (VerificationError, cake_mod.CakeReconstructionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (DomainError, GeometryError, ParameterDomainError, ValueError) as exc:
+    except (DomainError, GeometryError, ParameterDomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -129,7 +129,7 @@ def build_gram(params: ParameterTriple) -> GramContext:
 class TriangleConfiguration:
     """All named points and reflections of the configuration at one t.
 
-    The mirror data (m1p, m2p, p2p, R3) is filled in by
+    The mirror data (m1p, m2p, p2p, R0, R3) is filled in by
     :func:`mirror_construction`, which needs branch decisions and therefore
     runs on the fast backend only; ``w3`` is the isotropic direction used by
     the discal-adjacency conditions and exists only when u > 1 is certain.
@@ -155,7 +155,6 @@ class TriangleConfiguration:
     q1: ProjVector
     q3: ProjVector
 
-    R0: Isometry
     R1: Isometry
     R2: Isometry
 
@@ -165,6 +164,7 @@ class TriangleConfiguration:
     m1p: ProjVector | None = None
     m2p: ProjVector | None = None
     p2p: ProjVector | None = None
+    R0: Isometry | None = None
     R3: Isometry | None = None
 
     # cake words and slice vectors realized at this configuration, filled by
@@ -176,7 +176,7 @@ class TriangleConfiguration:
         return self.params.backend
 
     def reflections(self):
-        """The four generators, R3 last (None before mirror_construction)."""
+        """The four generators R0..R3; R0 and R3 are None before mirror_construction."""
         return (self.R0, self.R1, self.R2, self.R3)
 
 
@@ -202,7 +202,6 @@ def build_configuration(t, backend=FAST) -> TriangleConfiguration:
     q1 = ctx.vector(1, 1, 0)
     q3 = ctx.vector(1, 0, 1)
 
-    R0 = reflection(p1)
     R1 = reflection(m1)
     R2 = reflection(m2)
 
@@ -237,7 +236,6 @@ def build_configuration(t, backend=FAST) -> TriangleConfiguration:
         e2=e2,
         q1=q1,
         q3=q3,
-        R0=R0,
         R1=R1,
         R2=R2,
         u=u,
@@ -260,15 +258,16 @@ def mirror_construction(cfg: TriangleConfiguration):
     conjugate of the original one, and R3 is the antilinear basis map
     p1 -> p1, p2 -> p2', p3 -> p3.
 
-    Fills cfg.m1p, cfg.m2p, cfg.p2p, cfg.R3 in place and returns a dict of
-    verification residuals.
+    Fills cfg.m1p, cfg.m2p, cfg.p2p, cfg.R0 = R(p1), cfg.R3 in place and
+    returns a dict of verification residuals.
     """
     ctx = cfg.ctx
     b = ctx.backend
     if b.rigorous:
         raise GeometryError("mirror construction needs branch decisions; use the fast backend")
 
-    iso = (cfg.R2 * cfg.R1 * cfg.R0).scaled(THETA_SQ)
+    R0 = reflection(cfg.p1)
+    iso = (cfg.R2 * cfg.R1 * R0).scaled(THETA_SQ)
     trace = complex(iso.trace())
     trace_residual = abs(trace - 2.0 * float(cfg.params.t))
 
@@ -316,6 +315,7 @@ def mirror_construction(cfg: TriangleConfiguration):
     cfg.m1p = m1p
     cfg.m2p = m2p
     cfg.p2p = p2p
+    cfg.R0 = R0
     cfg.R3 = R3
     cfg.cake_memo.clear()  # nothing realized against the previous generators survives
     return {

@@ -337,26 +337,23 @@ def reflection(p: ProjVector) -> Isometry:
     to p (p positive)."""
     ctx = p.ctx
     b = ctx.backend
-    pp = ctx.inner(p, p)
+    pc = p.coords
+    cp = vec_conj(b, pc)
+    g = ctx.g
+    # w_i = (G conj(p))_i, so <x,p> = sum_i x_i w_i; <p,p> reuses the
+    # products that ctx.inner(p, p) would form
+    w = tuple(sum3(g[i][0] * cp[0], g[i][1] * cp[1], g[i][2] * cp[2]) for i in range(3))
+    pp = sum3(pc[0] * w[0], pc[1] * w[1], pc[2] * w[2])
     if not b.rigorous:
-        scale = _coord_scale(p) ** 2 * max(1.0, mat_max_abs(ctx.g))
+        scale = _coord_scale(p) ** 2 * max(1.0, mat_max_abs(g))
         if abs(complex(pp)) <= 1e-12 * max(scale, 1e-300):
             raise GeometryError("reflection in an isotropic point is undefined")
-    cp = vec_conj(b, p.coords)
-    g = ctx.g
-    # w_i = (G conj(p))_i, so <x,p> = sum_i x_i w_i
-    w = tuple(sum3(g[i][0] * cp[0], g[i][1] * cp[1], g[i][2] * cp[2]) for i in range(3))
     two_over = 2.0 / pp
     one = ctx._lift_scalar(1.0)
     rows = []
     for i in range(3):
-        row = []
-        for j in range(3):
-            entry = two_over * p.coords[i] * w[j]
-            if i == j:
-                entry = entry - one
-            row.append(entry)
-        rows.append(tuple(row))
+        s = two_over * pc[i]
+        rows.append(tuple(s * w[j] - one if i == j else s * w[j] for j in range(3)))
     return Isometry(ctx, tuple(rows), False)
 
 

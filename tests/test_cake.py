@@ -10,8 +10,10 @@ from cakecheck.cake import (
     BOUNDARY_SIDES,
     H5_WORDS,
     IDENTIFICATIONS,
+    R0,
     R1,
     R2,
+    R3,
     RELATOR,
     TRIANGLES,
     W2R3,
@@ -115,6 +117,13 @@ def test_word_needs_mirror():
                               _compose_from_identity(letters, ref), letters)
 
 
+def test_word_error_names_the_missing_generator():
+    cfg = build_configuration(2.22)
+    for k in (R0, R3):
+        with pytest.raises(ValueError, match=f"word uses R{k} before the mirror construction"):
+            realize_word((R1, k), cfg)
+
+
 def test_memo_is_per_configuration(cfg222):
     realize_word((R1,), cfg222)
     swapped = replace(cfg222, R1=cfg222.R2)
@@ -160,6 +169,11 @@ def test_build_cake(cfg222):
     assert report.genus == 3
     assert len(report.boundary_cycle) == 16
     assert sorted(len(o) for o in report.vertex_orbits) == [4, 4, 8]
+    # the cyclic order is found from corner coincidences, not from the
+    # order of BOUNDARY_SIDES
+    assert report.boundary_cycle == (0, 13, 14, 11, 12, 9, 10, 7, 8, 5, 6, 3, 4, 1, 2, 15)
+    assert sorted(sorted(o) for o in report.vertex_orbits) == [
+        [0, 2, 7, 11], [1, 3, 6, 8, 10, 12, 14, 15], [4, 5, 9, 13]]
     assert report.angle_cycle_residual < 1e-8
 
 

@@ -116,6 +116,18 @@ def test_out_file_sink(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_unwritable_out_is_usage(tmp_path, capsys):
+    for argv, target in (
+        (["verify"], tmp_path),  # a directory
+        (["certify"], tmp_path / "missing" / "c.txt"),  # a missing parent
+    ):
+        code, out, err = run(argv + ["--out", str(target)], capsys)
+        assert code == EXIT_USAGE, argv
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     assert run([], capsys)[0] == EXIT_USAGE
     assert run(["frobnicate"], capsys)[0] == EXIT_USAGE

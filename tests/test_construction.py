@@ -105,7 +105,7 @@ def test_configuration_grid_invariants():
             scale = max(abs(x) for x in cfg.w3.approx()) ** 2
             assert abs(float(ctx.norm2(cfg.w3))) < 1e-9 * scale, t
         # the holonomy-like product has real trace 2t
-        iso = (cfg.R2 * cfg.R1 * cfg.R0).scaled(THETA_SQ)
+        iso = (cfg.R2 * cfg.R1 * reflection(cfg.p1)).scaled(THETA_SQ)
         assert abs(complex(iso.trace()) - 2 * t) < 1e-9, t
 
 
@@ -125,6 +125,13 @@ def test_mirror_grid_residuals():
         assert projectively_equal(-reflection(cfg.m1p).apply(cfg.p1), cfg.p2p)
         assert abs(float(cfg.ctx.norm2(cfg.m1p)) + 1.0) < 1e-9
         assert abs(float(cfg.ctx.norm2(cfg.m2p)) + 1.0) < 1e-9
+
+
+def test_R0_is_built_by_the_mirror_construction():
+    cfg = build_configuration(2.22)
+    assert cfg.R0 is None
+    mirror_construction(cfg)
+    assert cfg.R0.m == reflection(cfg.p1).m and not cfg.R0.antilinear
 
 
 def test_mirror_requires_fast_backend():

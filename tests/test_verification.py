@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cakecheck import cake, numerics, verification
+from cakecheck import cake, construction, numerics, verification
 from cakecheck.cli import EXIT_FAIL, main
 from cakecheck.construction import (
     THETA_INV_SQ,
@@ -208,6 +208,33 @@ def test_condition_evaluation_composes_no_isometry(evaluate, monkeypatch):
 
     monkeypatch.setattr(Isometry, "compose", refuse)
     evaluate()
+
+
+@pytest.mark.parametrize("evaluate, product, limit", [
+    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics.TaylorModel, "_mul"), 1476),
+    (lambda: verify_all(2.22, "rigorous"), (Interval, "__mul__"), 1341),
+], ids=["condition_enclosures", "verify_all_rigorous"])
+def test_condition_evaluation_builds_five_reflections(evaluate, product, limit, monkeypatch):
+    """R1, R2, R(m3), R(q1), R(q3), each with <p,p> read off its own
+    G conj(p); R0 belongs to the mirror construction.  With R0 built and
+    G conj(p) formed twice per reflection this took 6 reflections, 1766
+    Taylor products and 1623 interval products."""
+    count = {"reflection": 0, "product": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            count[key] += 1
+            return fn(*args)
+        return wrapper
+
+    refl = counting("reflection", construction.reflection)
+    monkeypatch.setattr(construction, "reflection", refl)
+    monkeypatch.setattr(verification, "reflection", refl)
+    owner, name = product
+    monkeypatch.setattr(owner, name, counting("product", getattr(owner, name)))
+    evaluate()
+    assert count["reflection"] == 5
+    assert count["product"] <= limit
 
 
 # ---------------------------------------------------------------------------
