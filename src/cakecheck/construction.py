@@ -110,7 +110,7 @@ def build_gram(params: ParameterTriple) -> GramContext:
     t1c = b.complex_(t1)
     entries = (
         (one, t1c, tc),
-        (t1c, one, b.complex_(t2) * b.conj(th)),
+        (t1c, one, b.complex_(t2) * th.conjugate()),
         (tc, b.complex_(t2) * th, one),
     )
     minor2 = 1 - t1 * t1

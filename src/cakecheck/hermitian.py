@@ -62,12 +62,12 @@ def mat_vec(m, v):
     return tuple(sum3(m[i][0] * v[0], m[i][1] * v[1], m[i][2] * v[2]) for i in range(3))
 
 
-def mat_conj(backend, m):
-    return tuple(tuple(backend.conj(x) for x in row) for row in m)
+def mat_conj(m):
+    return tuple(tuple(x.conjugate() for x in row) for row in m)
 
 
-def vec_conj(backend, v):
-    return tuple(backend.conj(x) for x in v)
+def vec_conj(v):
+    return tuple(x.conjugate() for x in v)
 
 
 def mat_scale(m, s):
@@ -154,8 +154,7 @@ class GramContext:
 
     def inner(self, u: "ProjVector", v: "ProjVector"):
         self._check(u, v)
-        b = self.backend
-        cv = vec_conj(b, v.coords)
+        cv = vec_conj(v.coords)
         g = self.g
         return sum3(
             u.coords[0] * sum3(g[0][0] * cv[0], g[0][1] * cv[1], g[0][2] * cv[2]),
@@ -165,21 +164,20 @@ class GramContext:
 
     def norm2(self, v: "ProjVector"):
         """<v,v> as a backend real scalar."""
-        return self.backend.re(self.inner(v, v))
+        return self.inner(v, v).real
 
     def tance(self, x: "ProjVector", y: "ProjVector"):
         """ta(x,y) = <x,y><y,x> / (<x,x><y,y>); scale-invariant, real."""
-        b = self.backend
         xx = self.norm2(x)
         yy = self.norm2(y)
-        if not b.rigorous:
+        if not self.backend.rigorous:
             scale_x = _coord_scale(x)
             scale_y = _coord_scale(y)
             gn = mat_max_abs(self.g)
             if abs(float(xx)) <= 1e-12 * gn * scale_x or abs(float(yy)) <= 1e-12 * gn * scale_y:
                 raise GeometryError("tance of an isotropic point is undefined")
         xy = self.inner(x, y)
-        return b.re(xy * b.conj(xy)) / (xx * yy)
+        return (xy * xy.conjugate()).real / (xx * yy)
 
     def classify(self, v: "ProjVector") -> PointClass:
         b = self.backend
@@ -276,7 +274,7 @@ class Isometry:
         self.ctx._check(v)
         coords = v.coords
         if self.antilinear:
-            coords = vec_conj(self.ctx.backend, coords)
+            coords = vec_conj(coords)
         return ProjVector(mat_vec(self.m, coords), self.ctx)
 
     def compose(self, other: "Isometry") -> "Isometry":
@@ -285,7 +283,7 @@ class Isometry:
             raise ContextMismatchError("isometries belong to different Gram contexts")
         om = other.m
         if self.antilinear:
-            om = mat_conj(self.ctx.backend, om)
+            om = mat_conj(om)
         return Isometry(self.ctx, mat_mul(self.m, om), self.antilinear ^ other.antilinear)
 
     def __mul__(self, other):
@@ -296,7 +294,7 @@ class Isometry:
     def inverse(self) -> "Isometry":
         inv = mat_inv(self.m)
         if self.antilinear:
-            inv = mat_conj(self.ctx.backend, inv)
+            inv = mat_conj(inv)
         return Isometry(self.ctx, inv, self.antilinear)
 
     def scaled(self, s) -> "Isometry":
@@ -336,15 +334,14 @@ def reflection(p: ProjVector) -> Isometry:
     reflection in the point p (p negative) or in the complex geodesic polar
     to p (p positive)."""
     ctx = p.ctx
-    b = ctx.backend
     pc = p.coords
-    cp = vec_conj(b, pc)
+    cp = vec_conj(pc)
     g = ctx.g
     # w_i = (G conj(p))_i, so <x,p> = sum_i x_i w_i; <p,p> reuses the
     # products that ctx.inner(p, p) would form
     w = tuple(sum3(g[i][0] * cp[0], g[i][1] * cp[1], g[i][2] * cp[2]) for i in range(3))
     pp = sum3(pc[0] * w[0], pc[1] * w[1], pc[2] * w[2])
-    if not b.rigorous:
+    if not ctx.backend.rigorous:
         scale = _coord_scale(p) ** 2 * max(1.0, mat_max_abs(g))
         if abs(complex(pp)) <= 1e-12 * max(scale, 1e-300):
             raise GeometryError("reflection in an isotropic point is undefined")
@@ -449,7 +446,7 @@ def geodesic_through(a: ProjVector, b: ProjVector) -> GeodesicParam:
     x_minus = (-B - root) / A
     v1 = a.scale(x_plus) + b2
     v2 = a.scale(x_minus) + b2
-    w = float(ctx.backend.re(ctx.inner(v1, v2)))
+    w = float(ctx.inner(v1, v2).real)
     if abs(w) < 1e-14:
         raise GeometryError("degenerate vertex pair (coincident points?)")
     v2 = v2.scale(-0.5 / w)

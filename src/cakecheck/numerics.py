@@ -3,10 +3,14 @@
 All geometric code in this package is written against a tiny backend
 protocol, so the same code path runs on three backends: ordinary double
 precision ("fast"), outward-rounded intervals ("rigorous", for points) and
-Taylor models in the parameter (for ranges).  The two enclosure backends
-share one protocol implementation and one complex type, ``ComplexPair``;
-every operation on them encloses the exact result, so a sign decision made
-on an enclosure that excludes 0 is certified.
+Taylor models in the parameter (for ranges).  The protocol is ``real``,
+``complex_``, ``theta``, ``sqrt``, ``mid`` and ``mid_real``, plus the
+``name`` and ``rigorous`` flags.  Complex scalars are read through
+Python's number protocol, ``z.conjugate()``, ``z.real`` and ``z.imag``,
+on every backend.  The two enclosure backends share one protocol
+implementation and one complex type, ``ComplexPair``; every operation on
+them encloses the exact result, so a sign decision made on an enclosure
+that excludes 0 is certified.
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ class Interval:
         lo = float(lo)
         hi = float(hi)
         if not lo <= hi:
-            raise ValueError(f"invalid interval [{lo}, {hi}]")
+            # a NaN bound is an arithmetic result out of domain (an overflow)
+            raise (ValueError if lo > hi else DomainError)(f"invalid interval [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
 
@@ -435,48 +440,48 @@ class ComplexPair:
     """Complex enclosure: a pair of real ones of one type, Intervals or
     Taylor models."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re, im):
-        self.re = re
-        self.im = im
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
 
     def __repr__(self):
-        return f"ComplexPair({self.re!r}, {self.im!r})"
+        return f"ComplexPair({self.real!r}, {self.imag!r})"
 
     def _lift(self, x):
         if isinstance(x, ComplexPair):
             return x
         if isinstance(x, complex):
-            return ComplexPair(self.re._lift(x.real), self.re._lift(x.imag))
-        lifted = self.re._lift(x)
+            return ComplexPair(self.real._lift(x.real), self.real._lift(x.imag))
+        lifted = self.real._lift(x)
         if lifted is None:
             return None
-        return ComplexPair(lifted, self.re._const(0.0))
+        return ComplexPair(lifted, self.real._const(0.0))
 
     def range(self) -> "ComplexPair":
-        return ComplexPair(self.re.range(), self.im.range())
+        return ComplexPair(self.real.range(), self.imag.range())
 
     def mid(self) -> complex:
-        return complex(self.re.range().mid(), self.im.range().mid())
+        return complex(self.real.range().mid(), self.imag.range().mid())
 
     def contains(self, z: complex) -> bool:
-        return self.re.range().contains(z.real) and self.im.range().contains(z.imag)
+        return self.real.range().contains(z.real) and self.imag.range().contains(z.imag)
 
     def conjugate(self) -> "ComplexPair":
-        return ComplexPair(self.re, -self.im)
+        return ComplexPair(self.real, -self.imag)
 
     def abs2(self):
-        return self.re.sqr() + self.im.sqr()
+        return self.real.sqr() + self.imag.sqr()
 
     def __neg__(self):
-        return ComplexPair(-self.re, -self.im)
+        return ComplexPair(-self.real, -self.imag)
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return ComplexPair(self.re + o.re, self.im + o.im)
+        return ComplexPair(self.real + o.real, self.imag + o.imag)
 
     __radd__ = __add__
 
@@ -484,7 +489,7 @@ class ComplexPair:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return ComplexPair(self.re - o.re, self.im - o.im)
+        return ComplexPair(self.real - o.real, self.imag - o.imag)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -498,14 +503,14 @@ class ComplexPair:
             return NotImplemented
         # the products with a part that is the exact constant 0 (of a lifted
         # real or imaginary constant) are exactly 0 and are skipped
-        a, b = (o, self) if self.im.is_zero() or self.re.is_zero() else (self, o)
-        if b.im.is_zero():
-            return ComplexPair(a.re * b.re, a.im * b.re)
-        if b.re.is_zero():
-            return ComplexPair(-(a.im * b.im), a.re * b.im)
+        a, b = (o, self) if self.imag.is_zero() or self.real.is_zero() else (self, o)
+        if b.imag.is_zero():
+            return ComplexPair(a.real * b.real, a.imag * b.real)
+        if b.real.is_zero():
+            return ComplexPair(-(a.imag * b.imag), a.real * b.imag)
         return ComplexPair(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
+            self.real * o.real - self.imag * o.imag,
+            self.real * o.imag + self.imag * o.real,
         )
 
     __rmul__ = __mul__
@@ -516,7 +521,7 @@ class ComplexPair:
             return NotImplemented
         d = o.abs2().inv()
         n = self * o.conjugate()
-        return ComplexPair(n.re * d, n.im * d)
+        return ComplexPair(n.real * d, n.imag * d)
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -567,15 +572,6 @@ class FastBackend:
         # exp(i*pi/3)
         return complex(0.5, math.sqrt(3.0) / 2.0)
 
-    def conj(self, z):
-        return complex(z).conjugate()
-
-    def re(self, z):
-        return complex(z).real
-
-    def im(self, z):
-        return complex(z).imag
-
     def sqrt(self, x):
         x = float(x)
         if x < 0.0:
@@ -592,9 +588,11 @@ class FastBackend:
 
 
 class EnclosureBackend:
-    """The backend protocol over real enclosures of type ``real_type``, made
+    """The backend protocol (``real``, ``complex_``, ``theta``, ``sqrt``,
+    ``mid``, ``mid_real``) over real enclosures of type ``real_type``, made
     from floats and Intervals by ``_const``; complex values are
-    ComplexPairs of them."""
+    ComplexPairs of them, read with ``conjugate()``, ``.real`` and
+    ``.imag`` like a Python complex."""
 
     rigorous = True
 
@@ -612,21 +610,6 @@ class EnclosureBackend:
     def theta(self) -> ComplexPair:
         half_sqrt3 = Interval(3.0).sqrt() / 2
         return ComplexPair(self._const(0.5), self._const(half_sqrt3))
-
-    def conj(self, z):
-        if isinstance(z, ComplexPair):
-            return z.conjugate()
-        return self.complex_(z)
-
-    def re(self, z):
-        if isinstance(z, ComplexPair):
-            return z.re
-        return self.real(z)
-
-    def im(self, z):
-        if isinstance(z, ComplexPair):
-            return z.im
-        return self._const(0.0)
 
     def sqrt(self, x):
         return self.real(x).sqrt()

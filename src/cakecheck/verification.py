@@ -119,25 +119,25 @@ def condition_items(cfg: TriangleConfiguration):
     else:
         z6b = ctx.inner(reflection(cfg.m3).apply(cfg.w3), cfg.R1.apply(cfg.R2.apply(cfg.w3)))
         values["6b"] = z6b
-        positives["6b"] = b.re(z6b * b.conj(z6b))
+        positives["6b"] = (z6b * z6b.conjugate()).real
 
         f1 = reflection(cfg.q1).apply(reflection(cfg.q3).apply(cfg.w3))
-        v6c = b.im(ctx.inner(cfg.b2, f1) * ctx.inner(f1, cfg.e2) / ctx.inner(cfg.b2, cfg.e2))
+        v6c = (ctx.inner(cfg.b2, f1) * ctx.inner(f1, cfg.e2) / ctx.inner(cfg.b2, cfg.e2)).imag
         values["6c"] = v6c
         positives["6c"] = v6c
 
-    th_bar = b.conj(b.theta)
+    th_bar = b.theta.conjugate()
     z7a = ctx.inner(cfg.p2, cfg.c1) * ctx.inner(cfg.c1, cfg.p3)
     z7b = ctx.inner(cfg.p3, cfg.c2) * ctx.inner(cfg.c2, cfg.p1)
     z7c = ctx.inner(cfg.p1, cfg.c3) * ctx.inner(cfg.c3, cfg.p2)
-    values["7a"] = b.re(z7a)
+    values["7a"] = z7a.real
     positives["7a"] = values["7a"]
-    values["7b"] = b.re(th_bar * z7b)
+    values["7b"] = (th_bar * z7b).real
     positives["7b"] = values["7b"]
-    values["7c"] = b.re(th_bar * z7c)
+    values["7c"] = (th_bar * z7c).real
     positives["7c"] = values["7c"]
 
-    v8 = b.re(th_bar * z7a * z7b)
+    v8 = (th_bar * z7a * z7b).real
     values["8"] = v8
     positives["8"] = v8
 
@@ -311,15 +311,15 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
     c22 = ctx.inner(c2, c2)
     l1 = ctx.inner(c1, y) - c12
     r1 = ctx.inner(y, c2) - c22
-    a = -b.im(r1 + l1 * c22 / c12)
-    a_plus_b = a - b.im(l1 * r1 / c12)
+    a = -(r1 + l1 * c22 / c12).imag
+    a_plus_b = a - (l1 * r1 / c12).imag
     if not (certified_sign(a) is SignVerdict.NEGATIVE
             and certified_sign(a_plus_b) is SignVerdict.NEGATIVE):
         raise VerificationError(
             f"Im h(s) = s (a + b s) with a = {b.mid_real(a)}, a + b = "
             f"{b.mid_real(a_plus_b)} is not negative on (0, 1]: out-of-regime parameter"
         )
-    h_end = b.mid(b.conj(ctx.inner(c1, y) * ctx.inner(y, c2) / c12))
+    h_end = b.mid((ctx.inner(c1, y) * ctx.inner(y, c2) / c12).conjugate())
     end_branch = cmath.phase(h_end) + 2.0 * math.pi
     variation = end_branch - math.pi  # anchored at Arg <c2,c2> = pi
     presnap = -16.0 * variation / math.pi
@@ -478,8 +478,8 @@ def condition_enclosures(t_box):
     t.  Uses Taylor-model (centered form) arithmetic, which keeps enclosure
     widths near |f'| * width(t) instead of blowing up with the dependency
     constant of the naive interval evaluation.  Construction failures
-    (enclosure too wide for a sqrt or a division) are reported as incomplete
-    rather than raised."""
+    (enclosure too wide for a sqrt or a division, or overflowing to NaN) are
+    reported as incomplete rather than raised."""
     backend = TaylorBackend.for_interval(t_box)
     try:
         cfg = build_configuration(backend.variable(), backend)
@@ -497,6 +497,8 @@ def condition_enclosures(t_box):
 
 def certify_range(lo: float = 2.13, hi: float = 2.34, max_depth: int = 40) -> Certificate:
     """Certify all conditions over [lo, hi] with the rigorous backend."""
+    if not lo > 1.5:
+        raise ParameterDomainError(f"certification range [{lo}, {hi}] must have lo > 3/2")
     return certify_on_interval(condition_enclosures, lo, hi, max_depth)
 
 

@@ -148,6 +148,7 @@ def test_usage_errors(capsys):
                capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "nan", "--backend", "rigorous"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "inf"], capsys)[0] == EXIT_USAGE
+    assert run(["certify", "--lo", "1.4", "--hi", "1.6"], capsys)[0] == EXIT_USAGE
 
 
 GOLDEN = Path(__file__).parent / "golden"

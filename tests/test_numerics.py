@@ -11,6 +11,7 @@ import pytest
 
 from cakecheck import numerics
 from cakecheck.numerics import (
+    FAST,
     RIGOROUS,
     ComplexPair,
     DomainError,
@@ -263,8 +264,8 @@ def test_taylor_complex_division_contains_exact_values(order):
         t = Fraction(m) + delta
         zr, zi, wr, wi = 2 * t - 1, t * t, t + 3, 1 - t
         d = wr * wr + wi * wi
-        assert _encloses(q.re, delta, (zr * wr + zi * wi) / d)
-        assert _encloses(q.im, delta, (zi * wr - zr * wi) / d)
+        assert _encloses(q.real, delta, (zr * wr + zi * wi) / d)
+        assert _encloses(q.imag, delta, (zi * wr - zr * wi) / d)
 
 
 def test_taylor_complex_product_with_zero_part_contains_exact_values(order):
@@ -292,8 +293,8 @@ def test_taylor_complex_product_with_zero_part_contains_exact_values(order):
         t = Fraction(m) + delta
         for prod, exact in cases:
             want_re, want_im = exact(2 * t - 1, t * t, t)
-            assert _encloses(prod.re, delta, want_re), (order, delta)
-            assert _encloses(prod.im, delta, want_im), (order, delta)
+            assert _encloses(prod.real, delta, want_re), (order, delta)
+            assert _encloses(prod.imag, delta, want_im), (order, delta)
 
 
 def _widened(q: Fraction) -> Interval:
@@ -310,7 +311,7 @@ def test_interval_complex_product_with_zero_part_contains_exact_values():
         z = RIGOROUS.complex_(_widened(zr), _widened(zi))
         real = RIGOROUS.complex_(_widened(a))
         imag = RIGOROUS.complex_(0, _widened(a))
-        assert real.im.is_zero() and imag.re.is_zero()
+        assert real.imag.is_zero() and imag.real.is_zero()
         iv = z * Interval(0.5, 0.75)
         cases = [
             (z * 3, (3 * zr, 3 * zi)),
@@ -323,8 +324,8 @@ def test_interval_complex_product_with_zero_part_contains_exact_values():
             (z * imag, (-a * zi, a * zr)),
         ]
         for prod, (want_re, want_im) in cases:
-            assert Fraction(prod.re.lo) <= want_re <= Fraction(prod.re.hi), (zr, zi, a)
-            assert Fraction(prod.im.lo) <= want_im <= Fraction(prod.im.hi), (zr, zi, a)
+            assert Fraction(prod.real.lo) <= want_re <= Fraction(prod.real.hi), (zr, zi, a)
+            assert Fraction(prod.imag.lo) <= want_im <= Fraction(prod.imag.hi), (zr, zi, a)
 
 
 def test_taylor_scalar_encloses_true_values(monkeypatch):
@@ -383,8 +384,8 @@ def test_taylor_complex_division_round_trip(monkeypatch):
             t = rng.uniform(2.2 - 1e-5, 2.2 + 1e-5)
             want = complex(2 * t - 1, t * t)
             got = back.range()
-            assert got.re.lo - 1e-9 <= want.real <= got.re.hi + 1e-9
-            assert got.im.lo - 1e-9 <= want.imag <= got.im.hi + 1e-9
+            assert got.real.lo - 1e-9 <= want.real <= got.real.hi + 1e-9
+            assert got.imag.lo - 1e-9 <= want.imag <= got.imag.hi + 1e-9
 
 
 def test_taylor_domain_guards(monkeypatch):
@@ -417,9 +418,27 @@ def test_taylor_backend_protocol_surface():
     assert TaylorBackend.for_interval(Interval(2.22, 2.22)).order == 0
     th = backend.theta
     assert abs(backend.mid(th) - complex(0.5, math.sqrt(3) / 2)) < 1e-12
-    assert isinstance(backend.re(th * backend.conj(th)), TaylorModel)
+    assert isinstance((th * th.conjugate()).real, TaylorModel)
     assert abs(backend.mid_real(t) - 2.22) < 1e-12
     assert certified_sign(t) is SignVerdict.POSITIVE
+
+
+@pytest.mark.parametrize(
+    "backend", [FAST, RIGOROUS, TaylorBackend(2.2, 1e-4)], ids=lambda b: b.name
+)
+def test_complex_scalars_read_through_the_number_protocol(backend):
+    # every backend's complex scalar answers conjugate(), .real and .imag
+    # like a Python complex; the backends carry no conj/re/im wrappers
+    def holds(x, want):
+        return x.range().contains(want) if backend.rigorous else x == want
+
+    z = backend.complex_(0.75, -2.5)
+    zc = z.conjugate()
+    assert holds(z.real, 0.75) and holds(z.imag, -2.5)
+    assert holds(zc.real, 0.75) and holds(zc.imag, 2.5)
+    one = (backend.theta * backend.theta.conjugate()).real
+    assert one.range().contains(1.0) if backend.rigorous else abs(one - 1.0) < 1e-15
+    assert not any(hasattr(backend, name) for name in ("conj", "re", "im"))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from cakecheck import cake, construction, numerics, verification
 from cakecheck.cli import EXIT_FAIL, main
 from cakecheck.construction import (
+    ParameterDomainError,
     THETA_INV_SQ,
     THETA_SQ,
     build_configuration,
@@ -24,6 +25,7 @@ from cakecheck.numerics import (
     FAST,
     RIGOROUS,
     CertificateLeaf,
+    DomainError,
     Interval,
     SignVerdict,
     TaylorBackend,
@@ -384,6 +386,25 @@ def test_certify_finds_counterexample_below_range():
     assert cert.failure[2] == "4a"
     lines = certificate_lines(cert)
     assert any(line.startswith("# failure") for line in lines)
+
+
+def test_overflowing_enclosure_is_an_incomplete_evaluation():
+    # a NaN bound is a domain error; a reversed interval is a plain ValueError
+    with pytest.raises(DomainError):
+        Interval(math.nan, math.inf)
+    with pytest.raises(ValueError) as reversed_bounds:
+        Interval(2.0, 1.0)
+    assert not isinstance(reversed_bounds.value, DomainError)
+    # the probe at t = 5e299 overflows while solving for t1, t2
+    assert condition_enclosures(Interval(5e299, 5e299)) == (False, [])
+    cert = certify_range(2.0, 1e300)
+    assert not cert.certified and cert.failure[2] == "construction"
+
+
+@pytest.mark.parametrize("lo, hi", [(1.4, 1.6), (1.5, 2.0)])
+def test_certify_range_requires_t_above_three_halves(lo, hi):
+    with pytest.raises(ParameterDomainError):
+        certify_range(lo, hi)
 
 
 # ---------------------------------------------------------------------------
