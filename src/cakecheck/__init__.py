@@ -19,7 +19,6 @@ from .numerics import (
 from .hermitian import (
     GramContext,
     Isometry,
-    PointClass,
     ProjVector,
     geodesic_through,
     loxodromic_decompose,

@@ -41,10 +41,6 @@ class ParameterTriple:
     t2: object
     backend: object
 
-    def as_floats(self):
-        b = self.backend
-        return (b.mid_real(self.t), b.mid_real(self.t1), b.mid_real(self.t2))
-
 
 def parameter_polynomial(t, x):
     """f(x) = (2t+1)(2t-3) x^2 - 2(2t+1)(t-1) x - (3t+1)(t-1).

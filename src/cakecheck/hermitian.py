@@ -12,11 +12,8 @@ fast-backend only.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-
-from .numerics import SignVerdict, certified_sign
 
 
 # bound on every floating-point residual check: projective equality, the
@@ -31,12 +28,6 @@ class ContextMismatchError(ValueError):
 class GeometryError(ValueError):
     """A geometric precondition failed (isotropic argument, no real geodesic,
     non-loxodromic trace, ...)."""
-
-
-class PointClass(enum.Enum):
-    NEGATIVE = "negative"
-    ISOTROPIC = "isotropic"
-    POSITIVE = "positive"
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +169,6 @@ class GramContext:
                 raise GeometryError("tance of an isotropic point is undefined")
         xy = self.inner(x, y)
         return (xy * xy.conjugate()).real / (xx * yy)
-
-    def classify(self, v: "ProjVector") -> PointClass:
-        b = self.backend
-        s = self.norm2(v)
-        if b.rigorous:
-            verdict = certified_sign(s)
-            if verdict is SignVerdict.POSITIVE:
-                return PointClass.POSITIVE
-            if verdict is SignVerdict.NEGATIVE:
-                return PointClass.NEGATIVE
-            raise GeometryError("enclosure straddles zero; point class indeterminate")
-        scale = _coord_scale(v) * max(1.0, mat_max_abs(self.g))
-        verdict = certified_sign(float(s), zero_tol=1e-10 * max(scale, 1e-300))
-        if verdict is SignVerdict.POSITIVE:
-            return PointClass.POSITIVE
-        if verdict is SignVerdict.NEGATIVE:
-            return PointClass.NEGATIVE
-        return PointClass.ISOTROPIC
 
 
 @dataclass(eq=False)
@@ -354,40 +327,6 @@ def reflection(p: ProjVector) -> Isometry:
     return Isometry(ctx, tuple(rows), False)
 
 
-def trace_identities_check(x1: ProjVector, x2: ProjVector, x3: ProjVector):
-    """Residuals of the three reflection trace identities against direct
-    matrix computation:
-
-      <R(x2)x1, x1>      vs (2 ta(x1,x2) - 1) <x1,x1>
-      tr(R(x2)R(x1))     vs 4 ta(x1,x2) - 1
-      tr(R(x3)R(x2)R(x1)) vs 8 <x1,x2><x2,x3><x3,x1>/(<x1,x1><x2,x2><x3,x3>)
-                             - 4 ta(x1,x2) - 4 ta(x2,x3) - 4 ta(x3,x1) + 3
-    """
-    ctx = x1.ctx
-    r1m = reflection(x1)
-    r2m = reflection(x2)
-    r3m = reflection(x3)
-
-    ta12 = float(ctx.tance(x1, x2))
-    ta23 = float(ctx.tance(x2, x3))
-    ta31 = float(ctx.tance(x3, x1))
-
-    lhs1 = complex(ctx.inner(r2m.apply(x1), x1))
-    rhs1 = (2.0 * ta12 - 1.0) * complex(ctx.inner(x1, x1))
-    res1 = abs(lhs1 - rhs1)
-
-    lhs2 = complex((r2m * r1m).trace())
-    res2 = abs(lhs2 - (4.0 * ta12 - 1.0))
-
-    num = complex(ctx.inner(x1, x2)) * complex(ctx.inner(x2, x3)) * complex(ctx.inner(x3, x1))
-    den = complex(ctx.inner(x1, x1)) * complex(ctx.inner(x2, x2)) * complex(ctx.inner(x3, x3))
-    rhs3 = 8.0 * num / den - 4.0 * ta12 - 4.0 * ta23 - 4.0 * ta31 + 3.0
-    lhs3 = complex((r3m * r2m * r1m).trace())
-    res3 = abs(lhs3 - rhs3)
-
-    return (res1, res2, res3)
-
-
 # ---------------------------------------------------------------------------
 # geodesics (fast backend)
 
@@ -474,16 +413,6 @@ def closest_point_on_geodesic(geo: GeodesicParam, p: ProjVector) -> ProjVector:
     if a == 0.0 or b == 0.0:
         raise GeometryError("degenerate pairing with a geodesic vertex")
     return geo.point(math.sqrt(b / a))
-
-
-def stationarity_residual(geo: GeodesicParam, p: ProjVector, y: ProjVector) -> float:
-    """|Re(<p,g'><y,y> / (<y,g'><p,y>)) - 1| for a probe geodesic point g';
-    vanishes exactly at the closest point."""
-    ctx = geo.ctx
-    gp = geo.point(math.e)  # arbitrary distinct probe point
-    num = complex(ctx.inner(p, gp)) * complex(ctx.inner(y, y))
-    den = complex(ctx.inner(y, gp)) * complex(ctx.inner(p, y))
-    return abs((num / den).real - 1.0)
 
 
 def loxodromic_decompose(

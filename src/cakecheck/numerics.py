@@ -1,16 +1,17 @@
 """Scalar backends: fast complex floating point and rigorous enclosures.
 
 All geometric code in this package is written against a tiny backend
-protocol, so the same code path runs on three backends: ordinary double
-precision ("fast"), outward-rounded intervals ("rigorous", for points) and
-Taylor models in the parameter (for ranges).  The protocol is ``real``,
-``complex_``, ``theta``, ``sqrt``, ``mid`` and ``mid_real``, plus the
-``name`` and ``rigorous`` flags.  Complex scalars are read through
-Python's number protocol, ``z.conjugate()``, ``z.real`` and ``z.imag``,
-on every backend.  The two enclosure backends share one protocol
-implementation and one complex type, ``ComplexPair``; every operation on
-them encloses the exact result, so a sign decision made on an enclosure
-that excludes 0 is certified.
+protocol, so the same code path runs on two backends: ordinary double
+precision (``FastBackend``, "fast") and rigorous enclosures of functions
+of the parameter (``TaylorBackend``), whose reals are outward-rounded
+Intervals at a point (radius 0, "rigorous") and Taylor models in the
+parameter on a range.  The protocol is ``real``, ``complex_``, ``theta``,
+``sqrt``, ``mid`` and ``mid_real``, plus the ``name`` and ``rigorous``
+flags.  Complex scalars are read through Python's number protocol,
+``z.conjugate()``, ``z.real`` and ``z.imag``, on every backend; the
+enclosure backend's complex type is ``ComplexPair``.  Every enclosure
+operation encloses the exact result, so a sign decision made on an
+enclosure that excludes 0 is certified.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -198,8 +196,7 @@ class Interval:
 # _SLACK and adding _TINY makes it an upper bound despite its own rounding
 # and any underflow.  range() rounds outward.  The range enclosure has width
 # ~ |f'| * 2 rad + O(rad^(n+1)) instead of K * 2 rad for a huge dependency
-# constant K, which is what makes range certification feasible.  At order
-# 0 and radius 0 a model is a midpoint-radius interval.
+# constant K, which is what makes range certification feasible.
 
 TAYLOR_ORDER = 6
 
@@ -587,17 +584,50 @@ class FastBackend:
         return float(x)
 
 
-class EnclosureBackend:
-    """The backend protocol (``real``, ``complex_``, ``theta``, ``sqrt``,
-    ``mid``, ``mid_real``) over real enclosures of type ``real_type``, made
-    from floats and Intervals by ``_const``; complex values are
-    ComplexPairs of them, read with ``conjugate()``, ``.real`` and
-    ``.imag`` like a Python complex."""
+class TaylorBackend:
+    """Rigorous enclosures of functions of the parameter t on [mid - rad,
+    mid + rad], through the backend protocol.  Reals are made from floats
+    and Intervals by ``_const``: Taylor models of order ``TAYLOR_ORDER`` on
+    a range (rad > 0), far tighter than naive intervals on narrow ranges,
+    and Intervals on a point (rad = 0).  Complex values are ComplexPairs of
+    them, read like a Python complex."""
 
     rigorous = True
 
+    def __init__(self, mid: float, rad: float):
+        if rad < 0.0:
+            raise ValueError("negative Taylor model radius")
+        self._mid = float(mid)
+        self._rad = float(rad)
+        self.name = "rigorous-taylor" if self._rad > 0.0 else "rigorous"
+        self.order = TAYLOR_ORDER if self._rad > 0.0 else 0
+        pw = [1.0]
+        for _ in range(2 * self.order):
+            pw.append(_up(pw[-1] * self._rad))
+        self._pw = tuple(pw)
+
+    @classmethod
+    def for_interval(cls, box: Interval) -> "TaylorBackend":
+        m = box.mid()
+        rad = max(m - box.lo, box.hi - m)
+        return cls(m, _up(rad) if rad > 0.0 else 0.0)
+
+    def variable(self):
+        """The parameter itself as an enclosure."""
+        if self._rad == 0.0:
+            return Interval(self._mid)
+        if self.order == 0:
+            return TaylorModel([self._mid], self._rad, self._pw)
+        return TaylorModel([self._mid, 1.0], 0.0, self._pw)
+
+    def _const(self, x):
+        if self._rad == 0.0:
+            return Interval._lift(x)
+        m, r = _mid_rad(x) if isinstance(x, Interval) else (float(x), 0.0)
+        return TaylorModel([m], r, self._pw)
+
     def real(self, x):
-        if isinstance(x, self.real_type):
+        if isinstance(x, TaylorModel) and self._rad > 0.0:
             return x
         if isinstance(x, (Interval, int, float)):
             return self._const(x)
@@ -623,55 +653,8 @@ class EnclosureBackend:
         return self.real(x).range().mid()
 
 
-class RigorousBackend(EnclosureBackend):
-    """Outward-rounded interval arithmetic: reals are Intervals."""
-
-    name = "rigorous"
-    real_type = Interval
-
-    def _const(self, x) -> Interval:
-        return Interval._lift(x)
-
-
-class TaylorBackend(EnclosureBackend):
-    """Interval arithmetic through Taylor models of order ``TAYLOR_ORDER``
-    centered at ``mid`` with parameter radius ``rad`` (order 0 when rad is
-    0).  Same enclosure guarantees as the Interval-based rigorous backend,
-    but vastly tighter on narrow parameter ranges."""
-
-    name = "rigorous-taylor"
-    real_type = TaylorModel
-
-    def __init__(self, mid: float, rad: float):
-        if rad < 0.0:
-            raise ValueError("negative Taylor model radius")
-        self._mid = float(mid)
-        self._rad = float(rad)
-        self.order = TAYLOR_ORDER if self._rad > 0.0 else 0
-        pw = [1.0]
-        for _ in range(2 * self.order):
-            pw.append(_up(pw[-1] * self._rad))
-        self._pw = tuple(pw)
-
-    @classmethod
-    def for_interval(cls, box: Interval) -> "TaylorBackend":
-        m = box.mid()
-        rad = max(m - box.lo, box.hi - m)
-        return cls(m, _up(rad) if rad > 0.0 else 0.0)
-
-    def variable(self) -> TaylorModel:
-        """The parameter itself as a Taylor model."""
-        if self.order == 0:
-            return TaylorModel([self._mid], self._rad, self._pw)
-        return TaylorModel([self._mid, 1.0], 0.0, self._pw)
-
-    def _const(self, x) -> TaylorModel:
-        m, r = _mid_rad(x) if isinstance(x, Interval) else (float(x), 0.0)
-        return TaylorModel([m], r, self._pw)
-
-
 FAST = FastBackend()
-RIGOROUS = RigorousBackend()
+RIGOROUS = TaylorBackend(0.0, 0.0)
 
 _BACKENDS = {"fast": FAST, "rigorous": RIGOROUS}
 

@@ -274,8 +274,6 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
 class ToledoReport:
     tau: Fraction
     presnap: float
-    end_branch: float  # the continuous final Arg value, anchored at pi
-    candidates: tuple
     rejected: tuple
 
 
@@ -342,13 +340,7 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
             f"closed-form tau {tau} disagrees with branch logic {candidates}"
         )
 
-    return ToledoReport(
-        tau=tau,
-        presnap=presnap,
-        end_branch=end_branch,
-        candidates=tuple(candidates),
-        rejected=rejected,
-    )
+    return ToledoReport(tau=tau, presnap=presnap, rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +467,10 @@ def scan(lo: float, hi: float, steps: int, backend_name: str = "fast"):
 
 def condition_enclosures(t_box):
     """Evaluator for certify_on_interval: all conditions on an enclosure of
-    t.  Uses Taylor-model (centered form) arithmetic, which keeps enclosure
-    widths near |f'| * width(t) instead of blowing up with the dependency
-    constant of the naive interval evaluation.  Construction failures
+    t.  On a range it uses Taylor-model (centered form) arithmetic, which
+    keeps enclosure widths near |f'| * width(t) instead of blowing up with
+    the dependency constant of the naive interval evaluation; on a point it
+    computes on Intervals, like the rigorous backend.  Construction failures
     (enclosure too wide for a sqrt or a division, or overflowing to NaN) are
     reported as incomplete rather than raised."""
     backend = TaylorBackend.for_interval(t_box)

@@ -20,6 +20,7 @@ from cakecheck.construction import (
 )
 from cakecheck.hermitian import GeometryError, projectively_equal, reflection
 from cakecheck.numerics import FAST, RIGOROUS, Interval, TaylorBackend
+from helpers import as_floats
 
 GRID = [1.6 + (3.0 - 1.6) * k / 49 for k in range(50)]
 
@@ -30,7 +31,7 @@ GRID = [1.6 + (3.0 - 1.6) * k / 49 for k in range(50)]
 
 def test_parameters_at_published_t():
     params = solve_parameters(2.22)
-    t, t1, t2 = params.as_floats()
+    t, t1, t2 = as_floats(params)
     assert abs(t1 - 2.23) < 0.005
     assert abs(t2 - 3.22) < 0.005
     r1, r2 = parameter_residuals(params)
@@ -62,7 +63,7 @@ def test_parameter_grid_residuals_and_order():
         r1, r2 = parameter_residuals(params)
         assert r1 < 1e-11, t
         assert r2 < 1e-11, t
-        _, t1, t2 = params.as_floats()
+        _, t1, t2 = as_floats(params)
         assert t1 > 1.0
         assert t2 > t1, t
 
@@ -143,7 +144,7 @@ def test_mirror_requires_fast_backend():
 def test_determinism():
     a = build_configuration(2.22)
     b = build_configuration(2.22)
-    assert a.params.as_floats() == b.params.as_floats()
+    assert as_floats(a.params) == as_floats(b.params)
     for name in ("p1", "c1", "c3", "d1", "w3", "b2", "e2"):
         va, vb = getattr(a, name), getattr(b, name)
         assert va.approx() == vb.approx()

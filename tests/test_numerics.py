@@ -30,6 +30,10 @@ from cakecheck.numerics import (
 # intervals vs exact rational arithmetic
 
 
+def _hull(x, y):
+    return Interval(min(x.lo, y.lo), max(x.hi, y.hi))
+
+
 def test_interval_ops_enclose_exact_rationals():
     rng = random.Random(20260823)
     for _ in range(400):
@@ -38,10 +42,10 @@ def test_interval_ops_enclose_exact_rationals():
         ia = Interval(float(a))
         ib = Interval(float(b))
         # the float seed may be off by an ulp from the rational; widen
-        ia = ia.hull(Interval(math.nextafter(float(a), -1e300),
-                              math.nextafter(float(a), 1e300)))
-        ib = ib.hull(Interval(math.nextafter(float(b), -1e300),
-                              math.nextafter(float(b), 1e300)))
+        ia = _hull(ia, Interval(math.nextafter(float(a), -1e300),
+                                math.nextafter(float(a), 1e300)))
+        ib = _hull(ib, Interval(math.nextafter(float(b), -1e300),
+                                math.nextafter(float(b), 1e300)))
         checks = [(a + b, ia + ib), (a - b, ia - ib), (a * b, ia * ib)]
         if b != 0:
             checks.append((a / b, ia / ib))
@@ -416,6 +420,8 @@ def test_taylor_backend_protocol_surface():
     assert backend.rigorous
     assert backend.order == numerics.TAYLOR_ORDER
     assert TaylorBackend.for_interval(Interval(2.22, 2.22)).order == 0
+    assert isinstance(TaylorBackend.for_interval(Interval(2.22, 2.22)).variable(), Interval)
+    assert isinstance(RIGOROUS, TaylorBackend)
     th = backend.theta
     assert abs(backend.mid(th) - complex(0.5, math.sqrt(3) / 2)) < 1e-12
     assert isinstance((th * th.conjugate()).real, TaylorModel)

@@ -144,7 +144,7 @@ def test_toledo_invariant(cfg222):
         assert rep.tau == Fraction(-8, 3), cfg.params.t
         assert abs(rep.presnap - float(rep.tau)) < 1e-6
         assert rep.rejected == (Fraction(40, 3),)
-        assert abs(rep.end_branch - 7 * math.pi / 6) < 1e-9
+        assert abs(rep.presnap + 8 / 3) < 16e-9 / math.pi
 
 
 def test_toledo_rejects_reversed_orientation(cfg222):
@@ -269,6 +269,18 @@ def test_condition_report_plain_on_taylor_range():
         got = rep.plain(cid)
         assert isinstance(got, complex if cid == "6b" else float)
         assert abs(got - fast_vals[cid]) < 0.01 * max(1.0, abs(fast_vals[cid])), cid
+
+
+def test_point_probe_matches_rigorous_backend():
+    # certify's midpoint probe and the rigorous backend share one point
+    # arithmetic, so they enclose every condition identically
+    complete, items = condition_enclosures(Interval(2.22, 2.22))
+    assert complete
+    _, _, positives = condition_items(build_configuration(2.22, RIGOROUS))
+    assert [cid for cid, _ in items] == [cid for cid in CONDITION_IDS if cid in positives]
+    for cid, enc in items:
+        want = positives[cid].range()
+        assert (enc.lo, enc.hi) == (want.lo, want.hi), cid
 
 
 def test_taylor_enclosures_contain_fast_values():
