@@ -15,13 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .numerics import DomainError
-from .hermitian import GeometryError
-from .construction import (
-    ParameterDomainError,
-    build_configuration,
-    mirror_construction,
-)
+from .construction import build_configuration, mirror_construction
 from .verification import (
     VerificationError,
     certificate_lines,
@@ -135,7 +129,7 @@ def main(argv=None) -> int:
     except (VerificationError, cake_mod.CakeReconstructionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (DomainError, GeometryError, ParameterDomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

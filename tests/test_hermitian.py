@@ -319,11 +319,6 @@ def test_antilinear_scalar_conjugation(cfg222):
     assert mat_max_abs_diff(left.m, expected) < 1e-12
 
 
-def test_inverse_of_antilinear(cfg222):
-    inv = cfg222.R3.inverse()
-    assert (cfg222.R3 * inv).scalar_residual(1.0) < 1e-9
-
-
 def test_context_mismatch_detected(cfg222):
     from cakecheck.construction import build_configuration
     from cakecheck.hermitian import ContextMismatchError
