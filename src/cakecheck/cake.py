@@ -3,9 +3,12 @@
 The relator R3 R1 R2 R3 R2 R1 R3 R1 R2 R3 R2 R1 defines twelve subwords
 W_i; the twelve triangles W_i (Delta or Delta'), plus four attachments
 W_2 R3, W_5 R3, W_8 R3, W_11 R3, tile the cake.  Its sixteen unglued
-boundary sides are paired by eight identification isometries I_1..I_8;
-vertex orbits of the boundary corners under the pairings give the
-3 - 8 + 1 = -4 Euler characteristic of a genus 3 surface.
+boundary sides are paired by eight identification isometries I_1..I_8.
+Their 32 ends meet in the 16 corners of the declared table CORNER_CLASSES;
+the orbits of those corners under the pairings give the 3 - 8 + 1 = -4
+Euler characteristic of a genus 3 surface.  The boundary cycle, orbits,
+Euler characteristic and genus follow from the tables alone and are
+computed once at import; a configuration only confirms the corner table.
 
 Slices are represented by their polar points, so every statement reduces
 to a projective equality of vectors.
@@ -29,8 +32,8 @@ H5_INVOLUTION_TOL = 1e-10
 
 
 class CakeReconstructionError(ValueError):
-    """The boundary corner matching did not close into a single 16-cycle,
-    or an orbit count disagrees with the published combinatorics."""
+    """The two corners of a declared class do not coincide at the
+    configuration, or two declared classes do."""
 
 
 def subword(i: int):
@@ -115,7 +118,7 @@ def verify_mapping_tables(cfg: TriangleConfiguration):
 
 # each boundary side is (triangle label, begin slice, end slice); a slice is
 # (word letters, basis index).  The list order is not the boundary order:
-# build_cake discovers the cyclic order from the corner coincidences.
+# BOUNDARY_CYCLE walks the sides through CORNER_CLASSES.
 W2R3 = subword(2) + (R3,)
 W5R3 = subword(5) + (R3,)
 W8R3 = subword(8) + (R3,)
@@ -202,6 +205,86 @@ def verify_identifications(cfg: TriangleConfiguration):
 # cake assembly
 
 
+# the corner coincidences of the published cake: each class is the pair of
+# side ends (side index, "begin" | "end") whose slices coincide.  Classes are
+# numbered by their first corner in BOUNDARY_SIDES order.
+CORNER_CLASSES = (
+    ((0, "begin"), (13, "begin")), ((0, "end"), (15, "end")),
+    ((1, "begin"), (4, "begin")), ((1, "end"), (2, "end")),
+    ((2, "begin"), (15, "begin")), ((3, "begin"), (6, "begin")),
+    ((3, "end"), (4, "end")), ((5, "begin"), (8, "begin")),
+    ((5, "end"), (6, "end")), ((7, "begin"), (10, "begin")),
+    ((7, "end"), (8, "end")), ((9, "begin"), (12, "begin")),
+    ((9, "end"), (10, "end")), ((11, "begin"), (14, "begin")),
+    ((11, "end"), (12, "end")), ((13, "end"), (14, "end")),
+)
+
+
+def _boundary_cycle():
+    # walk the boundary as an undirected cycle from side 0: each corner class
+    # joins two sides (the published side orientations follow the pairing
+    # declarations, not the boundary orientation)
+    neighbours = {si: [] for si in range(len(BOUNDARY_SIDES))}
+    for (a, _), (b, _) in CORNER_CLASSES:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    cycle = [0]
+    while len(cycle) < len(BOUNDARY_SIDES):
+        cycle.append(next(si for si in neighbours[cycle[-1]] if si not in cycle))
+    return tuple(cycle)
+
+
+def _vertex_orbits():
+    # union corner classes across each pairing (begin with begin, end with
+    # end); orbits come out ordered by their least class index
+    class_of = {corner: idx for idx, cls in enumerate(CORNER_CLASSES) for corner in cls}
+    parent = list(range(len(CORNER_CLASSES)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for _, _, src, dst in IDENTIFICATIONS:
+        for end in ("begin", "end"):
+            parent[find(class_of[(dst, end)])] = find(class_of[(src, end)])
+    orbits = {}
+    for idx in range(len(CORNER_CLASSES)):
+        orbits.setdefault(find(idx), []).append(idx)
+    return tuple(frozenset(v) for v in orbits.values())
+
+
+BOUNDARY_CYCLE = _boundary_cycle()
+VERTEX_ORBITS = _vertex_orbits()
+# the cake is one disc: V - E + F with F = 1
+EULER_CHARACTERISTIC = len(VERTEX_ORBITS) - len(IDENTIFICATIONS) + 1
+GENUS = (2 - EULER_CHARACTERISTIC) // 2
+
+
+def _corner_vector(cfg, corner):
+    side, end = corner
+    _, begin_ref, end_ref = BOUNDARY_SIDES[side]
+    return _slice_vector(cfg, begin_ref if end == "begin" else end_ref)
+
+
+def check_corners(cfg: TriangleConfiguration):
+    """Check CORNER_CLASSES at a built configuration: the two corners of
+    each class coincide (16 projective equalities), and the first corner of
+    each class differs from the first corner of every earlier class (120),
+    so the table names 16 distinct corner points, each shared by two sides."""
+    firsts = []
+    for idx, (first, second) in enumerate(CORNER_CLASSES):
+        vec = _corner_vector(cfg, first)
+        if not projectively_equal(vec, _corner_vector(cfg, second)):
+            raise CakeReconstructionError(
+                f"corners {first} and {second} of class {idx} do not coincide"
+            )
+        for earlier, other in enumerate(firsts):
+            if projectively_equal(other, vec):
+                raise CakeReconstructionError(f"corner classes {earlier} and {idx} coincide")
+        firsts.append(vec)
+
+
 @dataclass
 class CakeReport:
     triangle_count: int
@@ -210,125 +293,33 @@ class CakeReport:
     vertex_cycles: int
     euler_characteristic: int
     genus: int
-    boundary_cycle: tuple  # side indices in confirmed cyclic order
+    boundary_cycle: tuple  # side indices in cyclic order
     vertex_orbits: tuple  # tuple of corner-class frozensets
     angle_cycle_residual: float
 
 
-def _corner_classes(cfg):
-    """Group the 32 side endpoints (side, 'begin'|'end') into coincidence
-    classes by projective equality of the slice vectors; each class must
-    have exactly 2 members and the adjacency must close into a single
-    16-cycle."""
-    corners = []
-    for si, (_, begin, end) in enumerate(BOUNDARY_SIDES):
-        corners.append(((si, "begin"), _slice_vector(cfg, begin)))
-        corners.append(((si, "end"), _slice_vector(cfg, end)))
-    classes = []
-    for key, vec in corners:
-        for cls in classes:
-            if projectively_equal(cls[0][1], vec):
-                cls.append((key, vec))
-                break
-        else:
-            classes.append([(key, vec)])
-    return classes
-
-
 def build_cake(cfg: TriangleConfiguration, angle_sum=None) -> CakeReport:
-    """Assemble and audit the cake at a built configuration.
+    """Audit the cake at a built configuration and report its combinatorics.
 
-    The corner coincidences are decided numerically, so a configuration is
-    required; everything downstream of the coincidence classes is pure
-    combinatorics.  ``angle_sum`` is beta1 + beta2 + beta3 when the caller
-    has it already; otherwise it is computed from ``cfg``.
+    The declared corner table is checked numerically (``check_corners``);
+    the boundary cycle, vertex orbits, Euler characteristic and genus follow
+    from the tables alone.  ``angle_sum`` is beta1 + beta2 + beta3 when the
+    caller has it already; otherwise it is computed from ``cfg``.
     """
-    classes = _corner_classes(cfg)
-    for cls in classes:
-        if len(cls) != 2:
-            raise CakeReconstructionError(
-                f"corner class of size {len(cls)} (expected 2): "
-                f"{[key for key, _ in cls]}"
-            )
-    if len(classes) != 16:
-        raise CakeReconstructionError(f"{len(classes)} corner classes (expected 16)")
-
-    # walk the boundary as an undirected cycle: each corner class joins two
-    # distinct sides (the published side orientations follow the pairing
-    # declarations, not the boundary orientation)
-    neighbours = {si: [] for si in range(len(BOUNDARY_SIDES))}
-    for cls in classes:
-        sides = [key[0] for key, _ in cls]
-        if sides[0] == sides[1]:
-            raise CakeReconstructionError(f"side {sides[0]} has coincident endpoints")
-        neighbours[sides[0]].append(sides[1])
-        neighbours[sides[1]].append(sides[0])
-    if any(len(v) != 2 for v in neighbours.values()):
-        raise CakeReconstructionError("a side does not meet exactly two others")
-    cycle = [0, neighbours[0][0]]
-    while True:
-        a, b = cycle[-2], cycle[-1]
-        step = neighbours[b][1] if neighbours[b][0] == a else neighbours[b][0]
-        if step == cycle[0]:
-            break
-        if step in cycle:
-            raise CakeReconstructionError("boundary walk revisits a side before closing")
-        cycle.append(step)
-    if len(cycle) != 16:
-        raise CakeReconstructionError(
-            f"boundary closes after {len(cycle)} sides (expected a single 16-cycle)"
-        )
-
-    # vertex orbits: union corners across each pairing (begin with begin,
-    # end with end), plus the coincidences within the boundary
-    corner_class_of = {}
-    for idx, cls in enumerate(classes):
-        for key, _ in cls:
-            corner_class_of[key] = idx
-    parent = list(range(len(classes)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for _, _, src, dst in IDENTIFICATIONS:
-        union(corner_class_of[(src, "begin")], corner_class_of[(dst, "begin")])
-        union(corner_class_of[(src, "end")], corner_class_of[(dst, "end")])
-
-    orbits = {}
-    for idx in range(len(classes)):
-        orbits.setdefault(find(idx), []).append(idx)
-    vertex_cycles = len(orbits)
-    edge_pairs = len(IDENTIFICATIONS)
-    chi = vertex_cycles - edge_pairs + 1
-    if vertex_cycles != 3:
-        raise CakeReconstructionError(
-            f"{vertex_cycles} vertex cycles (published combinatorics has 3)"
-        )
-    genus = (2 - chi) // 2
-
+    check_corners(cfg)
     # the twelve sector angles at the central slice sum to 4(b1+b2+b3) = 2 pi
     if angle_sum is None:
         angle_sum = sum(angles(cfg))
-    angle_residual = abs(4.0 * angle_sum - 2.0 * math.pi)
-
     return CakeReport(
         triangle_count=len(TRIANGLES),
         boundary_sides=len(BOUNDARY_SIDES),
-        edge_pairs=edge_pairs,
-        vertex_cycles=vertex_cycles,
-        euler_characteristic=chi,
-        genus=genus,
-        boundary_cycle=tuple(cycle),
-        vertex_orbits=tuple(frozenset(v) for v in orbits.values()),
-        angle_cycle_residual=angle_residual,
+        edge_pairs=len(IDENTIFICATIONS),
+        vertex_cycles=len(VERTEX_ORBITS),
+        euler_characteristic=EULER_CHARACTERISTIC,
+        genus=GENUS,
+        boundary_cycle=BOUNDARY_CYCLE,
+        vertex_orbits=VERTEX_ORBITS,
+        angle_cycle_residual=abs(4.0 * angle_sum - 2.0 * math.pi),
     )
 
 

@@ -73,14 +73,6 @@ def mat_trace(m):
     return sum3(m[0][0], m[1][1], m[2][2])
 
 
-def mat_det(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def mat_adjugate(m):
     return tuple(
         tuple(

@@ -462,9 +462,6 @@ class ComplexPair:
     def mid(self) -> complex:
         return complex(self.real.range().mid(), self.imag.range().mid())
 
-    def contains(self, z: complex) -> bool:
-        return self.real.range().contains(z.real) and self.imag.range().contains(z.imag)
-
     def conjugate(self) -> "ComplexPair":
         return ComplexPair(self.real, -self.imag)
 

@@ -270,6 +270,13 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
 # Toledo invariant
 
 
+# The endpoint argument class pi/6 mod pi has two branches in the reachable
+# window (0, 2 pi), and tau = -(16/pi)(end - pi) on each: 7 pi/6 gives -8/3
+# and pi/6 gives 40/3.  |tau| <= |chi| = 4 keeps -8/3 and rejects 40/3.
+TOLEDO_BRANCH = Fraction(-8, 3)
+TOLEDO_REJECTED = (Fraction(40, 3),)
+
+
 @dataclass
 class ToledoReport:
     tau: Fraction
@@ -295,10 +302,9 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
 
     The end argument must lie in the class pi/6 mod pi of the endpoint
     value q = <c1,c3><c3,c2>/<c1,c2> in R theta-bar i: snapping tau to
-    the nearest multiple of 2/3 must move it by at most 1e-6.  The two
-    branches of that class in (0, 2 pi) give the candidates -8/3 (7 pi/6)
-    and 40/3 (pi/6), and |tau| <= |chi| = 4 must keep exactly the
-    computed one.
+    the nearest multiple of 2/3 must move it by at most 1e-6, and the
+    snapped value must be TOLEDO_BRANCH, the one branch of that class
+    that |tau| <= |chi| admits.
     """
     ctx = cfg.ctx
     b = cfg.backend
@@ -329,20 +335,11 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
             f"pre-snap Toledo value {presnap} is not within 1e-6 of a multiple of 2/3"
         )
 
-    # branch candidates from the endpoint argument class pi/6 mod pi,
-    # restricted to the reachable branch window (0, 2 pi)
-    candidates = []
-    for k in range(2):
-        end = math.pi / 6 + k * math.pi
-        candidates.append(Fraction(round((-16.0 * (end - math.pi) / math.pi) * 3 / 2) * 2, 3))
-    keep = tuple(c for c in candidates if abs(c) <= 4)
-    rejected = tuple(c for c in candidates if abs(c) > 4)
-    if len(keep) != 1 or tau != keep[0]:
+    if tau != TOLEDO_BRANCH:
         raise VerificationError(
-            f"closed-form tau {tau} disagrees with branch logic {candidates}"
+            f"closed-form tau {tau} is not the admissible branch {TOLEDO_BRANCH}"
         )
-
-    return ToledoReport(tau=tau, presnap=presnap, rejected=rejected)
+    return ToledoReport(tau=tau, presnap=presnap, rejected=TOLEDO_REJECTED)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +391,16 @@ class InvariantLedger:
 
 
 def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None):
-    """Ledger for the genus-3 surface (chi = 3 - 8 + 1 = -4) and the derived
-    genus-2 cover (chi = -2, e = 0, tau = -4/3); both must satisfy
-    2(chi + e) = 3 tau exactly, in rational arithmetic.  Each input not
-    given is computed from ``cfg``."""
+    """Ledger for the genus-3 surface, whose chi and genus are the cake's
+    (3 - 8 + 1 = -4, genus 3), and the derived genus-2 cover (chi = -2,
+    e = 0, tau = -4/3); both must satisfy 2(chi + e) = 3 tau exactly, in
+    rational arithmetic.  Each input not given is computed from ``cfg``."""
     if toledo_report is None:
         toledo_report = toledo(cfg)
     if side is None:
         side = euler_side_test(evaluate_conditions(cfg))
-    ledger = InvariantLedger(tau=toledo_report.tau, e=side["e"], chi=-4, genus=3)
+    ledger = InvariantLedger(tau=toledo_report.tau, e=side["e"],
+                             chi=cake.EULER_CHARACTERISTIC, genus=cake.GENUS)
     ledger.check()
     return ledger
 

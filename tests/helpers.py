@@ -1,6 +1,6 @@
 """Checks that only the tests call: point classification, the reflection
-trace identities, the closest-point stationarity residual and the float
-parameter triple.  All run on the fast backend."""
+trace identities, the closest-point stationarity residual, the float
+parameter triple and the 3x3 determinant.  All run on the fast backend."""
 
 import enum
 import math
@@ -23,6 +23,14 @@ def classify(ctx, v) -> PointClass:
     if verdict is SignVerdict.NEGATIVE:
         return PointClass.NEGATIVE
     return PointClass.ISOTROPIC
+
+
+def mat_det(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def as_floats(params):

@@ -18,7 +18,6 @@ from cakecheck.hermitian import (
     closest_point_on_geodesic,
     geodesic_through,
     loxodromic_decompose,
-    mat_det,
     mat_max_abs,
     mat_max_abs_diff,
     projectively_equal,
@@ -37,7 +36,9 @@ from cakecheck.verification import (
     replay_range_certificate,
     toledo,
 )
-from helpers import PointClass, as_floats, classify, stationarity_residual, trace_identities_check
+from helpers import (
+    PointClass, as_floats, classify, mat_det, stationarity_residual, trace_identities_check,
+)
 
 
 def _report(capsys, num, desc, ok):

@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from cakecheck import cake
+from cakecheck import cake, verification
 from cakecheck.cake import (
+    BOUNDARY_CYCLE,
     BOUNDARY_SIDES,
+    CORNER_CLASSES,
+    CakeReconstructionError,
     H5_WORDS,
     IDENTIFICATIONS,
     R0,
@@ -21,6 +24,7 @@ from cakecheck.cake import (
     W8R3,
     W11R3,
     build_cake,
+    check_corners,
     h5_presentation_check,
     realize_word,
     subword,
@@ -192,12 +196,48 @@ def test_build_cake(cfg222):
     assert report.genus == 3
     assert len(report.boundary_cycle) == 16
     assert sorted(len(o) for o in report.vertex_orbits) == [4, 4, 8]
-    # the cyclic order is found from corner coincidences, not from the
-    # order of BOUNDARY_SIDES
+    # the cyclic order follows the corner table, not the order of
+    # BOUNDARY_SIDES
     assert report.boundary_cycle == (0, 13, 14, 11, 12, 9, 10, 7, 8, 5, 6, 3, 4, 1, 2, 15)
     assert sorted(sorted(o) for o in report.vertex_orbits) == [
         [0, 2, 7, 11], [1, 3, 6, 8, 10, 12, 14, 15], [4, 5, 9, 13]]
     assert report.angle_cycle_residual < 1e-8
+
+
+def test_corner_table_covers_each_side_end_once():
+    ends = [corner for cls in CORNER_CLASSES for corner in cls]
+    assert len(CORNER_CLASSES) == 16
+    assert sorted(ends) == sorted((si, end) for si in range(16) for end in ("begin", "end"))
+    assert sorted(BOUNDARY_CYCLE) == list(range(16))
+
+
+@pytest.mark.parametrize("t", [1.51, 1.6, 2.13, 2.34, 3.0, 100.0])
+def test_corner_table_holds_across_the_range(t):
+    assert build_cake(_mirrored(t)).angle_cycle_residual < 1e-8
+
+
+def test_coinciding_classes_are_a_reconstruction_error(cfg222, monkeypatch):
+    # class 1 declared as class 0 read backwards: its corners coincide, but
+    # its first corner is class 0's point
+    monkeypatch.setattr(cake, "CORNER_CLASSES", (CORNER_CLASSES[0], CORNER_CLASSES[0][::-1])
+                        + CORNER_CLASSES[2:])
+    with pytest.raises(CakeReconstructionError, match="corner classes 0 and 1 coincide"):
+        check_corners(cfg222)
+
+
+def test_verify_checks_the_corner_table_not_a_scan(monkeypatch):
+    count = [0]
+    equal = cake.projectively_equal
+
+    def counting(u, v):
+        count[0] += 1
+        return equal(u, v)
+
+    monkeypatch.setattr(cake, "projectively_equal", counting)
+    monkeypatch.setattr(verification, "projectively_equal", counting)
+    assert verify_all(2.22)["passed"]
+    # 316 while build_cake rediscovered the corner classes by an all-pairs scan
+    assert count[0] <= 196
 
 
 def test_build_cake_deterministic(cfg222):

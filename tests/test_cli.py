@@ -109,17 +109,12 @@ def test_cake_audit(capsys):
 
 @pytest.mark.parametrize("argv", [["verify"], ["cake"]])
 def test_failed_cake_reconstruction_is_a_verification_failure(argv, capsys, monkeypatch):
-    corner_classes = cake._corner_classes
-
-    def merged(cfg):
-        classes = corner_classes(cfg)
-        classes[0].append(classes[1].pop())
-        return classes
-
-    monkeypatch.setattr(cake, "_corner_classes", merged)
+    # class 0 declared with class 1's second corner
+    corrupted = ((cake.CORNER_CLASSES[0][0], cake.CORNER_CLASSES[1][1]),) + cake.CORNER_CLASSES[1:]
+    monkeypatch.setattr(cake, "CORNER_CLASSES", corrupted)
     code, _, err = run(argv, capsys)
     assert code == EXIT_FAIL
-    assert "corner class of size 3" in err
+    assert "corners (0, 'begin') and (15, 'end') of class 0 do not coincide" in err
 
 
 def test_out_file_sink(tmp_path, capsys):
@@ -181,3 +176,13 @@ def test_output_matches_golden_file(argv, name, capsys):
     code, out, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_cake_tables_match_golden_file(capsys):
+    """The cake audit up to its [summary] line, whose angle residual is the
+    one float and comes from atan2, is pure combinatorics."""
+    code, out, _ = run(["cake"], capsys)
+    assert code == EXIT_OK
+    golden = (GOLDEN / "cake_tables.txt").read_bytes()
+    assert out.encode()[:len(golden)] == golden
+    assert out[len(golden):].startswith("[summary] ")

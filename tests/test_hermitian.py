@@ -17,14 +17,13 @@ from cakecheck.hermitian import (
     closest_point_on_geodesic,
     geodesic_through,
     loxodromic_decompose,
-    mat_det,
     mat_max_abs,
     mat_max_abs_diff,
     projectively_equal,
     reflection,
 )
 from cakecheck.numerics import FAST
-from helpers import PointClass, classify, stationarity_residual, trace_identities_check
+from helpers import PointClass, classify, mat_det, stationarity_residual, trace_identities_check
 
 TRIALS = 1000
 

@@ -172,6 +172,14 @@ def test_invariant_ledger(cfg222):
     assert ledger.check()
 
 
+def test_ledger_reads_chi_and_genus_from_the_cake(cfg222, monkeypatch):
+    ledger = invariant_ledger(cfg222)
+    assert (ledger.chi, ledger.genus) == (cake.EULER_CHARACTERISTIC, cake.GENUS)
+    monkeypatch.setattr(cake, "EULER_CHARACTERISTIC", -2)
+    with pytest.raises(VerificationError, match="chi=-2"):
+        invariant_ledger(cfg222)
+
+
 def test_no_check_is_an_assert_statement():
     # python -O strips assert statements, and the checks with them
     sources = sorted(Path(verification.__file__).parent.glob("*.py"))
