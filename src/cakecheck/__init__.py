@@ -20,7 +20,6 @@ from .hermitian import (
     GramContext,
     Isometry,
     ProjVector,
-    geodesic_through,
     loxodromic_decompose,
     projectively_equal,
     reflection,

@@ -21,8 +21,6 @@ from .hermitian import (
     Isometry,
     ProjVector,
     loxodromic_decompose,
-    mat_conj,
-    mat_max_abs_diff,
     reflection,
 )
 
@@ -126,9 +124,9 @@ def build_gram(params: ParameterTriple) -> GramContext:
 class TriangleConfiguration:
     """All named points and reflections of the configuration at one t.
 
-    The mirror data (m1p, m2p, p2p, R0, R3) is filled in by
-    :func:`mirror_construction`, which needs branch decisions and therefore
-    runs on the fast backend only; ``w3`` is the isotropic direction used by
+    The generators R0 and R3 are filled in by :func:`mirror_construction`,
+    which needs branch decisions and therefore runs on the fast backend
+    only; ``w3`` is the isotropic direction used by
     the discal-adjacency conditions and exists only when u > 1 is certain.
     """
 
@@ -158,9 +156,6 @@ class TriangleConfiguration:
     u: object
     w3: ProjVector | None
 
-    m1p: ProjVector | None = None
-    m2p: ProjVector | None = None
-    p2p: ProjVector | None = None
     R0: Isometry | None = None
     R3: Isometry | None = None
 
@@ -267,10 +262,12 @@ def mirror_construction(cfg: TriangleConfiguration):
     along the axis, so that I = R(m2') R(m1').  Then p2' = -R(m1') p1
     completes p1, p3 to a triangle whose Gram matrix is the entrywise
     conjugate of the original one, and R3 is the antilinear basis map
-    p1 -> p1, p2 -> p2', p3 -> p3.
+    p1 -> p1, p2 -> p2', p3 -> p3.  That Gram condition is R3's form
+    identity M^T G conj(M) = conj(G), checked entrywise relative to
+    max(1, |G_ij|).
 
-    Fills cfg.m1p, cfg.m2p, cfg.p2p, cfg.R0 = R(p1), cfg.R3 in place and
-    returns a dict of verification residuals.
+    Fills cfg.R0 = R(p1) and cfg.R3 in place and returns a dict of
+    verification residuals.
     """
     ctx = cfg.ctx
     b = ctx.backend
@@ -282,21 +279,19 @@ def mirror_construction(cfg: TriangleConfiguration):
     trace = complex(iso.trace())
     trace_residual = abs(trace - 2.0 * float(cfg.params.t))
 
-    m1p, m2p = loxodromic_decompose(iso, closest_to=cfg.p1)
-    # normalize <m,m> = -1 like the unprimed midpoints
-    m1p = m1p.scale(1.0 / math.sqrt(-float(ctx.norm2(m1p))))
-    m2p = m2p.scale(1.0 / math.sqrt(-float(ctx.norm2(m2p))))
-
-    p2p = -reflection(m1p).apply(cfg.p1)
+    m1p, _ = loxodromic_decompose(iso, closest_to=cfg.p1)
+    # -R(m1') p1 alone; dividing by <m1',m1'> (-1 up to rounding) matters near t = 3/2
+    p2p = cfg.p1 - m1p.scale(2.0 * ctx.inner(cfg.p1, m1p) / ctx.norm2(m1p))
 
     # the triangle p1, p2', p3 must have the conjugated Gram matrix
-    expected = mat_conj(ctx.g)
     triple = (cfg.p1, p2p, cfg.p3)
-    actual = tuple(
-        tuple(complex(ctx.inner(triple[i], triple[j])) for j in range(3)) for i in range(3)
-    )
-    gram_residual = mat_max_abs_diff(actual, expected)
-    if gram_residual > RESIDUAL_TOL * max(1.0, max(abs(x) for row in expected for x in row)):
+    defects = [
+        (abs(complex(ctx.inner(triple[i], triple[j])) - ctx.g[i][j].conjugate()),
+         max(1.0, abs(ctx.g[i][j])))
+        for i in range(3) for j in range(3)
+    ]
+    gram_residual = max(d for d, _ in defects)
+    if any(d > RESIDUAL_TOL * scale for d, scale in defects):
         raise GeometryError(
             f"mirrored triangle Gram residual {gram_residual:.3e} exceeds tolerance"
         )
@@ -314,13 +309,7 @@ def mirror_construction(cfg: TriangleConfiguration):
     involution_residual = ident.scalar_residual(1.0)
     if involution_residual > RESIDUAL_TOL:
         raise GeometryError(f"R3^2 residual {involution_residual:.3e} exceeds tolerance")
-    form_residual = R3.form_residual(
-        [(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.m1, cfg.c1), (cfg.c2, cfg.d3)]
-    )
 
-    cfg.m1p = m1p
-    cfg.m2p = m2p
-    cfg.p2p = p2p
     cfg.R0 = R0
     cfg.R3 = R3
     cfg.cake_memo.clear()  # nothing realized against the previous generators survives
@@ -328,7 +317,6 @@ def mirror_construction(cfg: TriangleConfiguration):
         "trace_residual": trace_residual,
         "gram_residual": gram_residual,
         "involution_residual": involution_residual,
-        "form_residual": form_residual,
     }
 
 

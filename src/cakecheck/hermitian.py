@@ -5,8 +5,8 @@ basis p1,p2,p3; points are projective vectors in that basis, isometries are
 3x3 matrices (optionally composed with coordinatewise conjugation for the
 antiholomorphic ones).  Everything here is written against the scalar
 backend protocol of :mod:`cakecheck.numerics`, so the same formulas run in
-fast and rigorous mode; the operations that need branch decisions
-(geodesic parametrization, closest points, loxodromic decomposition) are
+fast and rigorous mode; the operations that need branch decisions (the
+closest point on an axis and the loxodromic decomposition) are
 fast-backend only.
 """
 
@@ -71,6 +71,14 @@ def mat_sub(a, b):
 
 def mat_trace(m):
     return sum3(m[0][0], m[1][1], m[2][2])
+
+
+def mat_det(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def mat_adjugate(m):
@@ -340,45 +348,11 @@ class GeodesicParam:
         return math.sqrt(ratio.real)
 
 
-def geodesic_through(a: ProjVector, b: ProjVector) -> GeodesicParam:
-    """The geodesic through two distinct negative (or isotropic) points:
-    finds the two isotropic directions in their real span and normalizes
-    them to the standard parametrization.  Fast backend only."""
-    ctx = a.ctx
-    ctx._check(b)
-    s = complex(ctx.inner(a, b))
-    if abs(s) < 1e-14 * max(_coord_scale(a) * _coord_scale(b), 1e-300):
-        raise GeometryError("orthogonal points do not span a real geodesic here")
-    # rotate b so <a, b'> is real negative; then the span over R is the geodesic
-    mu = -s / abs(s)
-    b2 = b.scale(mu)
-    A = float(ctx.norm2(a))
-    B = -abs(s)
-    C = float(ctx.norm2(b2))
-    disc = B * B - A * C
-    if disc <= 0.0:
-        raise GeometryError("restricted form is not of signature (1,1): no real geodesic")
-    root = math.sqrt(disc)
-    x_plus = (-B + root) / A
-    x_minus = (-B - root) / A
-    v1 = a.scale(x_plus) + b2
-    v2 = a.scale(x_minus) + b2
-    w = float(ctx.inner(v1, v2).real)
-    if abs(w) < 1e-14:
-        raise GeometryError("degenerate vertex pair (coincident points?)")
-    v2 = v2.scale(-0.5 / w)
-    geo = GeodesicParam(v1, v2)
-    xa = geo.param_of(a)
-    xb = geo.param_of(b)
-    if xa > xb:
-        geo = GeodesicParam(v2, v1)
-    return geo
-
-
-def closest_point_on_geodesic(geo: GeodesicParam, p: ProjVector) -> ProjVector:
-    """The unique point of the geodesic closest to the complex geodesic polar
-    to p; requires the geodesic not to meet that complex geodesic (the
-    cross-ratio-like quantity <g,p><p,g'>/<g,g'> must be non-real)."""
+def closest_point_param(geo: GeodesicParam, p: ProjVector) -> float:
+    """The parameter x of the unique point geo.point(x) closest to the
+    complex geodesic polar to p; requires the geodesic not to meet that
+    complex geodesic (the cross-ratio-like quantity <g,p><p,g'>/<g,g'> must
+    be non-real)."""
     ctx = geo.ctx
     ctx._check(p)
     g = geo.point(1.0)
@@ -390,7 +364,7 @@ def closest_point_on_geodesic(geo: GeodesicParam, p: ProjVector) -> ProjVector:
     b = abs(complex(ctx.inner(geo.v2, p)))
     if a == 0.0 or b == 0.0:
         raise GeometryError("degenerate pairing with a geodesic vertex")
-    return geo.point(math.sqrt(b / a))
+    return math.sqrt(b / a)
 
 
 def loxodromic_decompose(
@@ -399,8 +373,9 @@ def loxodromic_decompose(
     closest_to: ProjVector | None = None,
 ):
     """Write a loxodromic isometry (real trace > 3) as R(g')R(g) with g, g'
-    on its axis.  The point g is either given (``at_point``) or chosen as the
-    axis point closest to the complex geodesic polar to ``closest_to``."""
+    unit points (<g,g> = -1) on its axis.  The point g is either given
+    (``at_point``) or the axis point closest to the complex geodesic polar
+    to ``closest_to``, at the parameter ``closest_point_param`` returns."""
     if iso.antilinear:
         raise GeometryError("loxodromic decomposition expects a linear isometry")
     if (at_point is None) == (closest_to is None):
@@ -446,7 +421,7 @@ def loxodromic_decompose(
     if at_point is not None:
         x = geo.param_of(at_point)
     else:
-        x = geo.param_of(closest_point_on_geodesic(geo, closest_to))
+        x = closest_point_param(geo, closest_to)
     g = geo.point(x)
 
     # R(g(y)) sends v1 to v2/y^2 and v2 to y^2 v1, so R(g(x f)) R(g(x))

@@ -744,14 +744,19 @@ def certify_on_interval(evaluator, lo: float, hi: float, max_depth: int = 40) ->
 
 
 def replay_certificate(evaluator, cert: Certificate) -> bool:
-    """Check that the leaf subintervals tile [lo, hi] exactly, that each
-    carries one certified-positive leaf for every condition the predicate
-    evaluates there, and that re-evaluating the predicate on it reproduces
-    those verdicts.  Since every subinterval carries every condition, each
-    condition's leaves tile [lo, hi]."""
+    """Check that the certificate is "certified" with no failure, that its
+    leaf subintervals tile [lo, hi] exactly, that each carries exactly one
+    certified-positive leaf for every condition the predicate evaluates
+    there, and that re-evaluating the predicate on it reproduces those
+    verdicts.  So each condition's leaves tile [lo, hi]."""
+    if not cert.certified or cert.failure is not None:
+        return False
     recorded = {}
     for leaf in cert.leaves:
-        recorded.setdefault((leaf.lo, leaf.hi), {})[leaf.condition] = leaf.verdict
+        verdicts = recorded.setdefault((leaf.lo, leaf.hi), {})
+        if leaf.condition in verdicts:
+            return False
+        verdicts[leaf.condition] = leaf.verdict
     edge = cert.lo
     for a, b in sorted(recorded):
         if a != edge or not a < b:

@@ -1,11 +1,19 @@
-"""Checks that only the tests call: point classification, the reflection
-trace identities, the closest-point stationarity residual, the float
-parameter triple and the 3x3 determinant.  All run on the fast backend."""
+"""Checks that only the tests call: point classification, the geodesic
+through two points (the property suites draw random geodesics with it),
+the reflection trace identities, the closest-point stationarity residual
+and the float parameter triple.  All run on the fast backend."""
 
 import enum
 import math
 
-from cakecheck.hermitian import _coord_scale, mat_max_abs, reflection
+from cakecheck.hermitian import (
+    GeodesicParam,
+    GeometryError,
+    ProjVector,
+    _coord_scale,
+    mat_max_abs,
+    reflection,
+)
 from cakecheck.numerics import SignVerdict, certified_sign
 
 
@@ -25,12 +33,39 @@ def classify(ctx, v) -> PointClass:
     return PointClass.ISOTROPIC
 
 
-def mat_det(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def geodesic_through(a: ProjVector, b: ProjVector) -> GeodesicParam:
+    """The geodesic through two distinct negative (or isotropic) points:
+    finds the two isotropic directions in their real span and normalizes
+    them to the standard parametrization.  Fast backend only."""
+    ctx = a.ctx
+    ctx._check(b)
+    s = complex(ctx.inner(a, b))
+    if abs(s) < 1e-14 * max(_coord_scale(a) * _coord_scale(b), 1e-300):
+        raise GeometryError("orthogonal points do not span a real geodesic here")
+    # rotate b so <a, b'> is real negative; then the span over R is the geodesic
+    mu = -s / abs(s)
+    b2 = b.scale(mu)
+    A = float(ctx.norm2(a))
+    B = -abs(s)
+    C = float(ctx.norm2(b2))
+    disc = B * B - A * C
+    if disc <= 0.0:
+        raise GeometryError("restricted form is not of signature (1,1): no real geodesic")
+    root = math.sqrt(disc)
+    x_plus = (-B + root) / A
+    x_minus = (-B - root) / A
+    v1 = a.scale(x_plus) + b2
+    v2 = a.scale(x_minus) + b2
+    w = float(ctx.inner(v1, v2).real)
+    if abs(w) < 1e-14:
+        raise GeometryError("degenerate vertex pair (coincident points?)")
+    v2 = v2.scale(-0.5 / w)
+    geo = GeodesicParam(v1, v2)
+    xa = geo.param_of(a)
+    xb = geo.param_of(b)
+    if xa > xb:
+        geo = GeodesicParam(v2, v1)
+    return geo
 
 
 def as_floats(params):

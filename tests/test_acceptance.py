@@ -15,9 +15,9 @@ from cakecheck.construction import (
     angles,
 )
 from cakecheck.hermitian import (
-    closest_point_on_geodesic,
-    geodesic_through,
+    closest_point_param,
     loxodromic_decompose,
+    mat_det,
     mat_max_abs,
     mat_max_abs_diff,
     projectively_equal,
@@ -37,7 +37,8 @@ from cakecheck.verification import (
     toledo,
 )
 from helpers import (
-    PointClass, as_floats, classify, mat_det, stationarity_residual, trace_identities_check,
+    PointClass, as_floats, classify, geodesic_through, stationarity_residual,
+    trace_identities_check,
 )
 
 
@@ -183,7 +184,7 @@ def test_criterion_07_identity_property_suites(cfg222, capsys):
         if done_cp < 1000:
             p = rand_point(PointClass.POSITIVE)
             try:
-                y = closest_point_on_geodesic(geo, p)
+                xs = closest_point_param(geo, p)
             except ValueError:
                 continue
             g1, g2 = geo.point(1.0), geo.point(2.0)
@@ -191,8 +192,8 @@ def test_criterion_07_identity_property_suites(cfg222, capsys):
                    / complex(ctx.inner(g1, g2)))
             if abs(val.imag) < 1e-3 * abs(val):
                 continue
+            y = geo.point(xs)
             ok = ok and stationarity_residual(geo, p, y) < 1e-9
-            xs = geo.param_of(y)
             best = -float(ctx.tance(y, p))
             for k in range(-5, 6):
                 ok = ok and best <= -float(ctx.tance(geo.point(xs * math.exp(0.1 * k)), p)) + 1e-12

@@ -2,6 +2,7 @@
 outputs and the --out file sink.  Everything runs in process through
 cli.main."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,17 @@ def test_output_matches_golden_file(argv, name, capsys):
     code, out, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_fast_verify_matches_masked_golden_file(capsys):
+    """The fast structured report with the value of every key containing
+    ``residual`` masked: residuals sit at rounding level and move with any
+    reordering of the arithmetic, every other value and every verdict is
+    pinned.  CI applies the same mask with sed."""
+    code, out, _ = run(["verify", "--format", "structured"], capsys)
+    assert code == EXIT_OK
+    masked = re.sub(r"(?m)^([^=\n]*residual[^=\n]*) = .*$", r"\1 = <masked>", out)
+    assert masked.encode() == (GOLDEN / "verify_fast_structured.txt").read_bytes()
 
 
 def test_cake_tables_match_golden_file(capsys):

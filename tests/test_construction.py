@@ -18,7 +18,12 @@ from cakecheck.construction import (
     parameter_residuals,
     solve_parameters,
 )
-from cakecheck.hermitian import GeometryError, projectively_equal, reflection
+from cakecheck.hermitian import (
+    GeometryError,
+    loxodromic_decompose,
+    projectively_equal,
+    reflection,
+)
 from cakecheck.numerics import FAST, RIGOROUS, Interval, TaylorBackend
 from helpers import as_floats
 
@@ -120,12 +125,15 @@ def test_mirror_grid_residuals():
         assert res["trace_residual"] < 1e-9, t
         assert res["gram_residual"] < 1e-9, t
         assert res["involution_residual"] < 1e-9, t
-        assert res["form_residual"] < 1e-9, t
         assert cfg.R3 is not None and cfg.R3.antilinear
-        # p2' = -R(m1') p1 and both mirrored midpoints are unit-normalized
-        assert projectively_equal(-reflection(cfg.m1p).apply(cfg.p1), cfg.p2p)
-        assert abs(float(cfg.ctx.norm2(cfg.m1p)) + 1.0) < 1e-9
-        assert abs(float(cfg.ctx.norm2(cfg.m2p)) + 1.0) < 1e-9
+        probes = [(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.m1, cfg.c1), (cfg.c2, cfg.d3)]
+        assert cfg.R3.form_residual(probes) < 1e-9, t
+        # R3 p2 = p2' = -R(m1') p1 and both mirrored midpoints are unit-normalized
+        iso = (cfg.R2 * cfg.R1 * cfg.R0).scaled(THETA_SQ)
+        m1p, m2p = loxodromic_decompose(iso, closest_to=cfg.p1)
+        assert projectively_equal(-reflection(m1p).apply(cfg.p1), cfg.R3.apply(cfg.p2))
+        assert abs(float(cfg.ctx.norm2(m1p)) + 1.0) < 1e-9
+        assert abs(float(cfg.ctx.norm2(m2p)) + 1.0) < 1e-9
 
 
 def test_R0_is_built_by_the_mirror_construction():

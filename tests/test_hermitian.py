@@ -14,16 +14,18 @@ from cakecheck.hermitian import (
     GramContext,
     Isometry,
     ProjVector,
-    closest_point_on_geodesic,
-    geodesic_through,
+    closest_point_param,
     loxodromic_decompose,
+    mat_det,
     mat_max_abs,
     mat_max_abs_diff,
     projectively_equal,
     reflection,
 )
 from cakecheck.numerics import FAST
-from helpers import PointClass, classify, mat_det, stationarity_residual, trace_identities_check
+from helpers import (
+    PointClass, classify, geodesic_through, stationarity_residual, trace_identities_check,
+)
 
 TRIALS = 1000
 
@@ -220,7 +222,7 @@ def test_closest_point_stationarity_and_grid_minimum_1000_trials(ctx):
             continue
         try:
             geo = geodesic_through(a, b)
-            y = closest_point_on_geodesic(geo, p)
+            xs = closest_point_param(geo, p)
         except GeometryError:
             continue
         # skip near-tangent cases: when the cross-ratio quantity is nearly
@@ -230,9 +232,9 @@ def test_closest_point_stationarity_and_grid_minimum_1000_trials(ctx):
                / complex(ctx.inner(g1, g2)))
         if abs(val.imag) < 1e-3 * abs(val):
             continue
+        y = geo.point(xs)
         assert stationarity_residual(geo, p, y) < 1e-9
         # grid check: distance objective -ta(g(x), p) is minimal at y
-        xs = geo.param_of(y)
         objective = lambda x: -float(ctx.tance(geo.point(x), p))
         best = objective(xs)
         for k in range(-10, 11):

@@ -473,20 +473,25 @@ def _two_conditions(t_box):
     return True, [("sq", t_box * t_box - 2), ("dep", t_box * t_box - 2 * t_box + 0.5)]
 
 
-@pytest.mark.parametrize("tamper", ["drop", "shift", "flip"])
+@pytest.mark.parametrize("tamper", ["drop", "shift", "flip", "duplicate", "status"])
 def test_replay_rejects_tampered_certificate(tamper):
     cert = certify_on_interval(_two_conditions, 1.8, 2.0)
     assert cert.certified and len(cert.leaves) >= 4
     assert replay_certificate(_two_conditions, cert)
     leaves = list(cert.leaves)
     leaf = leaves[2]
+    status = cert.status
     if tamper == "drop":
         del leaves[2]
     elif tamper == "shift":
         leaves[2] = replace(leaf, hi=0.5 * (leaf.lo + leaf.hi))
-    else:
+    elif tamper == "flip":
         leaves[2] = replace(leaf, verdict=SignVerdict.NEGATIVE.value)
-    assert not replay_certificate(_two_conditions, replace(cert, leaves=leaves))
+    elif tamper == "duplicate":
+        leaves.insert(3, leaf)
+    else:
+        status = "counterexample"
+    assert not replay_certificate(_two_conditions, replace(cert, status=status, leaves=leaves))
 
 
 def test_certify_finds_counterexample():

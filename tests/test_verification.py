@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cakecheck import cake, construction, numerics, verification
+from cakecheck import cake, construction, hermitian, numerics, verification
 from cakecheck.cli import EXIT_FAIL, main
 from cakecheck.construction import (
     ParameterDomainError,
@@ -132,6 +132,18 @@ def test_slice_symmetry_suite(cfg222):
     assert cor["segment_geodesics_distinct"] == (True, True, True)
 
 
+def test_segment_geodesics_in_one_complex_line_coincide(cfg222, monkeypatch):
+    # d1, d2 on the c1-c2 line: the first pair of segments spans one complex line
+    on_line = replace(cfg222, d1=cfg222.c1, d2=cfg222.c2)
+    assert check_slice_symmetries(on_line)["segment_geodesics_distinct"] == (False, True, True)
+    check = verification.check_slice_symmetries
+    monkeypatch.setattr(verification, "check_slice_symmetries",
+                        lambda cfg: check(replace(cfg, d1=cfg.c1, d2=cfg.c2)))
+    report = verify_all(2.22)
+    assert not report["passed"]
+    assert "segment geodesics coincide" in report["failures"]
+
+
 # ---------------------------------------------------------------------------
 # Toledo and Euler
 
@@ -245,6 +257,23 @@ def test_condition_evaluation_builds_five_reflections(evaluate, product, limit, 
     evaluate()
     assert count["reflection"] == 5
     assert count["product"] <= limit
+
+
+def test_fast_verify_builds_eight_reflections(monkeypatch):
+    """The five of condition evaluation, R0, and the two of the axis
+    decomposition R(m2') R(m1'); nine while the mirror built the matrix
+    R(m1') to move the one vector p1."""
+    count = [0]
+    build = hermitian.reflection
+
+    def counting(p):
+        count[0] += 1
+        return build(p)
+
+    for module in (hermitian, construction, verification):
+        monkeypatch.setattr(module, "reflection", counting)
+    assert verify_all(2.22)["passed"]
+    assert count[0] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +497,12 @@ def test_verify_all_enforces_slice_symmetry_results(monkeypatch):
 
 def test_verify_all_enforces_mirror_residuals(monkeypatch):
     monkeypatch.setattr(verification, "mirror_construction", _forced(
-        verification.mirror_construction, trace_residual=1.0, form_residual=1.0,
+        verification.mirror_construction, trace_residual=1.0,
     ))
     report = verify_all(2.22)
     assert not report["passed"]
     assert report["failures"] == [
         "mirror construction trace residual exceeds 1e-9",
-        "mirror construction form residual exceeds 1e-9",
     ]
     assert main(["verify"]) == EXIT_FAIL
 
