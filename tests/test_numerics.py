@@ -24,6 +24,7 @@ from cakecheck.numerics import (
     get_backend,
     replay_certificate,
 )
+from cakecheck.verification import verify_all
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,130 @@ def test_complex_box_mul_contains_exact_product():
         back = bz / bw * bw
         assert ((back.real.range().contains(z.real) and back.imag.range().contains(z.imag))
                 or abs(back.mid() - z) < 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the radius-0 kernels against the four-product rule
+
+
+def _four_product(a, b):
+    """[a] * [b] by definition: the least and greatest of the four products,
+    rounded outward; a NaN bound (0 * inf) raises DomainError."""
+    p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(math.nextafter(min(p), -math.inf), math.nextafter(max(p), math.inf))
+
+
+def _ref_sum(a, b):
+    return Interval(math.nextafter(a.lo + b.lo, -math.inf), math.nextafter(a.hi + b.hi, math.inf))
+
+
+def _ref_difference(a, b):
+    return Interval(math.nextafter(a.lo - b.hi, -math.inf), math.nextafter(a.hi - b.lo, math.inf))
+
+
+def _ref_complex_product(x, y):
+    """The ComplexPair product on Interval parts, operation by operation,
+    with the products that have an exact-zero part skipped."""
+    def zero(v):
+        return v.lo == 0.0 and v.hi == 0.0
+
+    a, b = (y, x) if zero(x.imag) or zero(x.real) else (x, y)
+    if zero(b.imag):
+        return _four_product(a.real, b.real), _four_product(a.imag, b.real)
+    if zero(b.real):
+        p = _four_product(a.imag, b.imag)
+        return Interval(-p.hi, -p.lo), _four_product(a.real, b.imag)
+    return (_ref_difference(_four_product(x.real, y.real), _four_product(x.imag, y.imag)),
+            _ref_sum(_four_product(x.real, y.imag), _four_product(x.imag, y.real)))
+
+
+EDGE_INTERVALS = [
+    Interval(0.0), Interval(-0.0), Interval(-0.0, 0.0), Interval(2.5),
+    Interval(0.0, 2.5), Interval(-0.0, 2.5), Interval(-3.0, 0.0), Interval(-3.0, -0.0),
+    Interval(-1.5, 2.0), Interval(-5e-324, 5e-324), Interval(1e200, 1e201),
+    Interval(1.0, math.inf), Interval(0.0, math.inf), Interval(-math.inf, -2.0),
+    Interval(-math.inf, math.inf), Interval(math.inf), Interval(-math.inf),
+]
+
+
+def _random_interval(rng):
+    x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+    if rng.random() < 0.2:
+        return Interval(x)
+    y = x + rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 2.0) * 10.0 ** rng.randint(-12, 8)
+    return Interval(min(x, y), max(x, y))
+
+
+def _interval_pool():
+    rng = random.Random(20261019)
+    return EDGE_INTERVALS + [_random_interval(rng) for _ in range(40)]
+
+
+def _same(op, ref):
+    """Both raise DomainError, or both give the same bounds."""
+    try:
+        want = ref()
+    except DomainError:
+        with pytest.raises(DomainError):
+            op()
+        return
+    got = op()
+    got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+    assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
+
+
+def test_interval_kernels_match_the_four_product_rule():
+    pool = _interval_pool()
+    for a in pool:
+        assert (-a).lo == -a.hi and (-a).hi == -a.lo
+        for b in pool:
+            _same(lambda: a * b, lambda: _four_product(a, b))
+            _same(lambda: a + b, lambda: _ref_sum(a, b))
+            _same(lambda: a - b, lambda: _ref_difference(a, b))
+
+
+def _parts(z):
+    return z.real, z.imag
+
+
+def test_fused_complex_product_matches_operation_by_operation():
+    pool = _interval_pool()
+    rng = random.Random(5)
+    pairs = [ComplexPair(a, b) for a in EDGE_INTERVALS[::2] for b in EDGE_INTERVALS[1::2]]
+    pairs += [ComplexPair(rng.choice(pool), rng.choice(pool)) for _ in range(120)]
+    for x in pairs:
+        for y in pairs[::3]:
+            _same(lambda: _parts(x * y), lambda: _ref_complex_product(x, y))
+    # an exact-zero real or imaginary part on either side
+    z = ComplexPair(Interval(1.5, 2.0), Interval(-3.0, -1.0))
+    for w in (ComplexPair(Interval(-0.5, 0.25), Interval(0.0)),
+              ComplexPair(Interval(-0.0, 0.0), Interval(4.0, 5.0))):
+        for x, y in ((z, w), (w, z)):
+            _same(lambda: _parts(x * y), lambda: _ref_complex_product(x, y))
+    # 0 * inf overflows to NaN
+    with pytest.raises(DomainError):
+        ComplexPair(Interval(0.0, 1.0), Interval(1.0)) * ComplexPair(Interval(math.inf), Interval(1.0))
+
+
+def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
+    counts = {"interval": 0, "complex": 0}
+
+    def counted(cls, name, key):
+        fn = cls.__dict__[name]
+
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("__mul__", "__rmul__"):
+        counted(Interval, name, "interval")
+        counted(ComplexPair, name, "complex")
+    assert verify_all(2.22, "rigorous")["passed"]
+    # 1362 Interval products while each complex product formed its parts'
+    # products as Intervals
+    assert counts["interval"] <= 72
+    assert counts["complex"] == 428
 
 
 def test_certified_sign_verdicts():

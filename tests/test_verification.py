@@ -192,6 +192,46 @@ def test_ledger_reads_chi_and_genus_from_the_cake(cfg222, monkeypatch):
         invariant_ledger(cfg222)
 
 
+def test_failed_ledger_is_reported_not_raised(monkeypatch):
+    # e = -16 gives 2(chi + e) = -40, which is not 3 tau = -8
+    def side_minus_16(report):
+        return {"s": report.plain("6c"), "e": -16, "verdict": SignVerdict.NEGATIVE}
+
+    monkeypatch.setattr(verification, "euler_side_test", side_minus_16)
+    report = verify_all(2.22)
+    assert report["invariants"]["ledger_ok"] is False
+    assert report["invariants"]["euler"] == -16
+    assert not report["passed"]
+    assert any(f.startswith("invariant ledger fails: ledger relation") for f in report["failures"])
+
+
+def rigorous_enclosure_lines():
+    """The exact bounds, as ``float.hex``, of every condition value and of
+    every quantity required positive, on the rigorous backend at the
+    22 points of the default scan of [2.13, 2.34] and at t = 2.22, 1.6 and
+    3.0: one line ``t kind id part lo hi`` per real enclosure."""
+    lo, hi, steps = 2.13, 2.34, 22
+    ts = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)] + [2.22, 1.6, 3.0]
+    lines = []
+    for t in ts:
+        _, values, positives = condition_items(build_configuration(t, RIGOROUS))
+        for kind, table in (("value", values), ("positive", positives)):
+            for cid, v in table.items():
+                parts = ((("re", v.real), ("im", v.imag)) if isinstance(v, numerics.ComplexPair)
+                         else (("re", v),))
+                for part, x in parts:
+                    lines.append(f"{t!r} {kind} {cid} {part} {x.lo.hex()} {x.hi.hex()}")
+    return lines
+
+
+def test_rigorous_enclosures_match_golden_file():
+    """Every bound of every rigorous point enclosure of the conditions,
+    exactly: the printed reports round to 12 digits and cannot see a bound
+    that moved by an ulp."""
+    golden = (Path(__file__).parent / "golden" / "rigorous_enclosures.txt").read_text()
+    assert rigorous_enclosure_lines() == golden.splitlines()
+
+
 def test_no_check_is_an_assert_statement():
     # python -O strips assert statements, and the checks with them
     sources = sorted(Path(verification.__file__).parent.glob("*.py"))
