@@ -18,7 +18,13 @@ the float bounds: the same products, rounded outward alike and combined in
 the same order as the product taken operation by operation, hence
 bit-identical bounds, with only the two result Intervals built.  A rigorous
 ``verify_all(2.22)`` makes 428 complex products and 72 ``Interval``
-products, down from 1362.
+products, down from 1362.  On a range, a ComplexPair of Taylor models
+multiplies likewise from the coefficient lists and remainders, and every
+polynomial product runs through a straight-line kernel for its pair of
+factor lengths, built on first use, that sums each coefficient in the order
+of the schoolbook loop: every enclosure is bit-identical.  An evaluation on
+[2.2, 2.20025] makes 428 complex products with 14 kernels and builds 1989
+``TaylorModel``s, down from 2857.
 """
 
 from __future__ import annotations
@@ -295,6 +301,70 @@ def _mid_rad(x: Interval):
     return m, max(x.hi - m, m - x.lo) * _SLACK
 
 
+_KERNELS = {}  # product kernels by the lengths of the factors, built on first use
+
+
+def _kernel(la: int, lb: int):
+    """Straight-line code for the coefficients p[k] = ((0.0 + a0 bk) +
+    a1 b(k-1)) + ... of the product of polynomials with la and lb
+    coefficients, summed in increasing i as the schoolbook loop sums them,
+    so the floats are the loop's, signed zeros included."""
+    terms = [[] for _ in range(la + lb - 1)]
+    for i in range(la):
+        for j in range(lb):
+            terms[i + j].append(f"a{i} * b{j}")
+    ns = {}
+    exec(f"def kernel(a, b):\n"
+         f" {''.join(f'a{i}, ' for i in range(la))}= a\n"
+         f" {''.join(f'b{j}, ' for j in range(lb))}= b\n"
+         f" return [{', '.join('0.0 + ' + ' + '.join(t) for t in terms)}]\n", ns)
+    _KERNELS[la, lb] = kernel = ns["kernel"]
+    return kernel
+
+
+def _scaled(m: "TaylorModel", x: float, xr: float):
+    """Coefficients and remainder of the model m times a constant known to
+    lie in [x - xr, x + xr]."""
+    na = m._bound()
+    if x == 0.0:
+        return [0.0], xr * (na + m.r) * _SLACK + _TINY
+    ax = abs(x)
+    return [x * ck for ck in m.c], (ax * m.r + xr * (na + m.r) + _GAMMA * ax * na) * _SLACK + _TINY
+
+
+def _product(x: "TaylorModel", y: "TaylorModel"):
+    """Coefficients and remainder of x * y: a constant factor scales the
+    other model, and otherwise the kernel's product is truncated to order
+    n = len(pw) // 2."""
+    a, b = x.c, y.c
+    if len(a) == 1:
+        return _scaled(y, a[0], x.r)
+    if len(b) == 1:
+        return _scaled(x, b[0], y.r)
+    pw = x.pw
+    n = len(pw) // 2
+    p = (_KERNELS.get((len(a), len(b))) or _kernel(len(a), len(b)))(a, b)
+    dropped = 0.0
+    for k in range(n + 1, len(p)):
+        dropped += abs(p[k]) * pw[k]
+    del p[n + 1:]
+    na, nb = x._bound(), y._bound()
+    ra, rb = x.r, y.r
+    return p, (dropped + _GAMMA * na * nb + na * rb + nb * ra + ra * rb) * _SLACK + _TINY
+
+
+def _summed(a: list, b: list, r: float, pw: tuple) -> "TaylorModel":
+    """The model with polynomial part a + b, whose operands' remainders sum
+    to r."""
+    if len(a) < len(b):
+        a, b = b, a
+    c = list(a)
+    for i, y in enumerate(b):
+        c[i] += y
+    nc = _norm(c, pw)
+    return TaylorModel(c, (r + _GAMMA * nc) * _SLACK + _TINY, pw, nc)
+
+
 class TaylorModel:
     """Real Taylor model in one parameter: float coefficients ``c`` of a
     polynomial of degree len(c) - 1 <= n in delta = t - mid, and a
@@ -358,32 +428,24 @@ class TaylorModel:
         return TaylorModel(c, (self.r + _GAMMA * abs(c[0])) * _SLACK + _TINY, self.pw)
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return self._shift(float(other))
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._sum(o.c, o.r)
+        if type(other) is not TaylorModel:
+            if isinstance(other, (int, float)):
+                return self._shift(float(other))
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return _summed(self.c, other.c, self.r + other.r, self.pw)
 
     __radd__ = __add__
 
-    def _sum(self, b: list, rb: float) -> "TaylorModel":
-        a = self.c
-        if len(a) < len(b):
-            a, b = b, a
-        c = list(a)
-        for i, y in enumerate(b):
-            c[i] += y
-        nc = _norm(c, self.pw)
-        return TaylorModel(c, (self.r + rb + _GAMMA * nc) * _SLACK + _TINY, self.pw, nc)
-
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self._shift(-float(other))
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self._sum([-y for y in o.c], o.r)
+        if type(other) is not TaylorModel:
+            if isinstance(other, (int, float)):
+                return self._shift(-float(other))
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return _summed(self.c, [-y for y in other.c], self.r + other.r, self.pw)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -393,16 +455,11 @@ class TaylorModel:
 
     def _scale(self, x: float, xr: float = 0.0) -> "TaylorModel":
         """The model times a constant known to lie in [x - xr, x + xr]."""
-        na = self._bound()
-        if x == 0.0:
-            return TaylorModel([0.0], xr * (na + self.r) * _SLACK + _TINY, self.pw)
-        ax = abs(x)
-        r = (ax * self.r + xr * (na + self.r) + _GAMMA * ax * na) * _SLACK + _TINY
-        return TaylorModel([x * ck for ck in self.c], r, self.pw)
+        return TaylorModel(*_scaled(self, x, xr), self.pw)
 
     def __mul__(self, other):
-        if isinstance(other, TaylorModel):
-            return self._mul(other)
+        if type(other) is TaylorModel:
+            return TaylorModel(*_product(self, other), self.pw)
         if isinstance(other, (int, float)):
             return self._scale(float(other))
         if isinstance(other, Interval):
@@ -410,26 +467,6 @@ class TaylorModel:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def _mul(self, o: "TaylorModel") -> "TaylorModel":
-        a, b, pw = self.c, o.c, self.pw
-        if len(a) == 1:
-            return o._scale(a[0], self.r)
-        if len(b) == 1:
-            return self._scale(b[0], o.r)
-        n = len(pw) // 2
-        p = [0.0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for k, bj in enumerate(b, i):
-                p[k] += ai * bj
-        dropped = 0.0
-        for k in range(n + 1, len(p)):
-            dropped += abs(p[k]) * pw[k]
-        del p[n + 1:]
-        na, nb = self._bound(), o._bound()
-        ra, rb = self.r, o.r
-        r = (dropped + _GAMMA * na * nb + na * rb + nb * ra + ra * rb) * _SLACK + _TINY
-        return TaylorModel(p, r, pw)
 
     def _series_argument(self, op: str):
         """``(g, q)`` with self = c0 (1 + g) and |g| <= q < 1 on the box."""
@@ -559,17 +596,7 @@ class ComplexPair:
         if (type(self.real) is Interval and type(self.imag) is Interval
                 and type(o.real) is Interval and type(o.imag) is Interval):
             return _interval_pair_product(self.real, self.imag, o.real, o.imag)
-        # the products with a part that is the exact constant 0 (of a lifted
-        # real or imaginary constant) are exactly 0 and are skipped
-        a, b = (o, self) if self.imag.is_zero() or self.real.is_zero() else (self, o)
-        if b.imag.is_zero():
-            return ComplexPair(a.real * b.real, a.imag * b.real)
-        if b.real.is_zero():
-            return ComplexPair(-(a.imag * b.imag), a.real * b.imag)
-        return ComplexPair(
-            self.real * o.real - self.imag * o.imag,
-            self.real * o.imag + self.imag * o.real,
-        )
+        return _taylor_pair_product(self.real, self.imag, o.real, o.imag)
 
     __rmul__ = __mul__
 
@@ -588,12 +615,17 @@ class ComplexPair:
         return o / self
 
 
+# A complex product is (xr yr) - (xi yi) + i ((xr yi) + (xi yr)).  The
+# products with a part that is the exact constant 0 (of a lifted real or
+# imaginary constant) are exactly 0 and are skipped: the factor with such a
+# part goes second, leaving (xr yr) + i (xi yr) or -(xi yi) + i (xr yi).
+# The two functions below form each product and sum from the parts' floats
+# exactly as the real operations would, so the bits are the same, and build
+# only the two result parts.
+
+
 def _interval_pair_product(xr, xi, yr, yi) -> ComplexPair:
-    """(xr + i xi)(yr + i yi) for Interval parts, from their float bounds:
-    the same products as the generic ComplexPair product, rounded outward
-    alike and combined in the same order, (xr yr) - (xi yi) and
-    (xr yi) + (xi yr), with the same exact-zero skips, so the bounds are
-    identical; only the two result Intervals are built."""
+    """The complex product for Interval parts, from their float bounds."""
     if xi.lo == 0.0 == xi.hi or xr.lo == 0.0 == xr.hi:
         xr, xi, yr, yi = yr, yi, xr, xi
     yrl, yrh, yil, yih = yr.lo, yr.hi, yi.lo, yi.hi
@@ -611,6 +643,25 @@ def _interval_pair_product(xr, xi, yr, yi) -> ComplexPair:
     al, ah = _product_bounds(xrl, xrh, yil, yih)
     bl, bh = _product_bounds(xil, xih, yrl, yrh)
     return ComplexPair(real, Interval._of(_nextafter(al + bl, -_INF), _nextafter(ah + bh, _INF)))
+
+
+def _taylor_pair_product(xr, xi, yr, yi) -> ComplexPair:
+    """The complex product for Taylor-model parts, from their coefficients
+    and remainders."""
+    if xi.is_zero() or xr.is_zero():
+        xr, xi, yr, yi = yr, yi, xr, xi
+    pw = xr.pw
+    if yi.is_zero():
+        return ComplexPair(TaylorModel(*_product(xr, yr), pw), TaylorModel(*_product(xi, yr), pw))
+    if yr.is_zero():
+        c, r = _product(xi, yi)
+        return ComplexPair(TaylorModel([-x for x in c], r, pw), TaylorModel(*_product(xr, yi), pw))
+    a, ra = _product(xr, yr)
+    b, rb = _product(xi, yi)
+    real = _summed(a, [-y for y in b], ra + rb, pw)
+    a, ra = _product(xr, yi)
+    b, rb = _product(xi, yr)
+    return ComplexPair(real, _summed(a, b, ra + rb, pw))
 
 
 def certified_sign(x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:

@@ -3,9 +3,13 @@ rational oracle, Taylor model containment, and the bisection certifier
 with its replay."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,7 @@ from cakecheck.numerics import (
     get_backend,
     replay_certificate,
 )
-from cakecheck.verification import verify_all
+from cakecheck.verification import certify_range, condition_enclosures, verify_all
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +461,169 @@ def test_interval_complex_product_with_zero_part_contains_exact_values():
         for prod, (want_re, want_im) in cases:
             assert Fraction(prod.real.lo) <= want_re <= Fraction(prod.real.hi), (zr, zi, a)
             assert Fraction(prod.imag.lo) <= want_im <= Fraction(prod.imag.hi), (zr, zi, a)
+
+
+# ---------------------------------------------------------------------------
+# the Taylor product kernels and the fused complex product, bit for bit
+
+
+def _schoolbook(a, b):
+    """The coefficients of the product of two polynomials by the nested loop."""
+    p = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for k, bj in enumerate(b, i):
+            p[k] += ai * bj
+    return p
+
+
+def _ref_scaled(m, x, xr):
+    na = numerics._norm(m.c, m.pw)
+    if x == 0.0:
+        return [0.0], xr * (na + m.r) * numerics._SLACK + numerics._TINY
+    ax = abs(x)
+    r = ax * m.r + xr * (na + m.r) + numerics._GAMMA * ax * na
+    return [x * ck for ck in m.c], r * numerics._SLACK + numerics._TINY
+
+
+def _ref_product(x, y):
+    """x * y with the schoolbook loop: (coefficients, remainder)."""
+    a, b, pw = x.c, y.c, x.pw
+    if len(a) == 1:
+        return _ref_scaled(y, a[0], x.r)
+    if len(b) == 1:
+        return _ref_scaled(x, b[0], y.r)
+    n = len(pw) // 2
+    p = _schoolbook(a, b)
+    dropped = 0.0
+    for k in range(n + 1, len(p)):
+        dropped += abs(p[k]) * pw[k]
+    na, nb = numerics._norm(a, pw), numerics._norm(b, pw)
+    r = dropped + numerics._GAMMA * na * nb + na * y.r + nb * x.r + x.r * y.r
+    return p[:n + 1], r * numerics._SLACK + numerics._TINY
+
+
+def _bits(model):
+    if isinstance(model, TaylorModel):
+        model = model.c, model.r
+    c, r = model
+    return [x.hex() for x in c], r.hex()
+
+
+SPECIAL_COEFFICIENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308]
+
+
+def _coefficients(rng, length):
+    return [rng.choice(SPECIAL_COEFFICIENTS) if rng.random() < 0.3
+            else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(length)]
+
+
+def test_product_kernels_match_the_schoolbook_loop(monkeypatch):
+    monkeypatch.setattr(numerics, "_KERNELS", {})
+    rng = random.Random(20261019)
+    for la in range(1, 8):
+        for lb in range(1, 8):
+            kernel = numerics._kernel(la, lb)
+            cases = [(_coefficients(rng, la), _coefficients(rng, lb)) for _ in range(30)]
+            # signed zeros: the loop's sums start at +0.0
+            cases += [([x] * la, [y] * lb) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+            # an infinite coefficient, where 0 * inf gives NaN
+            for inf in (math.inf, -math.inf):
+                a, b = _coefficients(rng, la), _coefficients(rng, lb)
+                a[rng.randrange(la)] = inf
+                b[rng.randrange(lb)] = 0.0
+                cases.append((a, b))
+            for a, b in cases:
+                want = [x.hex() for x in _schoolbook(a, b)]
+                assert [x.hex() for x in kernel(a, b)] == want, (la, lb, a, b)
+    assert sorted(numerics._KERNELS) == [(la, lb) for la in range(1, 8) for lb in range(1, 8)]
+
+
+def _model_pool(rng, pw):
+    """Models of every length up to the order, with and without remainder,
+    and the exact zeros and constants of lifted reals."""
+    n = len(pw) // 2
+    pool = [TaylorModel(_coefficients(rng, length), r, pw)
+            for length in range(1, n + 2) for r in (0.0, rng.uniform(0.0, 1e-9))]
+    pool += [TaylorModel([0.0], 0.0, pw), TaylorModel([-0.0], 0.0, pw),
+             TaylorModel([0.0], 1e-12, pw), TaylorModel([2.5], 0.0, pw),
+             TaylorModel([rng.uniform(1.0, 2.0) for _ in range(n + 1)], 1e-15, pw)]
+    return pool
+
+
+def test_taylor_product_matches_the_schoolbook_loop(order):
+    rng = random.Random(23 + order)
+    pw = TaylorBackend(2.2, 1e-3).variable().pw
+    pool = _model_pool(rng, pw)
+    for x in pool:
+        for y in pool:
+            assert _bits(x * y) == _bits(_ref_product(x, y)), (x, y)
+
+
+def _ref_taylor_complex_product(x, y):
+    """The ComplexPair product of Taylor-model parts operation by operation,
+    with the products that have an exact-zero part skipped."""
+    a, b = (y, x) if x.imag.is_zero() or x.real.is_zero() else (x, y)
+    if b.imag.is_zero():
+        return a.real * b.real, a.imag * b.real
+    if b.real.is_zero():
+        return -(a.imag * b.imag), a.real * b.imag
+    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+
+def test_fused_taylor_complex_product_matches_operation_by_operation(order):
+    rng = random.Random(29 + order)
+    pw = TaylorBackend(2.2, 1e-3).variable().pw
+    pool = _model_pool(rng, pw)
+    zero = TaylorModel([0.0], 0.0, pw)
+    # an exact-zero imaginary or real part, on either side, and full pairs
+    pairs = [ComplexPair(m, zero) for m in pool[::3]] + [ComplexPair(zero, m) for m in pool[1::3]]
+    pairs += [ComplexPair(rng.choice(pool), rng.choice(pool)) for _ in range(24)]
+    for x in pairs:
+        for y in pairs:
+            got = [_bits(p) for p in _parts(x * y)]
+            assert got == [_bits(p) for p in _ref_taylor_complex_product(x, y)], (x, y)
+
+
+def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
+    counts = {"model": 0, "complex": 0}
+    init = TaylorModel.__init__
+
+    def counted_init(self, *args):
+        counts["model"] += 1
+        init(self, *args)
+    monkeypatch.setattr(TaylorModel, "__init__", counted_init)
+    for name in ("__mul__", "__rmul__"):
+        fn = ComplexPair.__dict__[name]
+
+        def wrapper(*args, fn=fn):
+            counts["complex"] += 1
+            return fn(*args)
+        monkeypatch.setattr(ComplexPair, name, wrapper)
+    complete, items = condition_enclosures(Interval(2.2, 2.20025))
+    assert complete and len(items) == 11
+    assert counts["complex"] == 428
+    # 2857 while each complex product built its four real products and its
+    # two sums as models
+    assert counts["model"] <= 1989
+
+
+def test_kernels_are_built_for_the_shapes_used(monkeypatch):
+    code = "from cakecheck import numerics, verification; print(len(numerics._KERNELS))"
+    env = {**os.environ, "PYTHONPATH": str(Path(numerics.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.stdout == "0\n", run.stderr
+    shapes = set()
+    product = numerics._product
+
+    def recording(x, y):
+        if len(x.c) > 1 and len(y.c) > 1:
+            shapes.add((len(x.c), len(y.c)))
+        return product(x, y)
+    monkeypatch.setattr(numerics, "_KERNELS", {})
+    monkeypatch.setattr(numerics, "_product", recording)
+    assert certify_range().evaluations == 4
+    assert set(numerics._KERNELS) == shapes
+    assert len(shapes) == 14
 
 
 def test_taylor_scalar_encloses_true_values(monkeypatch):

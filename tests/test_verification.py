@@ -232,6 +232,41 @@ def test_rigorous_enclosures_match_golden_file():
     assert rigorous_enclosure_lines() == golden.splitlines()
 
 
+def taylor_enclosure_boxes():
+    """The 64 equal sub-boxes of [2.13, 2.34], the two halves that the
+    default certify evaluates, and boxes of width 2.5e-4 at t = 1.6, 3.0,
+    1e8 and near the end 3/2 of the domain: at 1.501, where some conditions
+    cannot be evaluated, and at 1.5000001, where the construction cannot."""
+    lo, hi, pieces = 2.13, 2.34, 64
+    edges = [lo + (hi - lo) * k / pieces for k in range(pieces)] + [hi]
+    boxes = list(zip(edges, edges[1:]))
+    mid = 0.5 * (lo + hi)
+    boxes += [(lo, mid), (mid, hi)]
+    boxes += [(t, t + 2.5e-4) for t in (1.6, 3.0, 1e8, 1.501, 1.5000001)]
+    return boxes
+
+
+def taylor_enclosure_lines():
+    """The exact bounds, as ``float.hex``, of every condition range that
+    ``condition_enclosures`` gives on the Taylor-model boxes above: one line
+    ``lo hi complete id lo hi`` per condition, or ``lo hi complete`` for a
+    box where it gives none."""
+    lines = []
+    for a, b in taylor_enclosure_boxes():
+        complete, items = condition_enclosures(Interval(a, b))
+        head = f"{a!r} {b!r} {complete}"
+        lines += [f"{head} {cid} {x.lo.hex()} {x.hi.hex()}" for cid, x in items] or [head]
+    return lines
+
+
+def test_taylor_enclosures_match_golden_file():
+    """Every bound of every condition range on Taylor-model boxes, exactly:
+    the certificate golden file prints only box endpoints and verdicts and
+    cannot see a widened enclosure."""
+    golden = (Path(__file__).parent / "golden" / "taylor_enclosures.txt").read_text()
+    assert taylor_enclosure_lines() == golden.splitlines()
+
+
 def test_no_check_is_an_assert_statement():
     # python -O strips assert statements, and the checks with them
     sources = sorted(Path(verification.__file__).parent.glob("*.py"))
@@ -273,7 +308,7 @@ def test_condition_evaluation_composes_no_isometry(evaluate, monkeypatch):
 
 
 @pytest.mark.parametrize("evaluate, product, limit", [
-    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics.TaylorModel, "_mul"), 1476),
+    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics, "_product"), 1476),
     (lambda: verify_all(2.22, "rigorous"), (Interval, "__mul__"), 1341),
 ], ids=["condition_enclosures", "verify_all_rigorous"])
 def test_condition_evaluation_builds_five_reflections(evaluate, product, limit, monkeypatch):
