@@ -20,7 +20,7 @@ from .hermitian import (
     GramContext,
     Isometry,
     ProjVector,
-    loxodromic_decompose,
+    closest_axis_point,
     projectively_equal,
     reflection,
 )

@@ -3,7 +3,7 @@
 Given a single real parameter t > 3/2, solve for the companion parameters
 t1, t2, assemble the signature (2,1) Gram matrix, and build the full cast
 of points and reflections: the triangle vertices p1, p2, p3, the midpoints
-m1, m2 (and the mirrored m1', m2' on the axis of the holonomy-like product
+m1, m2 (and the mirrored m1' on the axis of the holonomy-like product
 isometry), the slice polar points c_i, d_i, b2, e2, the auxiliary q1, q3,
 m3, the isotropic direction w3, and the generating reflections R0..R3.
 """
@@ -20,7 +20,7 @@ from .hermitian import (
     GramContext,
     Isometry,
     ProjVector,
-    loxodromic_decompose,
+    closest_axis_point,
     reflection,
 )
 
@@ -125,9 +125,10 @@ class TriangleConfiguration:
     """All named points and reflections of the configuration at one t.
 
     The generators R0 and R3 are filled in by :func:`mirror_construction`,
-    which needs branch decisions and therefore runs on the fast backend
-    only; ``w3`` is the isotropic direction used by
-    the discal-adjacency conditions and exists only when u > 1 is certain.
+    whose closed-form mirror picks the largest adjugate columns and
+    therefore runs on the fast backend only; ``w3`` is the isotropic
+    direction used by the discal-adjacency conditions and exists only when
+    u > 1 is certain.
     """
 
     params: ParameterTriple
@@ -183,7 +184,7 @@ def build_configuration(t, backend=FAST) -> TriangleConfiguration:
     except (DomainError, GeometryError) as exc:
         raise DomainError(
             f"double precision cannot resolve the construction at "
-            f"t = {backend.mid_real(params.t):g}"
+            f"t = {backend.mid_real(params.t)!r}"
         ) from exc
 
 
@@ -256,15 +257,16 @@ THETA_SQ = complex(-0.5, math.sqrt(3.0) / 2.0)
 def mirror_construction(cfg: TriangleConfiguration):
     """Construct the antiholomorphic generator R3 (fast backend only).
 
-    The product I = theta^2 R2 R1 R0 is loxodromic with real trace 2t > 3;
-    its axis carries the mirrored midpoints: m1' is the axis point closest
-    to the complex geodesic polar to p1, and m2' is the half-shift of m1'
-    along the axis, so that I = R(m2') R(m1').  Then p2' = -R(m1') p1
-    completes p1, p3 to a triangle whose Gram matrix is the entrywise
-    conjugate of the original one, and R3 is the antilinear basis map
-    p1 -> p1, p2 -> p2', p3 -> p3.  That Gram condition is R3's form
-    identity M^T G conj(M) = conj(G), checked entrywise relative to
-    max(1, |G_ij|).
+    The product I = theta^2 R2 R1 R0 is loxodromic with real trace 2t > 3,
+    so its eigenvalues are r, 1, 1/r with r + 1/r = 2t - 1, taken from t
+    itself.  The mirrored midpoint m1' is the point of I's axis closest to
+    the complex geodesic polar to p1 (:func:`closest_axis_point`, a closed
+    form in I's eigenvectors).  Then p2' = -R(m1') p1 completes p1, p3 to a
+    triangle whose Gram matrix is the entrywise conjugate of the original
+    one, and R3 is the antilinear basis map p1 -> p1, p2 -> p2', p3 -> p3.
+    That Gram condition is R3's form identity M^T G conj(M) = conj(G),
+    checked entrywise relative to max(1, |G_ij|); it and R3^2 = Id reject a
+    wrong m1'.
 
     Fills cfg.R0 = R(p1) and cfg.R3 in place and returns a dict of
     verification residuals.
@@ -276,11 +278,12 @@ def mirror_construction(cfg: TriangleConfiguration):
 
     R0 = reflection(cfg.p1)
     iso = (cfg.R2 * cfg.R1 * R0).scaled(THETA_SQ)
-    trace = complex(iso.trace())
-    trace_residual = abs(trace - 2.0 * float(cfg.params.t))
+    t = float(cfg.params.t)
+    trace_residual = abs(complex(iso.trace()) - 2.0 * t)
 
-    m1p, _ = loxodromic_decompose(iso, closest_to=cfg.p1)
-    # -R(m1') p1 alone; dividing by <m1',m1'> (-1 up to rounding) matters near t = 3/2
+    r = (2.0 * t - 1.0 + math.sqrt((2.0 * t - 3.0) * (2.0 * t + 1.0))) / 2.0
+    m1p = closest_axis_point(iso, r, cfg.p1)
+    # -R(m1') p1 alone, independent of the scale of m1'
     p2p = cfg.p1 - m1p.scale(2.0 * ctx.inner(cfg.p1, m1p) / ctx.norm2(m1p))
 
     # the triangle p1, p2', p3 must have the conjugated Gram matrix

@@ -5,14 +5,12 @@ basis p1,p2,p3; points are projective vectors in that basis, isometries are
 3x3 matrices (optionally composed with coordinatewise conjugation for the
 antiholomorphic ones).  Everything here is written against the scalar
 backend protocol of :mod:`cakecheck.numerics`, so the same formulas run in
-fast and rigorous mode; the operations that need branch decisions (the
-closest point on an axis and the loxodromic decomposition) are
-fast-backend only.
+fast and rigorous mode; the one operation that needs branch decisions, the
+closest point on the axis of a loxodromic isometry, is fast-backend only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -26,8 +24,8 @@ class ContextMismatchError(ValueError):
 
 
 class GeometryError(ValueError):
-    """A geometric precondition failed (isotropic argument, no real geodesic,
-    non-loxodromic trace, ...)."""
+    """A geometric precondition failed (isotropic argument, wrong signature,
+    residual over tolerance, ...)."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,120 +312,25 @@ def reflection(p: ProjVector) -> Isometry:
 
 
 # ---------------------------------------------------------------------------
-# geodesics (fast backend)
+# the axis of a loxodromic isometry (fast backend)
 
 
-@dataclass(eq=False)
-class GeodesicParam:
-    """A geodesic through the ball, parametrized by its two ideal vertices
-    v1, v2 normalized to <v1,v2> = -1/2; the point map is
-    x -> x v1 + (1/x) v2 for x > 0, and <g(x), g(x)> = -1."""
+def closest_axis_point(iso: Isometry, r: float, p: ProjVector) -> ProjVector:
+    """The point of the axis of the loxodromic ``iso`` (eigenvalues r, 1,
+    1/r) closest to the complex geodesic polar to p, up to scale.
 
-    v1: ProjVector
-    v2: ProjVector
-
-    @property
-    def ctx(self) -> GramContext:
-        return self.v1.ctx
-
-    def point(self, x: float) -> ProjVector:
-        if not x > 0.0:
-            raise ValueError("geodesic parameter must be positive")
-        return self.v1.scale(x) + self.v2.scale(1.0 / x)
-
-    def param_of(self, v: ProjVector) -> float:
-        """Recover x with v projectively equal to g(x)."""
-        ctx = self.ctx
-        a = complex(ctx.inner(v, self.v1))  # = -s/(2x)
-        b = complex(ctx.inner(v, self.v2))  # = -s*x/2
-        if abs(a) == 0.0 or abs(b) == 0.0:
-            raise GeometryError("point does not lie on the geodesic")
-        ratio = b / a
-        if abs(ratio.imag) > 1e-8 * max(1.0, abs(ratio)) or ratio.real <= 0.0:
-            raise GeometryError("point does not lie on the geodesic")
-        return math.sqrt(ratio.real)
-
-
-def closest_point_param(geo: GeodesicParam, p: ProjVector) -> float:
-    """The parameter x of the unique point geo.point(x) closest to the
-    complex geodesic polar to p; requires the geodesic not to meet that
-    complex geodesic (the cross-ratio-like quantity <g,p><p,g'>/<g,g'> must
-    be non-real)."""
-    ctx = geo.ctx
-    ctx._check(p)
-    g = geo.point(1.0)
-    gp = geo.point(2.0)
-    val = complex(ctx.inner(g, p)) * complex(ctx.inner(p, gp)) / complex(ctx.inner(g, gp))
-    if abs(val.imag) <= 1e-12 * max(abs(val), 1.0):
-        raise GeometryError("geodesic meets the complex geodesic: no unique closest point")
-    a = abs(complex(ctx.inner(geo.v1, p)))
-    b = abs(complex(ctx.inner(geo.v2, p)))
-    if a == 0.0 or b == 0.0:
-        raise GeometryError("degenerate pairing with a geodesic vertex")
-    return math.sqrt(b / a)
-
-
-def loxodromic_decompose(
-    iso: Isometry,
-    at_point: ProjVector | None = None,
-    closest_to: ProjVector | None = None,
-):
-    """Write a loxodromic isometry (real trace > 3) as R(g')R(g) with g, g'
-    unit points (<g,g> = -1) on its axis.  The point g is either given
-    (``at_point``) or the axis point closest to the complex geodesic polar
-    to ``closest_to``, at the parameter ``closest_point_param`` returns."""
-    if iso.antilinear:
-        raise GeometryError("loxodromic decomposition expects a linear isometry")
-    if (at_point is None) == (closest_to is None):
-        raise ValueError("specify exactly one of at_point / closest_to")
+    The axis ends v_r, v_s are the largest adjugate columns of iso - r Id and
+    iso - Id/r, with v_s scaled to <v_r,v_s> = -1/2; the axis points are then
+    x v_r + v_s/x for x > 0, and the closest one has x^2 = |<v_s,p>|/|<v_r,p>|."""
     ctx = iso.ctx
-    tr = complex(iso.trace())
-    scale = max(1.0, abs(tr))
-    if abs(tr.imag) > 1e-9 * scale:
-        raise GeometryError(f"trace {tr} is not real")
-    if not tr.real > 3.0 + 1e-12:
-        raise GeometryError(f"trace {tr.real} is not > 3: not in the loxodromic regime")
-    s = tr.real - 1.0
-    r = 0.5 * (s + math.sqrt(s * s - 4.0))
 
-    def eigvec(lam: float) -> ProjVector:
-        one = ctx._lift_scalar(1.0)
-        zero = ctx._lift_scalar(0.0)
-        shifted = mat_sub(iso.m, mat_identity(one * lam, zero))
-        adj = mat_adjugate(shifted)
-        cols = [tuple(adj[i][j] for i in range(3)) for j in range(3)]
-        best = max(cols, key=lambda c: max(abs(complex(x)) for x in c))
-        if max(abs(complex(x)) for x in best) < 1e-12:
-            raise GeometryError("degenerate eigenspace in loxodromic decomposition")
-        # refinement: the product of the complementary shifts annihilates the
-        # other eigenspaces, damping the adjugate's rounding error
-        for mu in (r, 1.0 / r, 1.0):
-            if mu != lam:
-                best = mat_vec(mat_sub(iso.m, mat_identity(one * mu, zero)), best)
-        scale = max(abs(complex(x)) for x in best)
-        if scale < 1e-12:
-            raise GeometryError("degenerate eigenspace in loxodromic decomposition")
-        return ProjVector(tuple(x / scale for x in best), ctx)
+    def eigvec(lam):
+        adj = mat_adjugate(mat_sub(iso.m, mat_identity(lam, 0.0)))
+        j = max(range(3), key=lambda c: max(abs(adj[i][c]) for i in range(3)))
+        return ProjVector((adj[0][j], adj[1][j], adj[2][j]), ctx)
 
     v_r = eigvec(r)
     v_s = eigvec(1.0 / r)
-    w = complex(ctx.inner(v_r, v_s))
-    if abs(w) < 1e-14:
-        raise GeometryError("degenerate axis vertices")
-    # conjugate-linear second slot: scaling v_s by lam changes <v_r,v_s> by conj(lam)
-    v_s = v_s.scale(-0.5 / w.conjugate())
-    geo = GeodesicParam(v_r, v_s)
-
-    if at_point is not None:
-        x = geo.param_of(at_point)
-    else:
-        x = closest_point_param(geo, closest_to)
-    g = geo.point(x)
-
-    # R(g(y)) sends v1 to v2/y^2 and v2 to y^2 v1, so R(g(x f)) R(g(x))
-    # scales v1 by f^2; iso scales v1 = v_r by r, hence the half-shift sqrt(r)
-    gp = geo.point(x * math.sqrt(r))
-    prod = reflection(gp) * reflection(g)
-    if not mat_max_abs_diff(prod.m, iso.m) < 1e-9 * max(mat_max_abs(iso.m), 1.0):
-        raise GeometryError("decomposition residual too large: not R(g')R(g)")
-    return g, gp
+    # conjugate-linear second slot: scaling v_s by lam scales <v_r,v_s> by conj(lam)
+    v_s = v_s.scale(-0.5 / ctx.inner(v_r, v_s).conjugate())
+    return v_r.scale(abs(ctx.inner(v_s, p)) / abs(ctx.inner(v_r, p))) + v_s

@@ -1,14 +1,17 @@
-"""Checks that only the tests call: point classification, the geodesic
-through two points (the property suites draw random geodesics with it),
-the reflection trace identities, the closest-point stationarity residual
-and the float parameter triple.  All run on the fast backend."""
+"""Checks that only the tests call: point classification, parametrized
+geodesics and the geodesic through two points (the property suites draw
+random geodesics with them), the half-shift along a loxodromic axis, the
+reflection trace identities, the closest-point stationarity residual and
+the float parameter triple.  All run on the fast backend."""
 
 import enum
 import math
+from dataclasses import dataclass
 
 from cakecheck.hermitian import (
-    GeodesicParam,
     GeometryError,
+    GramContext,
+    Isometry,
     ProjVector,
     _coord_scale,
     mat_max_abs,
@@ -31,6 +34,45 @@ def classify(ctx, v) -> PointClass:
     if verdict is SignVerdict.NEGATIVE:
         return PointClass.NEGATIVE
     return PointClass.ISOTROPIC
+
+
+@dataclass(eq=False)
+class GeodesicParam:
+    """A geodesic through the ball, parametrized by its two ideal vertices
+    v1, v2 normalized to <v1,v2> = -1/2; the point map is
+    x -> x v1 + (1/x) v2 for x > 0, and <g(x), g(x)> = -1."""
+
+    v1: ProjVector
+    v2: ProjVector
+
+    @property
+    def ctx(self) -> GramContext:
+        return self.v1.ctx
+
+    def point(self, x: float) -> ProjVector:
+        if not x > 0.0:
+            raise ValueError("geodesic parameter must be positive")
+        return self.v1.scale(x) + self.v2.scale(1.0 / x)
+
+    def param_of(self, v: ProjVector) -> float:
+        """Recover x with v projectively equal to g(x)."""
+        ctx = self.ctx
+        a = complex(ctx.inner(v, self.v1))  # = -s/(2x)
+        b = complex(ctx.inner(v, self.v2))  # = -s*x/2
+        if abs(a) == 0.0 or abs(b) == 0.0:
+            raise GeometryError("point does not lie on the geodesic")
+        ratio = b / a
+        if abs(ratio.imag) > 1e-8 * max(1.0, abs(ratio)) or ratio.real <= 0.0:
+            raise GeometryError("point does not lie on the geodesic")
+        return math.sqrt(ratio.real)
+
+
+def half_shift(iso: Isometry, m1p: ProjVector) -> ProjVector:
+    """The axis point m2' with R(m2') R(m1') = iso, for m1' on the axis of
+    the loxodromic iso.  With m1' = a v_r + v_s (eigenvalues r, 1/r), the sum
+    m1' + iso(m1') = (1 + r)(a v_r + v_s/r) is proportional to the half-shift
+    r a v_r + v_s, whatever the scale of m1'."""
+    return m1p + iso.apply(m1p)
 
 
 def geodesic_through(a: ProjVector, b: ProjVector) -> GeodesicParam:

@@ -15,8 +15,7 @@ from cakecheck.construction import (
     angles,
 )
 from cakecheck.hermitian import (
-    closest_point_param,
-    loxodromic_decompose,
+    closest_axis_point,
     mat_det,
     mat_max_abs,
     mat_max_abs_diff,
@@ -37,8 +36,8 @@ from cakecheck.verification import (
     toledo,
 )
 from helpers import (
-    PointClass, as_floats, classify, geodesic_through, stationarity_residual,
-    trace_identities_check,
+    PointClass, as_floats, classify, geodesic_through, half_shift,
+    stationarity_residual, trace_identities_check,
 )
 
 
@@ -170,7 +169,8 @@ def test_criterion_07_identity_property_suites(cfg222, capsys):
         ok = ok and abs(float(ctx.tance(x.scale(lam), y)) - base) < 1e-9 * scale
         r = reflection(rand_nonisotropic())
         ok = ok and abs(float(ctx.tance(r.apply(x), r.apply(y))) - base) < 1e-9 * scale
-    # loxodromic decomposition round trip and closest-point checks, 1000 each
+    # closest axis point and two-reflection decomposition of a loxodromic
+    # iso = R(g')R(g): 1000 closest-point checks, 1000 round trips
     done_lox = done_cp = 0
     while done_lox < 1000 or done_cp < 1000:
         a = rand_point(PointClass.NEGATIVE)
@@ -181,34 +181,35 @@ def test_criterion_07_identity_property_suites(cfg222, capsys):
             geo = geodesic_through(a, b)
         except ValueError:
             continue
+        xa, xb = geo.param_of(a), geo.param_of(b)
+        u, w = sorted((rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)))
+        if w - u < 0.15:
+            continue
+        x, xp = xa * (xb / xa) ** u, xa * (xb / xa) ** w
+        g, gp = geo.point(x), geo.point(xp)
+        iso = reflection(gp) * reflection(g)
+        if complex(iso.trace()).real < 3.01:
+            continue
+        r = (xp / x) ** 2
         if done_cp < 1000:
             p = rand_point(PointClass.POSITIVE)
-            try:
-                xs = closest_point_param(geo, p)
-            except ValueError:
-                continue
             g1, g2 = geo.point(1.0), geo.point(2.0)
             val = (complex(ctx.inner(g1, p)) * complex(ctx.inner(p, g2))
                    / complex(ctx.inner(g1, g2)))
             if abs(val.imag) < 1e-3 * abs(val):
                 continue
-            y = geo.point(xs)
+            y = closest_axis_point(iso, r, p)
+            xs = geo.param_of(y)
             ok = ok and stationarity_residual(geo, p, y) < 1e-9
             best = -float(ctx.tance(y, p))
             for k in range(-5, 6):
                 ok = ok and best <= -float(ctx.tance(geo.point(xs * math.exp(0.1 * k)), p)) + 1e-12
+            prod = reflection(half_shift(iso, y)) * reflection(y)
+            ok = ok and mat_max_abs_diff(prod.m, iso.m) < 1e-8 * max(1.0, mat_max_abs(iso.m))
             done_cp += 1
         if done_lox < 1000:
-            xa, xb = geo.param_of(a), geo.param_of(b)
-            u, w = sorted((rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)))
-            if w - u < 0.15:
-                continue
-            g = geo.point(xa * (xb / xa) ** u)
-            gp = geo.point(xa * (xb / xa) ** w)
-            iso = reflection(gp) * reflection(g)
-            if complex(iso.trace()).real < 3.01:
-                continue
-            g2_, gp2 = loxodromic_decompose(iso, at_point=g)
+            g2_ = closest_axis_point(iso, r, geo.v1.scale(x) - geo.v2.scale(1.0 / x))
+            gp2 = half_shift(iso, g2_)
             prod = reflection(gp2) * reflection(g2_)
             ok = ok and projectively_equal(g2_, g) and projectively_equal(gp2, gp)
             ok = ok and mat_max_abs_diff(prod.m, iso.m) < 1e-8 * max(1.0, mat_max_abs(iso.m))

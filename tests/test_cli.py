@@ -54,6 +54,13 @@ def test_verify_beyond_double_precision_is_a_domain_error(argv, capsys):
     assert not any(word in err for word in ("isotropic", "signature", "minor"))
 
 
+def test_domain_error_names_the_t_typed(capsys):
+    # the message names the t the user typed, not a rounded 1.5 outside the domain
+    code, _, err = run(["verify", "--t", "1.5000001", "--backend", "rigorous"], capsys)
+    assert code == EXIT_USAGE
+    assert "t = 1.5000001" in err
+
+
 def test_verify_structured_deterministic(capsys):
     code, out1, _ = run(["verify", "--format", "structured"], capsys)
     assert code == EXIT_OK
@@ -105,6 +112,13 @@ def test_cake_audit(capsys):
     code, out, _ = run(["cake"], capsys)
     assert code == EXIT_OK
     assert "[pairings]" in out
+    assert "mapping_tables=ok" in out
+
+
+def test_cake_audit_passes_near_the_domain_end(capsys):
+    # the identifications' endpoint checks need R3 accurate to well below 1e-9
+    code, out, _ = run(["cake", "--t", "1.6"], capsys)
+    assert code == EXIT_OK
     assert "mapping_tables=ok" in out
 
 

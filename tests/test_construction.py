@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from cakecheck import construction
 from cakecheck.construction import (
     THETA,
     THETA_SQ,
@@ -19,13 +20,16 @@ from cakecheck.construction import (
     solve_parameters,
 )
 from cakecheck.hermitian import (
+    RESIDUAL_TOL,
     GeometryError,
-    loxodromic_decompose,
+    closest_axis_point,
+    mat_max_abs,
+    mat_max_abs_diff,
     projectively_equal,
     reflection,
 )
 from cakecheck.numerics import FAST, RIGOROUS, Interval, TaylorBackend
-from helpers import as_floats
+from helpers import as_floats, half_shift
 
 GRID = [1.6 + (3.0 - 1.6) * k / 49 for k in range(50)]
 
@@ -128,12 +132,54 @@ def test_mirror_grid_residuals():
         assert cfg.R3 is not None and cfg.R3.antilinear
         probes = [(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.m1, cfg.c1), (cfg.c2, cfg.d3)]
         assert cfg.R3.form_residual(probes) < 1e-9, t
-        # R3 p2 = p2' = -R(m1') p1 and both mirrored midpoints are unit-normalized
+        # R3 p2 = p2' = -R(m1') p1, both mirrored midpoints are negative, and
+        # they decompose the product: R(m2') R(m1') = I
         iso = (cfg.R2 * cfg.R1 * cfg.R0).scaled(THETA_SQ)
-        m1p, m2p = loxodromic_decompose(iso, closest_to=cfg.p1)
+        r = (2 * t - 1 + math.sqrt((2 * t - 3) * (2 * t + 1))) / 2
+        m1p = closest_axis_point(iso, r, cfg.p1)
+        m2p = half_shift(iso, m1p)
         assert projectively_equal(-reflection(m1p).apply(cfg.p1), cfg.R3.apply(cfg.p2))
-        assert abs(float(cfg.ctx.norm2(m1p)) + 1.0) < 1e-9
-        assert abs(float(cfg.ctx.norm2(m2p)) + 1.0) < 1e-9
+        assert float(cfg.ctx.norm2(m1p)) < 0.0 and float(cfg.ctx.norm2(m2p)) < 0.0
+        prod = reflection(m2p) * reflection(m1p)
+        assert mat_max_abs_diff(prod.m, iso.m) < 1e-9 * max(1.0, mat_max_abs(iso.m)), t
+
+
+@pytest.mark.parametrize("t", [1.5005, 1.501, 1.505])
+def test_mirror_resolves_near_three_halves(t):
+    # close to t = 3/2, where t1 grows without bound and float loss is largest
+    res = mirror_construction(build_configuration(t))
+    assert all(v <= RESIDUAL_TOL for v in res.values()), res
+
+
+def test_mirror_involution_residual_on_log_grid():
+    # m1' from t's eigenvalue and I's eigenvectors keeps R3 involutive to
+    # rounding level, however far I translates along its axis
+    for k in range(61):
+        t = 2.0 * 5e5 ** (k / 60)
+        res = mirror_construction(build_configuration(t))
+        assert res["involution_residual"] <= 1e-13, t
+
+
+def _only_v_s(iso, r, p):
+    # m = a v_r + v_s gives r m - iso(m) = (r - 1/r) v_s: an ideal axis end
+    m = closest_axis_point(iso, r, p)
+    return m.scale(r) - iso.apply(m)
+
+
+def _inverted_sqrt_n(iso, r, p):
+    # m = a v_r + v_s with a = sqrt(N) = -<m,m>, so the point a v_r / a^2 + v_s
+    # takes 1/sqrt(N) in place of sqrt(N): an axis point, but not the closest
+    m = closest_axis_point(iso, r, p)
+    a = -float(m.ctx.norm2(m))
+    im = iso.apply(m)
+    return (im - m.scale(1.0 / r)).scale(1.0 / a**2) + m.scale(r) - im
+
+
+@pytest.mark.parametrize("wrong", [_only_v_s, _inverted_sqrt_n])
+def test_wrong_axis_point_is_rejected(wrong, monkeypatch):
+    monkeypatch.setattr(construction, "closest_axis_point", wrong)
+    with pytest.raises(GeometryError, match="mirrored triangle Gram residual"):
+        mirror_construction(build_configuration(2.22))
 
 
 def test_R0_is_built_by_the_mirror_construction():

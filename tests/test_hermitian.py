@@ -1,7 +1,8 @@
 """Property suites for the geometry kernel: reflections, trace identities,
-the midpoint-display identities, tance invariance, geodesics, closest
-points, and the loxodromic two-reflection decomposition.  All randomized
-suites are seeded and run 1000 trials."""
+the midpoint-display identities, tance invariance, geodesics, and the
+closed-form closest axis point of a loxodromic isometry with the
+two-reflection decomposition it gives.  All randomized suites are seeded and
+run 1000 trials."""
 
 import cmath
 import math
@@ -14,8 +15,7 @@ from cakecheck.hermitian import (
     GramContext,
     Isometry,
     ProjVector,
-    closest_point_param,
-    loxodromic_decompose,
+    closest_axis_point,
     mat_det,
     mat_max_abs,
     mat_max_abs_diff,
@@ -24,7 +24,8 @@ from cakecheck.hermitian import (
 )
 from cakecheck.numerics import FAST
 from helpers import (
-    PointClass, classify, geodesic_through, stationarity_residual, trace_identities_check,
+    PointClass, classify, geodesic_through, half_shift, stationarity_residual,
+    trace_identities_check,
 )
 
 TRIALS = 1000
@@ -191,7 +192,7 @@ def test_tance_rejects_isotropic(cfg222):
 
 
 # ---------------------------------------------------------------------------
-# geodesics and closest points
+# geodesics, closest axis points and the two-reflection decomposition
 
 
 def test_geodesic_parametrization_round_trip(ctx):
@@ -211,20 +212,44 @@ def test_geodesic_parametrization_round_trip(ctx):
         assert abs(float(ctx.norm2(geo.point(x))) + 1.0) < 1e-9
 
 
+def _axis_case(ctx, rng):
+    """A random loxodromic iso = R(g') R(g) with g, g' on a random geodesic,
+    the parameters x < x' of g and g', and its eigenvalue r = (x'/x)^2; None
+    when the case is ill conditioned."""
+    a = _rand_point(ctx, rng, PointClass.NEGATIVE)
+    b = _rand_point(ctx, rng, PointClass.NEGATIVE)
+    if float(ctx.tance(a, b)) < 1.1:  # well separated, conditioning
+        return None
+    try:
+        geo = geodesic_through(a, b)
+    except GeometryError:
+        return None
+    # stay between a and b: far outside their span the geodesic points
+    # have huge coordinates and the reflections lose precision
+    xa, xb = geo.param_of(a), geo.param_of(b)
+    u, w = sorted((rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)))
+    if w - u < 0.15:
+        return None
+    x, xp = xa * (xb / xa) ** u, xa * (xb / xa) ** w
+    # R(g(y)) sends v1 to v2/y^2 and v2 to y^2 v1, so iso scales v1 by r
+    iso = reflection(geo.point(xp)) * reflection(geo.point(x))
+    tr = complex(iso.trace())
+    assert abs(tr.imag) < 1e-9 * max(1.0, abs(tr))
+    assert tr.real > 3.0
+    if tr.real < 3.01:  # nearly parabolic: the eigenvectors are ill posed
+        return None
+    return geo, iso, x, xp, (xp / x) ** 2
+
+
 def test_closest_point_stationarity_and_grid_minimum_1000_trials(ctx):
     rng = random.Random(107)
     done = 0
     while done < TRIALS:
-        a = _rand_point(ctx, rng, PointClass.NEGATIVE)
-        b = _rand_point(ctx, rng, PointClass.NEGATIVE)
+        case = _axis_case(ctx, rng)
+        if case is None:
+            continue
+        geo, iso, _, _, r = case
         p = _rand_point(ctx, rng, PointClass.POSITIVE)
-        if float(ctx.tance(a, b)) < 1.1:  # well separated, conditioning
-            continue
-        try:
-            geo = geodesic_through(a, b)
-            xs = closest_point_param(geo, p)
-        except GeometryError:
-            continue
         # skip near-tangent cases: when the cross-ratio quantity is nearly
         # real the closest point is genuinely ill conditioned
         g1, g2 = geo.point(1.0), geo.point(2.0)
@@ -232,67 +257,38 @@ def test_closest_point_stationarity_and_grid_minimum_1000_trials(ctx):
                / complex(ctx.inner(g1, g2)))
         if abs(val.imag) < 1e-3 * abs(val):
             continue
-        y = geo.point(xs)
+        y = closest_axis_point(iso, r, p)
+        xs = geo.param_of(y)  # raises unless y lies on the axis
         assert stationarity_residual(geo, p, y) < 1e-9
         # grid check: distance objective -ta(g(x), p) is minimal at y
         objective = lambda x: -float(ctx.tance(geo.point(x), p))
         best = objective(xs)
         for k in range(-10, 11):
             assert best <= objective(xs * math.exp(0.07 * k)) + 1e-12
+        # y and its half-shift decompose iso
+        prod = reflection(half_shift(iso, y)) * reflection(y)
+        assert mat_max_abs_diff(prod.m, iso.m) < 1e-8 * max(1.0, mat_max_abs(iso.m))
         done += 1
-
-
-# ---------------------------------------------------------------------------
-# loxodromic decomposition
 
 
 def test_loxodromic_round_trip_1000_trials(ctx):
     rng = random.Random(108)
     done = 0
     while done < TRIALS:
-        a = _rand_point(ctx, rng, PointClass.NEGATIVE)
-        b = _rand_point(ctx, rng, PointClass.NEGATIVE)
-        if float(ctx.tance(a, b)) < 1.1:
+        case = _axis_case(ctx, rng)
+        if case is None:
             continue
-        try:
-            geo = geodesic_through(a, b)
-        except GeometryError:
-            continue
-        # stay between a and b: far outside their span the geodesic points
-        # have huge coordinates and the reflections lose precision
-        xa, xb = geo.param_of(a), geo.param_of(b)
-        u, w = sorted((rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)))
-        if w - u < 0.15:
-            continue
-        g = geo.point(xa * (xb / xa) ** u)
-        gp = geo.point(xa * (xb / xa) ** w)
-        iso = reflection(gp) * reflection(g)
-        tr = complex(iso.trace())
-        assert abs(tr.imag) < 1e-9 * max(1.0, abs(tr))
-        assert tr.real > 3.0
-        if tr.real < 3.01:  # nearly parabolic: decomposition is ill posed
-            continue
-        g2, gp2 = loxodromic_decompose(iso, at_point=g)
-        assert projectively_equal(g2, g)
-        assert projectively_equal(gp2, gp)
+        geo, iso, x, xp, r = case
+        # the complex geodesic polar to the axis tangent at g meets the axis
+        # at g, so g is the closest point and g' its half-shift
+        tangent = geo.v1.scale(x) - geo.v2.scale(1.0 / x)
+        g2 = closest_axis_point(iso, r, tangent)
+        gp2 = half_shift(iso, g2)
+        assert projectively_equal(g2, geo.point(x))
+        assert projectively_equal(gp2, geo.point(xp))
         prod = reflection(gp2) * reflection(g2)
         assert mat_max_abs_diff(prod.m, iso.m) < 1e-8 * max(1.0, mat_max_abs(iso.m))
         done += 1
-
-
-def test_loxodromic_rejects_non_loxodromic(ctx, cfg222):
-    with pytest.raises(GeometryError):
-        loxodromic_decompose(cfg222.R1, closest_to=cfg222.p1)  # trace -1
-
-
-def test_loxodromic_argument_validation(cfg222):
-    from cakecheck.construction import THETA_SQ
-
-    iso = (cfg222.R2 * cfg222.R1 * cfg222.R0).scaled(THETA_SQ)
-    with pytest.raises(ValueError):
-        loxodromic_decompose(iso)
-    with pytest.raises(ValueError):
-        loxodromic_decompose(iso, at_point=cfg222.p1, closest_to=cfg222.p1)
 
 
 # ---------------------------------------------------------------------------

@@ -334,9 +334,10 @@ def test_condition_evaluation_builds_five_reflections(evaluate, product, limit, 
     assert count["product"] <= limit
 
 
-def test_fast_verify_builds_eight_reflections(monkeypatch):
-    """The five of condition evaluation, R0, and the two of the axis
-    decomposition R(m2') R(m1'); nine while the mirror built the matrix
+def test_fast_verify_builds_six_reflections(monkeypatch):
+    """The five of condition evaluation and R0; the closed-form mirror moves
+    p1 by R(m1') without a matrix.  Eight while the mirror checked its axis
+    points by building R(m2') R(m1'), nine while it also built the matrix
     R(m1') to move the one vector p1."""
     count = [0]
     build = hermitian.reflection
@@ -348,7 +349,7 @@ def test_fast_verify_builds_eight_reflections(monkeypatch):
     for module in (hermitian, construction, verification):
         monkeypatch.setattr(module, "reflection", counting)
     assert verify_all(2.22)["passed"]
-    assert count[0] == 8
+    assert count[0] == 6
 
 
 # ---------------------------------------------------------------------------
