@@ -35,8 +35,6 @@ from .construction import (
 )
 from .verification import (
     ConditionReport,
-    InvariantLedger,
-    ToledoReport,
     certify_range,
     evaluate_conditions,
     euler_side_test,
@@ -45,6 +43,6 @@ from .verification import (
     toledo,
     verify_all,
 )
-from .cake import CakeReport, build_cake, h5_presentation_check, realize_word
+from .cake import build_cake, h5_presentation_check, realize_word
 
 __version__ = "0.1.0"

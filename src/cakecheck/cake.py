@@ -8,7 +8,9 @@ Their 32 ends meet in the 16 corners of the declared table CORNER_CLASSES;
 the orbits of those corners under the pairings give the 3 - 8 + 1 = -4
 Euler characteristic of a genus 3 surface.  The boundary cycle, orbits,
 Euler characteristic and genus follow from the tables alone and are
-computed once at import; a configuration only confirms the corner table.
+module constants computed once at import.  A configuration is audited by
+``audit``: the corner table, the mapping tables, the identifications and
+the five-generator presentation each report their failures as strings.
 
 Slices are represented by their polar points, so every statement reduces
 to a projective equality of vectors.
@@ -17,7 +19,6 @@ to a projective equality of vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .hermitian import RESIDUAL_TOL, Isometry, projectively_equal
 from .construction import THETA_INV_SQ, TriangleConfiguration, angles
@@ -29,11 +30,6 @@ RELATOR = (R3, R1, R2, R3, R2, R1, R3, R1, R2, R3, R2, R1)
 
 # bound on the involution residuals X_i^2 - Id of the five-generator cover
 H5_INVOLUTION_TOL = 1e-10
-
-
-class CakeReconstructionError(ValueError):
-    """The two corners of a declared class do not coincide at the
-    configuration, or two declared classes do."""
 
 
 def subword(i: int):
@@ -267,60 +263,22 @@ def _corner_vector(cfg, corner):
     return _slice_vector(cfg, begin_ref if end == "begin" else end_ref)
 
 
-def check_corners(cfg: TriangleConfiguration):
+def build_cake(cfg: TriangleConfiguration):
     """Check CORNER_CLASSES at a built configuration: the two corners of
     each class coincide (16 projective equalities), and the first corner of
     each class differs from the first corner of every earlier class (120),
-    so the table names 16 distinct corner points, each shared by two sides."""
+    so the table names 16 distinct corner points, each shared by two sides.
+    Returns the failure found first, as a one-string list, or []."""
     firsts = []
     for idx, (first, second) in enumerate(CORNER_CLASSES):
         vec = _corner_vector(cfg, first)
         if not projectively_equal(vec, _corner_vector(cfg, second)):
-            raise CakeReconstructionError(
-                f"corners {first} and {second} of class {idx} do not coincide"
-            )
+            return [f"corners {first} and {second} of class {idx} do not coincide"]
         for earlier, other in enumerate(firsts):
             if projectively_equal(other, vec):
-                raise CakeReconstructionError(f"corner classes {earlier} and {idx} coincide")
+                return [f"corner classes {earlier} and {idx} coincide"]
         firsts.append(vec)
-
-
-@dataclass
-class CakeReport:
-    triangle_count: int
-    boundary_sides: int
-    edge_pairs: int
-    vertex_cycles: int
-    euler_characteristic: int
-    genus: int
-    boundary_cycle: tuple  # side indices in cyclic order
-    vertex_orbits: tuple  # tuple of corner-class frozensets
-    angle_cycle_residual: float
-
-
-def build_cake(cfg: TriangleConfiguration, angle_sum=None) -> CakeReport:
-    """Audit the cake at a built configuration and report its combinatorics.
-
-    The declared corner table is checked numerically (``check_corners``);
-    the boundary cycle, vertex orbits, Euler characteristic and genus follow
-    from the tables alone.  ``angle_sum`` is beta1 + beta2 + beta3 when the
-    caller has it already; otherwise it is computed from ``cfg``.
-    """
-    check_corners(cfg)
-    # the twelve sector angles at the central slice sum to 4(b1+b2+b3) = 2 pi
-    if angle_sum is None:
-        angle_sum = sum(angles(cfg))
-    return CakeReport(
-        triangle_count=len(TRIANGLES),
-        boundary_sides=len(BOUNDARY_SIDES),
-        edge_pairs=len(IDENTIFICATIONS),
-        vertex_cycles=len(VERTEX_ORBITS),
-        euler_characteristic=EULER_CHARACTERISTIC,
-        genus=GENUS,
-        boundary_cycle=BOUNDARY_CYCLE,
-        vertex_orbits=VERTEX_ORBITS,
-        angle_cycle_residual=abs(4.0 * angle_sum - 2.0 * math.pi),
-    )
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +320,23 @@ def h5_presentation_check(cfg: TriangleConfiguration):
 
 
 def audit(cfg: TriangleConfiguration):
-    """Run the mapping-table, identification and five-generator checks.
-    Returns their counts (report keys) and the names of the failed ones."""
+    """Run the corner, mapping-table, identification and five-generator
+    checks.  Returns their counts (report keys) and a failure string for
+    each corner, table identity and identification part that fails."""
+    failures = build_cake(cfg)
     tables = verify_mapping_tables(cfg)
     idents = verify_identifications(cfg)
     h5 = h5_presentation_check(cfg)
-    failures = []
-    if not all(expected == observed for _, expected, observed in tables):
-        failures.append("mapping-table identity mismatch")
-    if not all(row["ok"] for row in idents):
-        failures.append("identification isometry endpoint mismatch")
+    failures += [f"mapping-table identity mismatch at {label}"
+                 for label, expected, observed in tables if expected != observed]
+    for row in idents:
+        name = row["name"]
+        if not row["form_residual"] < RESIDUAL_TOL:
+            failures.append(f"identification {name} form residual "
+                            f"{row['form_residual']:.3e} exceeds {RESIDUAL_TOL:.0e}")
+        for end in ("begin", "end"):
+            if not row[f"{end}_ok"]:
+                failures.append(f"identification {name} {end} endpoint mismatch")
     if not h5["ok"]:
         failures.append("five-generator presentation check failed")
     counts = {
@@ -394,14 +359,15 @@ def _word_name(letters):
 
 def dump(cfg: TriangleConfiguration) -> str:
     """Plain-text audit tables: triangles, boundary sides in cyclic order,
-    pairings, vertex orbits."""
-    report = build_cake(cfg)
+    pairings, vertex orbits, and a summary with the angle residual
+    |4 (b1 + b2 + b3) - 2 pi| of the twelve sectors at the central slice."""
+    angle_residual = abs(4.0 * sum(angles(cfg)) - 2.0 * math.pi)
     lines = ["[triangles]"]
     for label, letters, primed in TRIANGLES:
         base = "base'" if primed else "base"
         lines.append(f"  {label}: {_word_name(letters)} {base}")
     lines.append("[boundary sides, cyclic order]")
-    for si in report.boundary_cycle:
+    for si in BOUNDARY_CYCLE:
         label, begin, end = BOUNDARY_SIDES[si]
         lines.append(
             f"  side {si}: {label} "
@@ -411,12 +377,12 @@ def dump(cfg: TriangleConfiguration) -> str:
     for name, letters, src, dst in IDENTIFICATIONS:
         lines.append(f"  {name} = {_word_name(letters)}: side {src} -> side {dst}")
     lines.append("[vertex orbits]")
-    for k, orbit in enumerate(report.vertex_orbits):
+    for k, orbit in enumerate(VERTEX_ORBITS):
         lines.append(f"  orbit {k}: corner classes {sorted(orbit)}")
     lines.append(
-        f"[summary] triangles={report.triangle_count} "
-        f"edge_pairs={report.edge_pairs} vertex_cycles={report.vertex_cycles} "
-        f"chi={report.euler_characteristic} genus={report.genus} "
-        f"angle_cycle_residual={report.angle_cycle_residual:.3e}"
+        f"[summary] triangles={len(TRIANGLES)} "
+        f"edge_pairs={len(IDENTIFICATIONS)} vertex_cycles={len(VERTEX_ORBITS)} "
+        f"chi={EULER_CHARACTERISTIC} genus={GENUS} "
+        f"angle_cycle_residual={angle_residual:.3e}"
     )
     return "\n".join(lines) + "\n"

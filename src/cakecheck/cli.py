@@ -104,10 +104,11 @@ def cmd_cake(args) -> int:
     cfg = build_configuration(args.t)
     mirror_construction(cfg)
     text = cake_mod.dump(cfg)
-    ok = not cake_mod.audit(cfg)[1]
-    text += f"[verdicts] mapping_tables={'ok' if ok else 'FAIL'}\n"
+    failures = cake_mod.audit(cfg)[1]
+    text += f"[verdicts] mapping_tables={'FAIL' if failures else 'ok'}\n"
+    text += "".join(f"  failure: {f}\n" for f in failures)
     _emit(text, args.out)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
         if args.command == "cake":
             return cmd_cake(args)
         return EXIT_USAGE
-    except (VerificationError, cake_mod.CakeReconstructionError) as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, OSError) as exc:

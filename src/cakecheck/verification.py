@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cake, numerics
@@ -279,15 +279,8 @@ TOLEDO_BRANCH = Fraction(-8, 3)
 TOLEDO_REJECTED = (Fraction(40, 3),)
 
 
-@dataclass
-class ToledoReport:
-    tau: Fraction
-    presnap: float
-    rejected: tuple
-
-
-def toledo(cfg: TriangleConfiguration) -> ToledoReport:
-    """The Toledo invariant in closed form.
+def toledo(cfg: TriangleConfiguration) -> float:
+    """The Toledo invariant in closed form; returns its pre-snap value.
 
     Tracks the argument of h(x) = conj(<c1,x><x,c2>/<c1,c2>) while x runs
     along the real segment x(s) = (1-s) c2 + s y, s in [0, 1], from c2 to
@@ -306,7 +299,7 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
     value q = <c1,c3><c3,c2>/<c1,c2> in R theta-bar i: snapping tau to
     the nearest multiple of 2/3 must move it by at most 1e-6, and the
     snapped value must be TOLEDO_BRANCH, the one branch of that class
-    that |tau| <= |chi| admits.
+    that |tau| <= |chi| admits; any other outcome raises.
     """
     ctx = cfg.ctx
     b = cfg.backend
@@ -341,7 +334,7 @@ def toledo(cfg: TriangleConfiguration) -> ToledoReport:
         raise VerificationError(
             f"closed-form tau {tau} is not the admissible branch {TOLEDO_BRANCH}"
         )
-    return ToledoReport(tau=tau, presnap=presnap, rejected=TOLEDO_REJECTED)
+    return presnap
 
 
 # ---------------------------------------------------------------------------
@@ -369,42 +362,24 @@ def euler_side_test(report: ConditionReport):
     return {"s": report.plain("6c"), "e": e, "verdict": verdict}
 
 
-@dataclass
-class InvariantLedger:
-    tau: Fraction
-    e: int
-    chi: int
-    genus: int
-    cover2_tau: Fraction = Fraction(-4, 3)
-    cover2_e: int = 0
-    cover2_chi: int = -2
-
-    def check(self):
-        if 2 * (self.chi + self.e) != 3 * self.tau:
-            raise VerificationError(
-                f"ledger relation 2(chi+e)=3tau fails: chi={self.chi}, "
-                f"e={self.e}, tau={self.tau}"
-            )
-        if 2 * (self.cover2_chi + self.cover2_e) != 3 * self.cover2_tau:
-            raise VerificationError("genus-2 cover ledger relation fails")
-        if self.e % 8 != 0:
-            raise VerificationError(f"e = {self.e} is not 0 mod 8")
-        return True
+# the genus-2 cover of the genus-3 surface: (chi, e, tau)
+COVER2 = (-2, 0, Fraction(-4, 3))
 
 
-def invariant_ledger(cfg: TriangleConfiguration, toledo_report=None, side=None):
-    """Ledger for the genus-3 surface, whose chi and genus are the cake's
-    (3 - 8 + 1 = -4, genus 3), and the derived genus-2 cover (chi = -2,
-    e = 0, tau = -4/3); both must satisfy 2(chi + e) = 3 tau exactly, in
-    rational arithmetic.  Each input not given is computed from ``cfg``."""
-    if toledo_report is None:
-        toledo_report = toledo(cfg)
-    if side is None:
-        side = euler_side_test(evaluate_conditions(cfg))
-    ledger = InvariantLedger(tau=toledo_report.tau, e=side["e"],
-                             chi=cake.EULER_CHARACTERISTIC, genus=cake.GENUS)
-    ledger.check()
-    return ledger
+def invariant_ledger(e: int):
+    """Ledger for the genus-3 surface, whose chi is the cake's (3 - 8 + 1 =
+    -4) and whose tau is TOLEDO_BRANCH, with Euler number ``e``, and for the
+    genus-2 cover COVER2: both must satisfy 2(chi + e) = 3 tau exactly, in
+    rational arithmetic, and e must be 0 mod 8.  Raises on a failure."""
+    chi = cake.EULER_CHARACTERISTIC
+    if 2 * (chi + e) != 3 * TOLEDO_BRANCH:
+        raise VerificationError(f"ledger relation 2(chi+e)=3tau fails: chi={chi}, "
+                                f"e={e}, tau={TOLEDO_BRANCH}")
+    cover_chi, cover_e, cover_tau = COVER2
+    if 2 * (cover_chi + cover_e) != 3 * cover_tau:
+        raise VerificationError("genus-2 cover ledger relation fails")
+    if e % 8 != 0:
+        raise VerificationError(f"e = {e} is not 0 mod 8")
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +560,10 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
 
         beta = angles(cfg)
         angle_sum = sum(beta)
-        tol_rep = toledo(cfg)
+        presnap = toledo(cfg)
         side = euler_side_test(cond)
         try:
-            invariant_ledger(cfg, tol_rep, side)
+            invariant_ledger(side["e"])
             ledger_ok = True
         except VerificationError as exc:
             ledger_ok = False
@@ -597,24 +572,23 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
             "angles": list(beta),
             "angle_sum": angle_sum,
             "angle_sum_residual": abs(angle_sum - math.pi / 2),
-            "toledo": str(tol_rep.tau),
-            "toledo_presnap": tol_rep.presnap,
-            "toledo_rejected": [str(c) for c in tol_rep.rejected],
+            "toledo": str(TOLEDO_BRANCH),
+            "toledo_presnap": presnap,
+            "toledo_rejected": [str(c) for c in TOLEDO_REJECTED],
             "euler": side["e"],
             "chi": cake.EULER_CHARACTERISTIC,
             "genus": cake.GENUS,
             "ledger_ok": ledger_ok,
+            "cake": {
+                "vertex_cycles": len(cake.VERTEX_ORBITS),
+                "edge_pairs": len(cake.IDENTIFICATIONS),
+                "euler_characteristic": cake.EULER_CHARACTERISTIC,
+                "genus": cake.GENUS,
+            },
         }
         if abs(angle_sum - math.pi / 2) > RESIDUAL_TOL:
             failures.append("angle sum differs from pi/2")
 
-        cake_report = cake.build_cake(cfg, angle_sum)
-        report["invariants"]["cake"] = {
-            "vertex_cycles": cake_report.vertex_cycles,
-            "edge_pairs": cake_report.edge_pairs,
-            "euler_characteristic": cake_report.euler_characteristic,
-            "genus": cake_report.genus,
-        }
         counts, cake_failures = cake.audit(cfg)
         failures.extend(cake_failures)
         report["invariants"].update(counts)

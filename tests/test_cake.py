@@ -1,6 +1,7 @@
 """Cake combinatorics: subwords, mapping tables, identifications, the
 assembled 16-triangle surface, and the five-generator presentation."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,8 @@ from cakecheck.cake import (
     BOUNDARY_CYCLE,
     BOUNDARY_SIDES,
     CORNER_CLASSES,
-    CakeReconstructionError,
+    EULER_CHARACTERISTIC,
+    GENUS,
     H5_WORDS,
     IDENTIFICATIONS,
     R0,
@@ -19,19 +21,19 @@ from cakecheck.cake import (
     R3,
     RELATOR,
     TRIANGLES,
+    VERTEX_ORBITS,
     W2R3,
     W5R3,
     W8R3,
     W11R3,
     build_cake,
-    check_corners,
     h5_presentation_check,
     realize_word,
     subword,
     verify_identifications,
     verify_mapping_tables,
 )
-from cakecheck.construction import build_configuration, mirror_construction
+from cakecheck.construction import angles, build_configuration, mirror_construction
 from cakecheck.hermitian import GramContext, Isometry
 from cakecheck.numerics import FastBackend
 from cakecheck.verification import verify_all
@@ -173,6 +175,14 @@ def test_mapping_tables(cfg222):
     assert len(negatives) == 1 and "negative control" in negatives[0][0]
 
 
+def test_failed_mapping_table_names_its_label(cfg222, monkeypatch):
+    tables = cake.verify_mapping_tables
+    monkeypatch.setattr(cake, "verify_mapping_tables", lambda cfg: tables(cfg) + [
+        ("W1 C2 = C1 (negative control)", False, True)])
+    assert cake.audit(cfg222)[1] == [
+        "mapping-table identity mismatch at W1 C2 = C1 (negative control)"]
+
+
 def test_identifications(cfg222):
     rows = verify_identifications(cfg222)
     assert len(rows) == 8
@@ -189,23 +199,27 @@ def test_every_side_in_exactly_one_pairing():
     assert sorted(seen) == list(range(len(BOUNDARY_SIDES)))
 
 
+def _angle_cycle_residual(cfg):
+    # the twelve sector angles at the central slice sum to 4(b1+b2+b3) = 2 pi
+    return abs(4.0 * sum(angles(cfg)) - 2.0 * math.pi)
+
+
 def test_build_cake(cfg222):
-    report = build_cake(cfg222)
-    assert report.triangle_count == 16
+    assert build_cake(cfg222) == []
     assert len(TRIANGLES) == 16
-    assert report.boundary_sides == 16
-    assert report.edge_pairs == 8
-    assert report.vertex_cycles == 3
-    assert report.euler_characteristic == -4
-    assert report.genus == 3
-    assert len(report.boundary_cycle) == 16
-    assert sorted(len(o) for o in report.vertex_orbits) == [4, 4, 8]
+    assert len(BOUNDARY_SIDES) == 16
+    assert len(IDENTIFICATIONS) == 8
+    assert len(VERTEX_ORBITS) == 3
+    assert EULER_CHARACTERISTIC == -4
+    assert GENUS == 3
+    assert len(BOUNDARY_CYCLE) == 16
+    assert sorted(len(o) for o in VERTEX_ORBITS) == [4, 4, 8]
     # the cyclic order follows the corner table, not the order of
     # BOUNDARY_SIDES
-    assert report.boundary_cycle == (0, 13, 14, 11, 12, 9, 10, 7, 8, 5, 6, 3, 4, 1, 2, 15)
-    assert sorted(sorted(o) for o in report.vertex_orbits) == [
+    assert BOUNDARY_CYCLE == (0, 13, 14, 11, 12, 9, 10, 7, 8, 5, 6, 3, 4, 1, 2, 15)
+    assert sorted(sorted(o) for o in VERTEX_ORBITS) == [
         [0, 2, 7, 11], [1, 3, 6, 8, 10, 12, 14, 15], [4, 5, 9, 13]]
-    assert report.angle_cycle_residual < 1e-8
+    assert _angle_cycle_residual(cfg222) < 1e-8
 
 
 def test_corner_table_covers_each_side_end_once():
@@ -217,7 +231,9 @@ def test_corner_table_covers_each_side_end_once():
 
 @pytest.mark.parametrize("t", [1.51, 1.6, 2.13, 2.34, 3.0, 100.0])
 def test_corner_table_holds_across_the_range(t):
-    assert build_cake(_mirrored(t)).angle_cycle_residual < 1e-8
+    cfg = _mirrored(t)
+    assert build_cake(cfg) == []
+    assert _angle_cycle_residual(cfg) < 1e-8
 
 
 def test_coinciding_classes_are_a_reconstruction_error(cfg222, monkeypatch):
@@ -225,8 +241,7 @@ def test_coinciding_classes_are_a_reconstruction_error(cfg222, monkeypatch):
     # its first corner is class 0's point
     monkeypatch.setattr(cake, "CORNER_CLASSES", (CORNER_CLASSES[0], CORNER_CLASSES[0][::-1])
                         + CORNER_CLASSES[2:])
-    with pytest.raises(CakeReconstructionError, match="corner classes 0 and 1 coincide"):
-        check_corners(cfg222)
+    assert build_cake(cfg222) == ["corner classes 0 and 1 coincide"]
 
 
 def test_verify_checks_the_corner_table_not_a_scan(monkeypatch):
@@ -246,10 +261,9 @@ def test_verify_checks_the_corner_table_not_a_scan(monkeypatch):
 
 
 def test_build_cake_deterministic(cfg222):
-    a = build_cake(cfg222)
-    b = build_cake(cfg222)
-    assert a.boundary_cycle == b.boundary_cycle
-    assert a.vertex_orbits == b.vertex_orbits
+    assert build_cake(cfg222) == build_cake(cfg222) == []
+    assert cake._boundary_cycle() == BOUNDARY_CYCLE
+    assert cake._vertex_orbits() == VERTEX_ORBITS
 
 
 def test_h5_presentation(cfg222):

@@ -127,9 +127,22 @@ def test_failed_cake_reconstruction_is_a_verification_failure(argv, capsys, monk
     # class 0 declared with class 1's second corner
     corrupted = ((cake.CORNER_CLASSES[0][0], cake.CORNER_CLASSES[1][1]),) + cake.CORNER_CLASSES[1:]
     monkeypatch.setattr(cake, "CORNER_CLASSES", corrupted)
-    code, _, err = run(argv, capsys)
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_FAIL and err == ""
+    assert "  failure: corners (0, 'begin') and (15, 'end') of class 0 do not coincide\n" in out
+
+
+def test_failed_cake_parts_are_named(capsys):
+    # at t = 30 every identification sends its side ends to the right
+    # slices; only the form residuals of I3 and I7 exceed the 1e-9 bound
+    code, out, _ = run(["cake", "--t", "30"], capsys)
     assert code == EXIT_FAIL
-    assert "corners (0, 'begin') and (15, 'end') of class 0 do not coincide" in err
+    verdict, *failures = out[out.index("[verdicts]"):].splitlines()
+    assert verdict == "[verdicts] mapping_tables=FAIL"
+    assert len(failures) == 2
+    for line, name in zip(failures, ("I3", "I7")):
+        assert re.fullmatch(rf"  failure: identification {name} form residual "
+                            r"\d\.\d{3}e-09 exceeds 1e-09", line), line
 
 
 def test_out_file_sink(tmp_path, capsys):
@@ -202,6 +215,16 @@ def test_fast_verify_matches_masked_golden_file(capsys):
     assert code == EXIT_OK
     masked = re.sub(r"(?m)^([^=\n]*residual[^=\n]*) = .*$", r"\1 = <masked>", out)
     assert masked.encode() == (GOLDEN / "verify_fast_structured.txt").read_bytes()
+
+
+def test_fast_text_verify_matches_masked_golden_file(capsys):
+    """The default text report, with everything after the first ` = ` of
+    each line that mentions a residual masked.  CI applies the same mask
+    with sed."""
+    code, out, _ = run(["verify"], capsys)
+    assert code == EXIT_OK
+    masked = re.sub(r"(?m)^(?=.*residual)(.*?) = .*$", r"\1 = <masked>", out)
+    assert masked.encode() == (GOLDEN / "verify_fast_text.txt").read_bytes()
 
 
 def test_cake_tables_match_golden_file(capsys):

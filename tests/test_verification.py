@@ -34,7 +34,10 @@ from cakecheck.numerics import (
 from cakecheck.verification import (
     CONDITION_IDS,
     PRINTED_VALUES,
+    COVER2,
     SCAN_COLUMNS,
+    TOLEDO_BRANCH,
+    TOLEDO_REJECTED,
     VerificationError,
     certificate_lines,
     certify_range,
@@ -152,11 +155,13 @@ def test_toledo_invariant(cfg222):
     rng = random.Random(20261018)
     ts = [2.13, 2.34] + [rng.uniform(2.13, 2.34) for _ in range(20)]
     for cfg in [cfg222] + [build_configuration(t) for t in ts]:
-        rep = toledo(cfg)
-        assert rep.tau == Fraction(-8, 3), cfg.params.t
-        assert abs(rep.presnap - float(rep.tau)) < 1e-6
-        assert rep.rejected == (Fraction(40, 3),)
-        assert abs(rep.presnap + 8 / 3) < 16e-9 / math.pi
+        # toledo raises unless the snapped value is TOLEDO_BRANCH
+        presnap = toledo(cfg)
+        assert Fraction(round(presnap * 3 / 2) * 2, 3) == Fraction(-8, 3), cfg.params.t
+        assert abs(presnap - float(TOLEDO_BRANCH)) < 1e-6
+        assert abs(presnap + 8 / 3) < 16e-9 / math.pi
+    assert TOLEDO_BRANCH == Fraction(-8, 3)
+    assert TOLEDO_REJECTED == (Fraction(40, 3),)
 
 
 def test_toledo_rejects_reversed_orientation(cfg222):
@@ -176,20 +181,27 @@ def test_euler_side_test(cfg222):
 
 
 def test_invariant_ledger(cfg222):
-    ledger = invariant_ledger(cfg222)
-    assert ledger.tau == Fraction(-8, 3)
-    assert ledger.e == 0 and ledger.chi == -4 and ledger.genus == 3
-    assert 2 * (ledger.chi + ledger.e) == 3 * ledger.tau
-    assert 2 * (ledger.cover2_chi + ledger.cover2_e) == 3 * ledger.cover2_tau
-    assert ledger.check()
+    e = euler_side_test(evaluate_conditions(cfg222))["e"]
+    invariant_ledger(e)  # raises on a failed relation
+    assert TOLEDO_BRANCH == Fraction(-8, 3)
+    assert e == 0 and cake.EULER_CHARACTERISTIC == -4 and cake.GENUS == 3
+    assert 2 * (cake.EULER_CHARACTERISTIC + e) == 3 * TOLEDO_BRANCH
+    cover_chi, cover_e, cover_tau = COVER2
+    assert (cover_chi, cover_e, cover_tau) == (-2, 0, Fraction(-4, 3))
+    assert 2 * (cover_chi + cover_e) == 3 * cover_tau
+    with pytest.raises(VerificationError, match="ledger relation 2"):
+        invariant_ledger(e + 8)
 
 
-def test_ledger_reads_chi_and_genus_from_the_cake(cfg222, monkeypatch):
-    ledger = invariant_ledger(cfg222)
-    assert (ledger.chi, ledger.genus) == (cake.EULER_CHARACTERISTIC, cake.GENUS)
+def test_ledger_reads_chi_and_genus_from_the_cake(monkeypatch):
     monkeypatch.setattr(cake, "EULER_CHARACTERISTIC", -2)
+    monkeypatch.setattr(cake, "GENUS", 2)
     with pytest.raises(VerificationError, match="chi=-2"):
-        invariant_ledger(cfg222)
+        invariant_ledger(0)
+    inv = verify_all(2.22)["invariants"]
+    assert (inv["chi"], inv["genus"]) == (-2, 2)
+    assert (inv["cake"]["euler_characteristic"], inv["cake"]["genus"]) == (-2, 2)
+    assert inv["ledger_ok"] is False
 
 
 def test_failed_ledger_is_reported_not_raised(monkeypatch):
