@@ -72,41 +72,32 @@ def _spine_point(cfg, k):
     return (cfg.c1, cfg.c2, cfg.c3)[k - 1]
 
 
+# the identities of the subword tables: (label, word letters, source
+# basis index, target basis index) for W C_src = C_dst
+MAPPING_TABLE = (
+    ("R1 C1 = C2", (R1,), 1, 2), ("R1 C2 = C1", (R1,), 2, 1),
+    ("R2 C2 = C3", (R2,), 2, 3), ("R2 C3 = C2", (R2,), 3, 2),
+    ("R3 C1 = C1", (R3,), 1, 1), ("R3 C3 = C3", (R3,), 3, 3),
+    *((f"W{i} C1 = C1", subword(i), 1, 1) for i in (1, 6, 7, 12)),
+    *((f"W{i} C2 = C1", subword(i), 2, 1) for i in (2, 5, 8, 11)),
+    *((f"W{i} C3 = C1", subword(i), 3, 1) for i in (3, 4, 9, 10)),
+)
+
+
 def verify_mapping_tables(cfg: TriangleConfiguration):
-    """All slice and point identities of the subword tables, plus one
-    deliberate negative control.  Returns (label, expected, observed)
-    triples; slice statements W C_k = C_1 are checked as W p_k prop p_1."""
-    checks = []
-
-    # generator table
-    gen_table = [
-        ("R1 C1 = C2", (R1,), 1, 2), ("R1 C2 = C1", (R1,), 2, 1),
-        ("R2 C2 = C3", (R2,), 2, 3), ("R2 C3 = C2", (R2,), 3, 2),
-        ("R3 C1 = C1", (R3,), 1, 1), ("R3 C3 = C3", (R3,), 3, 3),
-    ]
-    table = list(gen_table)
-    for i in (1, 6, 7, 12):
-        table.append((f"W{i} C1 = C1", subword(i), 1, 1))
-    for i in (2, 5, 8, 11):
-        table.append((f"W{i} C2 = C1", subword(i), 2, 1))
-    for i in (3, 4, 9, 10):
-        table.append((f"W{i} C3 = C1", subword(i), 3, 1))
-
-    for label, letters, src, dst in table:
+    """Each MAPPING_TABLE identity on the slices, checked as W p_src prop
+    p_dst, and on the spine points (label in lower case), plus one
+    deliberate negative control, an identity absent from the tables.
+    Returns a failure string for each mismatch."""
+    failures = []
+    for label, letters, src, dst in MAPPING_TABLE:
         w = realize_word(letters, cfg)
-        ok = projectively_equal(w.apply(_slice_point(cfg, src)), _slice_point(cfg, dst))
-        checks.append((label, True, ok))
-        # point version of the same identity on the spine representatives
-        ok_pt = projectively_equal(w.apply(_spine_point(cfg, src)), _spine_point(cfg, dst))
-        checks.append((label.replace("C", "c"), True, ok_pt))
-
-    # negative control: an identity absent from the tables
-    w1 = realize_word(subword(1), cfg)
-    checks.append(
-        ("W1 C2 = C1 (negative control)", False,
-         projectively_equal(w1.apply(cfg.p2), cfg.p1))
-    )
-    return checks
+        for form, point in ((label, _slice_point), (label.replace("C", "c"), _spine_point)):
+            if not projectively_equal(w.apply(point(cfg, src)), point(cfg, dst)):
+                failures.append(f"mapping-table identity mismatch at {form}")
+    if projectively_equal(realize_word(subword(1), cfg).apply(cfg.p2), cfg.p1):
+        failures.append("mapping-table identity mismatch at W1 C2 = C1 (negative control)")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +163,23 @@ def _slice_vector(cfg, slice_ref):
 
 def verify_identifications(cfg: TriangleConfiguration):
     """Each identification must preserve the form and send the begin/end
-    slices of its source side to the begin/end slices of its target side."""
-    rows = []
+    slices of its source side to the begin/end slices of its target side.
+    Returns a failure string for each part that fails."""
+    failures = []
     for name, letters, src, dst in IDENTIFICATIONS:
         iso = realize_word(letters, cfg)
         # the inverse-word letters were appended reversed; each letter is an
         # involution, so reversal alone realizes the inverse
         form_res = iso.form_residual([(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.c1, cfg.d3)])
-        _, s_begin, s_end = BOUNDARY_SIDES[src]
-        _, t_begin, t_end = BOUNDARY_SIDES[dst]
-        begin_ok = projectively_equal(
-            iso.apply(_slice_vector(cfg, s_begin)), _slice_vector(cfg, t_begin)
-        )
-        end_ok = projectively_equal(
-            iso.apply(_slice_vector(cfg, s_end)), _slice_vector(cfg, t_end)
-        )
-        rows.append({
-            "name": name,
-            "form_residual": form_res,
-            "begin_ok": begin_ok,
-            "end_ok": end_ok,
-            "ok": begin_ok and end_ok and form_res < RESIDUAL_TOL,
-        })
-    return rows
+        if not form_res < RESIDUAL_TOL:
+            failures.append(f"identification {name} form residual "
+                            f"{form_res:.3e} exceeds {RESIDUAL_TOL:.0e}")
+        ends = zip(("begin", "end"), BOUNDARY_SIDES[src][1:], BOUNDARY_SIDES[dst][1:])
+        for end, s_ref, t_ref in ends:
+            if not projectively_equal(iso.apply(_slice_vector(cfg, s_ref)),
+                                      _slice_vector(cfg, t_ref)):
+                failures.append(f"identification {name} {end} endpoint mismatch")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -295,56 +280,41 @@ H5_WORDS = (
 
 
 def h5_presentation_check(cfg: TriangleConfiguration):
-    """The index-2 cover generators: each X_i is an involution, all are
-    linear (even R3 count), and X5 X4 X3 X2 X1 is the scalar theta^-2."""
+    """The index-2 cover generators: each X_i is linear (even R3 count) and
+    an involution, and X5 X4 X3 X2 X1 is the scalar theta^-2.  Returns a
+    failure string for each part that fails."""
     realized = {name: realize_word(letters, cfg) for name, letters in H5_WORDS}
-    inv_residuals = {}
+    failures = []
     for name, iso in realized.items():
-        inv_residuals[name] = (iso * iso).scalar_residual(1.0)
+        if iso.antilinear:
+            failures.append(f"five-generator {name} is antilinear")
+        residual = (iso * iso).scalar_residual(1.0)
+        if not residual < H5_INVOLUTION_TOL:
+            failures.append(f"five-generator {name} involution residual "
+                            f"{residual:.3e} exceeds {H5_INVOLUTION_TOL:.0e}")
     product = (
         realized["X5"] * realized["X4"] * realized["X3"] * realized["X2"] * realized["X1"]
     )
-    prod_residual = product.scalar_residual(THETA_INV_SQ)
-    all_linear = not any(iso.antilinear for iso in realized.values())
-    ok = (
-        all_linear
-        and all(r < H5_INVOLUTION_TOL for r in inv_residuals.values())
-        and prod_residual < RESIDUAL_TOL
-    )
-    return {
-        "involution_residuals": inv_residuals,
-        "product_residual": prod_residual,
-        "all_linear": all_linear,
-        "ok": ok,
-    }
+    residual = product.scalar_residual(THETA_INV_SQ)
+    if not residual < RESIDUAL_TOL:
+        failures.append(f"five-generator product residual {residual:.3e} "
+                        f"exceeds {RESIDUAL_TOL:.0e}")
+    return failures
 
 
 def audit(cfg: TriangleConfiguration):
     """Run the corner, mapping-table, identification and five-generator
-    checks.  Returns their counts (report keys) and a failure string for
-    each corner, table identity and identification part that fails."""
-    failures = build_cake(cfg)
-    tables = verify_mapping_tables(cfg)
-    idents = verify_identifications(cfg)
-    h5 = h5_presentation_check(cfg)
-    failures += [f"mapping-table identity mismatch at {label}"
-                 for label, expected, observed in tables if expected != observed]
-    for row in idents:
-        name = row["name"]
-        if not row["form_residual"] < RESIDUAL_TOL:
-            failures.append(f"identification {name} form residual "
-                            f"{row['form_residual']:.3e} exceeds {RESIDUAL_TOL:.0e}")
-        for end in ("begin", "end"):
-            if not row[f"{end}_ok"]:
-                failures.append(f"identification {name} {end} endpoint mismatch")
-    if not h5["ok"]:
-        failures.append("five-generator presentation check failed")
+    checks.  Returns their counts (report keys) and, in that order, their
+    failure strings."""
+    failures = build_cake(cfg) + verify_mapping_tables(cfg) + verify_identifications(cfg)
+    h5_failures = h5_presentation_check(cfg)
     counts = {
-        "mapping_table_count": len(tables),
-        "identification_count": len(idents),
-        "h5_ok": h5["ok"],
+        # each identity in its slice and its point form, plus the control
+        "mapping_table_count": 2 * len(MAPPING_TABLE) + 1,
+        "identification_count": len(IDENTIFICATIONS),
+        "h5_ok": not h5_failures,
     }
-    return counts, failures
+    return counts, failures + h5_failures
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ Subcommands:
   certify  rigorous interval certificate for a t-range
   cake     combinatorial audit dump
 
-Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or
-domain error.
+Exit codes: 0 all verdicts pass; 1 a failed claim, always printed in the
+full report as a ``failure:`` line, with nothing on stderr; 2 a usage or
+domain error, one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 
 from .construction import build_configuration, mirror_construction
 from .verification import (
-    VerificationError,
     certificate_lines,
     certify_range,
     render_report_structured,
@@ -127,9 +127,6 @@ def main(argv=None) -> int:
         if args.command == "cake":
             return cmd_cake(args)
         return EXIT_USAGE
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,6 +5,14 @@ in the reports), the seven-letter group relation, the slice symmetry
 checks, the Toledo invariant in closed form, the Euler number side test,
 the invariant bookkeeping ledger, grid scans, and the rigorous interval
 certification of the whole admissible range.
+
+Every claim check returns what it contributes to the report together with
+a list of failure strings, and ``verify_all`` only assembles them: a claim
+that fails is a ``failure:`` line of a complete report, never an
+exception.  The exceptions left are domain errors (a t outside the
+construction's reach) and precondition errors, which are plain
+``ValueError``s: a check that needs R3 before the mirror construction ran,
+or a side test on a report whose 6c is undecided.
 """
 
 from __future__ import annotations
@@ -68,10 +76,6 @@ PRINTED_VALUES = {
 }
 
 PUBLISHED_T = 2.22
-
-
-class VerificationError(ValueError):
-    """A hard verification failure (a claim that must hold does not)."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +161,6 @@ class ConditionReport:
             v is SignVerdict.POSITIVE for v in self.verdicts.values()
         )
 
-    def first_failure(self):
-        for cid in CONDITION_IDS:
-            if self.verdicts.get(cid) is not SignVerdict.POSITIVE:
-                return cid
-        return None
-
     def plain(self, cid):
         """The reported value of condition ``cid`` as a plain number: the
         midpoint of an enclosure, complex for 6b and float otherwise."""
@@ -188,23 +186,27 @@ def check_relation(cfg: TriangleConfiguration):
     antilinear letters, so the word is linear overall), and the PU-level
     square (R3 R1 R2 R3 R2 R1)^2 = theta^2 Id, whose scalar is not 1: the
     relation holds in PU but not in SU, the mechanism behind the
-    noninteger Toledo invariant."""
+    noninteger Toledo invariant.  Returns the report section and a failure
+    string for each claim that fails."""
     if cfg.R3 is None:
-        raise VerificationError("mirror construction must run before the relation check")
+        raise ValueError("mirror construction must run before the relation check")
     half = cake.realize_word(cake.subword(6), cfg)
     word = half * cfg.R0
-    if word.antilinear:
-        raise VerificationError("seven-letter word unexpectedly antilinear")
-    residual = word.scalar_residual(THETA_INV_SQ)
-
     square = half * half
     scalar = square.scalar_part()
-    return {
-        "relation_residual": residual,
+    section = {
+        "relation_residual": word.scalar_residual(THETA_INV_SQ),
         "square_scalar": scalar,
         "square_residual": square.scalar_residual(THETA_SQ),
         "square_is_nontrivial_in_su": abs(scalar - 1.0) > 0.5,
     }
+    failures = [msg for failed, msg in (
+        (word.antilinear, "seven-letter word unexpectedly antilinear"),
+        (section["relation_residual"] > RESIDUAL_TOL, "seven-letter relation residual exceeds 1e-9"),
+        (section["square_residual"] > RESIDUAL_TOL, "six-letter-word square is not theta^2 Id"),
+        (not section["square_is_nontrivial_in_su"], "six-letter-word square is trivial in SU(2,1)"),
+    ) if failed]
+    return section, failures
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +224,13 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
         lie in different complex lines, so share at most one point: for d_i
         or d_{i+1}, |det(c_i, c_{i+1}, d)| > RESIDUAL_TOL |c_i| |c_{i+1}| |d|
         in max norms.
+
+    Returns the report section and a failure string for each assertion
+    that fails.
     """
     if cfg.R3 is None:
-        raise VerificationError("mirror construction must run before the slice symmetry check")
+        raise ValueError("mirror construction must run before the slice symmetry check")
     ctx = cfg.ctx
-    out = {}
 
     def scalar_image_residual(vec):
         img = cfg.R3.apply(vec)
@@ -238,9 +242,9 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
     # R3 (lam v) = (conj(lam)/lam) mu (lam v).  The representative
     # conj(theta) c3 realizes the scalar -theta^-2, the same as d1's; any
     # unimodular scalar already certifies membership in the real plane.
-    out["r3_c3_residual"] = scalar_image_residual(cfg.c3.scale(THETA.conjugate()))
-    out["r3_d1_residual"] = scalar_image_residual(cfg.d1)
-    out["r3_c1_fixed"] = projectively_equal(cfg.R3.apply(cfg.c1), cfg.c1)
+    c3_residual = scalar_image_residual(cfg.c3.scale(THETA.conjugate()))
+    d1_residual = scalar_image_residual(cfg.d1)
+    c1_fixed = projectively_equal(cfg.R3.apply(cfg.c1), cfg.c1)
 
     # endpoint argument class, in the pairing orientation for which the
     # counterclockwise triangle bounds the disc (conjugate of the first-slot
@@ -249,10 +253,7 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
     c32 = complex(ctx.inner(cfg.c3, cfg.c2))
     c12 = complex(ctx.inner(cfg.c1, cfg.c2))
     q = (c13 * c32 / c12).conjugate()
-    arg_mod_pi = math.atan2(q.imag, q.real) % math.pi
-    out["q_arg_mod_pi_residual"] = abs(arg_mod_pi - math.pi / 6)
-    out["c1c2_real"] = abs(c12.imag) < RESIDUAL_TOL * max(1.0, abs(c12))
-    out["c3c2_real"] = abs(c32.imag) < RESIDUAL_TOL * max(1.0, abs(c32))
+    q_residual = abs(math.atan2(q.imag, q.real) % math.pi - math.pi / 6)
 
     cs = (cfg.c1, cfg.c2, cfg.c3)
     ds = (cfg.d1, cfg.d2, cfg.d3)
@@ -264,8 +265,23 @@ def check_slice_symmetries(cfg: TriangleConfiguration):
             abs(mat_det(m)) > RESIDUAL_TOL * math.prod(max(map(abs, row)) for row in m)
             for m in frames
         ))
-    out["segment_geodesics_distinct"] = tuple(distinct)
-    return out
+    section = {
+        "r3_c3_residual": c3_residual,
+        "r3_d1_residual": d1_residual,
+        "r3_c1_fixed": c1_fixed,
+        "q_arg_mod_pi_residual": q_residual,
+        "segment_geodesics_distinct": distinct,
+    }
+    failures = [msg for failed, msg in (
+        (c3_residual > RESIDUAL_TOL or d1_residual > RESIDUAL_TOL,
+         "antilinear generator does not fix the spine points as claimed"),
+        (not c1_fixed, "antilinear generator does not fix c1"),
+        (q_residual > RESIDUAL_TOL, "endpoint argument class is not pi/6 mod pi"),
+        (not abs(c12.imag) < RESIDUAL_TOL * max(1.0, abs(c12)), "<c1,c2> is not real"),
+        (not abs(c32.imag) < RESIDUAL_TOL * max(1.0, abs(c32)), "<c3,c2> is not real"),
+        (not all(distinct), "segment geodesics coincide"),
+    ) if failed]
+    return section, failures
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +295,9 @@ TOLEDO_BRANCH = Fraction(-8, 3)
 TOLEDO_REJECTED = (Fraction(40, 3),)
 
 
-def toledo(cfg: TriangleConfiguration) -> float:
-    """The Toledo invariant in closed form; returns its pre-snap value.
+def toledo(cfg: TriangleConfiguration):
+    """The Toledo invariant in closed form: returns its pre-snap value and a
+    failure string for each claim that fails.
 
     Tracks the argument of h(x) = conj(<c1,x><x,c2>/<c1,c2>) while x runs
     along the real segment x(s) = (1-s) c2 + s y, s in [0, 1], from c2 to
@@ -292,14 +309,15 @@ def toledo(cfg: TriangleConfiguration) -> float:
     continuous argument at pi, and Im h(s) = s (a + b s) with a = Im h1,
     b = Im h2.  When a < 0 and a + b < 0, h stays in the open lower half
     plane on (0, 1], so the argument ends in (pi, 2 pi) at the principal
-    argument of h(1) plus 2 pi; any other sign pattern is rejected.  The
-    invariant is tau = -(16/pi) V for the argument variation V.
+    argument of h(1) plus 2 pi; any other sign pattern fails, with a NaN
+    pre-snap value.  The invariant is tau = -(16/pi) V for the argument
+    variation V.
 
     The end argument must lie in the class pi/6 mod pi of the endpoint
     value q = <c1,c3><c3,c2>/<c1,c2> in R theta-bar i: snapping tau to
     the nearest multiple of 2/3 must move it by at most 1e-6, and the
     snapped value must be TOLEDO_BRANCH, the one branch of that class
-    that |tau| <= |chi| admits; any other outcome raises.
+    that |tau| <= |chi| admits.
     """
     ctx = cfg.ctx
     b = cfg.backend
@@ -316,25 +334,20 @@ def toledo(cfg: TriangleConfiguration) -> float:
     a_plus_b = a - (l1 * r1 / c12).imag
     if not (certified_sign(a) is SignVerdict.NEGATIVE
             and certified_sign(a_plus_b) is SignVerdict.NEGATIVE):
-        raise VerificationError(
+        return math.nan, [
             f"Im h(s) = s (a + b s) with a = {b.mid_real(a)}, a + b = "
             f"{b.mid_real(a_plus_b)} is not negative on (0, 1]: out-of-regime parameter"
-        )
+        ]
     h_end = b.mid((c1y * yc2 / c12).conjugate())
     end_branch = cmath.phase(h_end) + 2.0 * math.pi
     variation = end_branch - math.pi  # anchored at Arg <c2,c2> = pi
     presnap = -16.0 * variation / math.pi
     tau = Fraction(round(presnap * 3 / 2) * 2, 3)
     if abs(presnap - float(tau)) > 1e-6:
-        raise VerificationError(
-            f"pre-snap Toledo value {presnap} is not within 1e-6 of a multiple of 2/3"
-        )
-
+        return presnap, [f"pre-snap Toledo value {presnap} is not within 1e-6 of a multiple of 2/3"]
     if tau != TOLEDO_BRANCH:
-        raise VerificationError(
-            f"closed-form tau {tau} is not the admissible branch {TOLEDO_BRANCH}"
-        )
-    return presnap
+        return presnap, [f"closed-form tau {tau} is not the admissible branch {TOLEDO_BRANCH}"]
+    return presnap, []
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +360,15 @@ def euler_side_test(report: ConditionReport):
     6c, so its verdict and value are read from the condition report.
     Positive means the trivial bundle (e = 0); negative would mean
     e = -16.  Either outcome is 0 mod 8, the parity constraint on the
-    example family."""
-    if "6c" not in report.verdicts:
-        raise VerificationError("w3 unavailable (u > 1 not certain): side test undefined")
-    verdict = report.verdicts["6c"]
+    example family.  A report whose 6c is undecided is a ValueError: the
+    test runs only after the conditions certify."""
+    verdict = report.verdicts.get("6c")
     if verdict is SignVerdict.POSITIVE:
         e = 0
     elif verdict is SignVerdict.NEGATIVE:
         e = -16
     else:
-        raise VerificationError(
-            "side-test sign indeterminate or zero: degenerate configuration"
-        )
+        raise ValueError(f"side test needs a decided 6c, not {verdict}")
     return {"s": report.plain("6c"), "e": e, "verdict": verdict}
 
 
@@ -370,16 +380,16 @@ def invariant_ledger(e: int):
     """Ledger for the genus-3 surface, whose chi is the cake's (3 - 8 + 1 =
     -4) and whose tau is TOLEDO_BRANCH, with Euler number ``e``, and for the
     genus-2 cover COVER2: both must satisfy 2(chi + e) = 3 tau exactly, in
-    rational arithmetic, and e must be 0 mod 8.  Raises on a failure."""
+    rational arithmetic, and e must be 0 mod 8.  Returns a failure string
+    for each that fails."""
     chi = cake.EULER_CHARACTERISTIC
-    if 2 * (chi + e) != 3 * TOLEDO_BRANCH:
-        raise VerificationError(f"ledger relation 2(chi+e)=3tau fails: chi={chi}, "
-                                f"e={e}, tau={TOLEDO_BRANCH}")
     cover_chi, cover_e, cover_tau = COVER2
-    if 2 * (cover_chi + cover_e) != 3 * cover_tau:
-        raise VerificationError("genus-2 cover ledger relation fails")
-    if e % 8 != 0:
-        raise VerificationError(f"e = {e} is not 0 mod 8")
+    return [f"invariant ledger fails: {msg}" for failed, msg in (
+        (2 * (chi + e) != 3 * TOLEDO_BRANCH,
+         f"ledger relation 2(chi+e)=3tau fails: chi={chi}, e={e}, tau={TOLEDO_BRANCH}"),
+        (2 * (cover_chi + cover_e) != 3 * cover_tau, "genus-2 cover ledger relation fails"),
+        (e % 8 != 0, f"e = {e} is not 0 mod 8"),
+    ) if failed]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +444,8 @@ def scan(lo: float, hi: float, steps: int, backend_name: str = "fast"):
             if not backend.rigorous:
                 mirror_construction(cfg)
                 row["angle_sum"] = sum(angles(cfg))
-                row["relation_residual"] = check_relation(cfg)["relation_residual"]
-        except (DomainError, GeometryError, VerificationError) as exc:
+                row["relation_residual"] = check_relation(cfg)[0]["relation_residual"]
+        except (DomainError, GeometryError) as exc:
             row["status"] = "error"
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -517,8 +527,8 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
         "verdicts": {cid: v.value for cid, v in cond.verdicts.items()},
         "complete": cond.complete,
     }
-    if not cond.all_positive:
-        failures.append(f"condition {cond.first_failure()} not certified positive")
+    failures += [f"condition {cid} not certified positive" for cid in CONDITION_IDS
+                 if cond.verdicts.get(cid) is not SignVerdict.POSITIVE]
 
     if abs(t - PUBLISHED_T) < 1e-12:
         rows = published_match(cfg, cond)
@@ -528,70 +538,41 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
                 failures.append(f"published value mismatch for {r['key']}")
 
     if not backend.rigorous and cond.all_positive:
-        mirror = mirror_construction(cfg)
-        if mirror["trace_residual"] > RESIDUAL_TOL:
+        if mirror_construction(cfg)["trace_residual"] > RESIDUAL_TOL:
             failures.append("mirror construction trace residual exceeds 1e-9")
-        rel = report["relations"] = check_relation(cfg)
-        if rel["relation_residual"] > RESIDUAL_TOL:
-            failures.append("seven-letter relation residual exceeds 1e-9")
-        if rel["square_residual"] > RESIDUAL_TOL:
-            failures.append("six-letter-word square is not theta^2 Id")
-
-        cor = check_slice_symmetries(cfg)
-        report["relations"]["symmetries"] = {
-            "r3_c3_residual": cor["r3_c3_residual"],
-            "r3_d1_residual": cor["r3_d1_residual"],
-            "r3_c1_fixed": cor["r3_c1_fixed"],
-            "q_arg_mod_pi_residual": cor["q_arg_mod_pi_residual"],
-            "segment_geodesics_distinct": list(cor["segment_geodesics_distinct"]),
-        }
-        if cor["r3_c3_residual"] > RESIDUAL_TOL or cor["r3_d1_residual"] > RESIDUAL_TOL:
-            failures.append("antilinear generator does not fix the spine points as claimed")
-        if not cor["r3_c1_fixed"]:
-            failures.append("antilinear generator does not fix c1")
-        if cor["q_arg_mod_pi_residual"] > RESIDUAL_TOL:
-            failures.append("endpoint argument class is not pi/6 mod pi")
-        if not cor["c1c2_real"]:
-            failures.append("<c1,c2> is not real")
-        if not cor["c3c2_real"]:
-            failures.append("<c3,c2> is not real")
-        if not all(cor["segment_geodesics_distinct"]):
-            failures.append("segment geodesics coincide")
-
+        relations, relation_failures = check_relation(cfg)
+        symmetries, symmetry_failures = check_slice_symmetries(cfg)
+        report["relations"] = {**relations, "symmetries": symmetries}
         beta = angles(cfg)
         angle_sum = sum(beta)
-        presnap = toledo(cfg)
-        side = euler_side_test(cond)
-        try:
-            invariant_ledger(side["e"])
-            ledger_ok = True
-        except VerificationError as exc:
-            ledger_ok = False
-            failures.append(f"invariant ledger fails: {exc}")
+        angle_sum_residual = abs(angle_sum - math.pi / 2)
+        presnap, toledo_failures = toledo(cfg)
+        e = euler_side_test(cond)["e"]
+        ledger_failures = invariant_ledger(e)
+        failures += relation_failures + symmetry_failures + toledo_failures + ledger_failures
+        if angle_sum_residual > RESIDUAL_TOL:
+            failures.append("angle sum differs from pi/2")
+        counts, cake_failures = cake.audit(cfg)
+        failures += cake_failures
         report["invariants"] = {
             "angles": list(beta),
             "angle_sum": angle_sum,
-            "angle_sum_residual": abs(angle_sum - math.pi / 2),
+            "angle_sum_residual": angle_sum_residual,
             "toledo": str(TOLEDO_BRANCH),
             "toledo_presnap": presnap,
             "toledo_rejected": [str(c) for c in TOLEDO_REJECTED],
-            "euler": side["e"],
+            "euler": e,
             "chi": cake.EULER_CHARACTERISTIC,
             "genus": cake.GENUS,
-            "ledger_ok": ledger_ok,
+            "ledger_ok": not ledger_failures,
             "cake": {
                 "vertex_cycles": len(cake.VERTEX_ORBITS),
                 "edge_pairs": len(cake.IDENTIFICATIONS),
                 "euler_characteristic": cake.EULER_CHARACTERISTIC,
                 "genus": cake.GENUS,
             },
+            **counts,
         }
-        if abs(angle_sum - math.pi / 2) > RESIDUAL_TOL:
-            failures.append("angle sum differs from pi/2")
-
-        counts, cake_failures = cake.audit(cfg)
-        failures.extend(cake_failures)
-        report["invariants"].update(counts)
 
     report["passed"] = not failures
     return report

@@ -5,6 +5,7 @@ library defaults, so a silent default change cannot weaken the gate."""
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from cakecheck.construction import (
@@ -64,12 +65,14 @@ def test_criterion_01_published_table(cfg222, capsys):
 
 
 def test_criterion_02_group_relation(cfg222, capsys):
-    ok = check_relation(cfg222)["relation_residual"] < 1e-9
+    rel, failures = check_relation(cfg222)
+    ok = rel["relation_residual"] < 1e-9 and failures == []
     rng = random.Random(2)
     for _ in range(20):
         cfg = build_configuration(rng.uniform(2.13, 2.34))
         mirror_construction(cfg)
-        rel = check_relation(cfg)
+        rel, failures = check_relation(cfg)
+        ok = ok and failures == []
         ok = ok and rel["relation_residual"] < 1e-9
         ok = ok and rel["square_residual"] < 1e-9
         ok = ok and abs(rel["square_scalar"] - THETA_SQ) < 1e-9
@@ -93,8 +96,8 @@ def test_criterion_03_angle_sum(capsys):
 
 
 def test_criterion_04_toledo(cfg222, capsys):
-    presnap = toledo(cfg222)  # raises unless the snapped value is TOLEDO_BRANCH
-    ok = TOLEDO_BRANCH == Fraction(-8, 3)
+    presnap, failures = toledo(cfg222)  # fails unless the snapped value is TOLEDO_BRANCH
+    ok = failures == [] and TOLEDO_BRANCH == Fraction(-8, 3)
     ok = ok and abs(presnap - float(TOLEDO_BRANCH)) < 1e-6
     ok = ok and TOLEDO_REJECTED == (Fraction(40, 3),)
     _report(capsys, 4, "Toledo invariant snaps to -8/3 (pre-snap < 1e-6 off), "
@@ -103,8 +106,8 @@ def test_criterion_04_toledo(cfg222, capsys):
 
 def test_criterion_05_euler_and_ledger(cfg222, capsys):
     side = euler_side_test(evaluate_conditions(cfg222))
-    invariant_ledger(side["e"])  # raises on a failed relation
-    ok = side["e"] == 0 and side["e"] % 8 == 0
+    ok = invariant_ledger(side["e"]) == []
+    ok = ok and side["e"] == 0 and side["e"] % 8 == 0
     ok = ok and 2 * (cake.EULER_CHARACTERISTIC + side["e"]) == 3 * TOLEDO_BRANCH
     cover_chi, cover_e, cover_tau = COVER2
     ok = ok and 2 * (cover_chi + cover_e) == 3 * cover_tau
@@ -275,22 +278,22 @@ def test_criterion_09_cake_audit(cfg222, capsys):
     ok = cake.build_cake(cfg222) == []
     ok = ok and (len(cake.IDENTIFICATIONS) == 8 and len(cake.VERTEX_ORBITS) == 3
                  and cake.EULER_CHARACTERISTIC == -4 and cake.GENUS == 3)
-    checks = cake.verify_mapping_tables(cfg222)
-    ok = ok and all(expected == observed for _, expected, observed in checks)
-    ok = ok and any(not expected for _, expected, _ in checks)  # control present
-    idents = cake.verify_identifications(cfg222)
-    ok = ok and len(idents) == 8 and all(r["ok"] for r in idents)
-    h5 = cake.h5_presentation_check(cfg222)
-    ok = ok and h5["ok"] and h5["product_residual"] < 1e-9
+    ok = ok and cake.verify_mapping_tables(cfg222) == []
+    ok = ok and cake.audit(cfg222)[0]["mapping_table_count"] == 37
+    # the negative control is live: with p2 := p1 its identity holds
+    ok = ok and ("mapping-table identity mismatch at W1 C2 = C1 (negative control)"
+                 in cake.verify_mapping_tables(replace(cfg222, p2=cfg222.p1)))
+    ok = ok and cake.verify_identifications(cfg222) == []
+    ok = ok and cake.h5_presentation_check(cfg222) == []
     _report(capsys, 9, "cake audit: 8 edge pairs, 3 vertex cycles, chi = -4, "
             "genus 3; mapping tables, identifications and the five-generator "
             "presentation all verified", ok)
 
 
 def test_criterion_10_slice_symmetries(cfg222, capsys):
-    cor = check_slice_symmetries(cfg222)
-    ok = cor["r3_c3_residual"] < 1e-9 and cor["r3_d1_residual"] < 1e-9
+    cor, failures = check_slice_symmetries(cfg222)
+    ok = failures == [] and cor["r3_c3_residual"] < 1e-9 and cor["r3_d1_residual"] < 1e-9
     ok = ok and cor["q_arg_mod_pi_residual"] < 1e-9
-    ok = ok and cor["segment_geodesics_distinct"] == (True, True, True)
+    ok = ok and cor["segment_geodesics_distinct"] == [True, True, True]
     _report(capsys, 10, "spine fixed points of the antilinear generator, "
             "endpoint argument class pi/6 mod pi, segment geodesics distinct", ok)

@@ -2,6 +2,7 @@
 assembled 16-triangle surface, and the five-generator presentation."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from cakecheck.cake import (
     GENUS,
     H5_WORDS,
     IDENTIFICATIONS,
+    MAPPING_TABLE,
     R0,
     R1,
     R2,
@@ -33,6 +35,7 @@ from cakecheck.cake import (
     verify_identifications,
     verify_mapping_tables,
 )
+from cakecheck.cli import EXIT_FAIL, main
 from cakecheck.construction import angles, build_configuration, mirror_construction
 from cakecheck.hermitian import GramContext, Isometry
 from cakecheck.numerics import FastBackend
@@ -167,29 +170,35 @@ def test_memo_is_per_configuration(cfg222):
 
 
 def test_mapping_tables(cfg222):
-    checks = verify_mapping_tables(cfg222)
-    assert len(checks) == 37  # 18 identities x slice+point forms + control
-    for label, expected, observed in checks:
-        assert expected == observed, label
-    negatives = [c for c in checks if not c[1]]
-    assert len(negatives) == 1 and "negative control" in negatives[0][0]
+    assert verify_mapping_tables(cfg222) == []
+    # 18 identities x slice+point forms + control
+    assert len(MAPPING_TABLE) == len({label for label, *_ in MAPPING_TABLE}) == 18
+    assert cake.audit(cfg222)[0]["mapping_table_count"] == 37
+    # the negative control is live: with p2 := p1 its identity holds
+    assert verify_mapping_tables(replace(cfg222, p2=cfg222.p1))[-1] == (
+        "mapping-table identity mismatch at W1 C2 = C1 (negative control)")
 
 
 def test_failed_mapping_table_names_its_label(cfg222, monkeypatch):
-    tables = cake.verify_mapping_tables
-    monkeypatch.setattr(cake, "verify_mapping_tables", lambda cfg: tables(cfg) + [
-        ("W1 C2 = C1 (negative control)", False, True)])
+    # R1 swaps C1 and C2, so this identity fails in both forms
+    monkeypatch.setattr(cake, "MAPPING_TABLE", MAPPING_TABLE + (("R1 C1 = C3", (R1,), 1, 3),))
     assert cake.audit(cfg222)[1] == [
-        "mapping-table identity mismatch at W1 C2 = C1 (negative control)"]
+        "mapping-table identity mismatch at R1 C1 = C3",
+        "mapping-table identity mismatch at R1 c1 = c3",
+    ]
 
 
-def test_identifications(cfg222):
-    rows = verify_identifications(cfg222)
-    assert len(rows) == 8
-    assert [r["name"] for r in rows] == [f"I{k}" for k in range(1, 9)]
-    for r in rows:
-        assert r["ok"], r
-        assert r["form_residual"] < 1e-9
+def test_identifications(cfg222, monkeypatch):
+    assert verify_identifications(cfg222) == []
+    assert [name for name, *_ in IDENTIFICATIONS] == [f"I{k}" for k in range(1, 9)]
+    # I1 realized by I2's word maps neither end of side 0 to side 1's
+    name, _, src, dst = IDENTIFICATIONS[0]
+    monkeypatch.setattr(cake, "IDENTIFICATIONS",
+                        ((name, IDENTIFICATIONS[1][1], src, dst),) + IDENTIFICATIONS[1:])
+    assert verify_identifications(cfg222) == [
+        "identification I1 begin endpoint mismatch",
+        "identification I1 end endpoint mismatch",
+    ]
 
 
 def test_every_side_in_exactly_one_pairing():
@@ -267,11 +276,34 @@ def test_build_cake_deterministic(cfg222):
 
 
 def test_h5_presentation(cfg222):
-    res = h5_presentation_check(cfg222)
-    assert res["ok"]
-    assert res["all_linear"]
-    assert all(r < 1e-10 for r in res["involution_residuals"].values())
-    assert res["product_residual"] < 1e-9
+    # every X_i linear with X_i^2 - Id below 1e-10, and the product residual
+    # below 1e-9
+    assert h5_presentation_check(cfg222) == []
+    assert cake.audit(cfg222)[0]["h5_ok"] is True
+
+
+@pytest.mark.parametrize("index, letters, expected", [
+    # X5 := R1 is still a linear involution; only the product breaks
+    (4, (R1,), [r"five-generator product residual \S+ exceeds 1e-09"]),
+    # X3 := R3 R2 has one antilinear letter and is no involution
+    (2, (R3, R2), [r"five-generator X3 is antilinear",
+                   r"five-generator X3 involution residual \S+ exceeds 1e-10",
+                   r"five-generator product residual \S+ exceeds 1e-09"]),
+], ids=["product", "X3"])
+def test_failed_h5_part_is_named(index, letters, expected, monkeypatch, capsys):
+    name = H5_WORDS[index][0]
+    monkeypatch.setattr(cake, "H5_WORDS",
+                        H5_WORDS[:index] + ((name, letters),) + H5_WORDS[index + 1:])
+    for argv in (["verify"], ["cake"]):
+        assert main(argv) == EXIT_FAIL, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = [line[len("  failure: "):] for line in captured.out.splitlines()
+                 if line.startswith("  failure: ")]
+        assert len(lines) == len(expected), (argv, lines)
+        for line, pattern in zip(lines, expected):
+            assert re.fullmatch(pattern, line), (argv, line)
+    assert verify_all(2.22)["invariants"]["h5_ok"] is False
 
 
 def test_dump_audit_tables(cfg222):

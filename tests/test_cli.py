@@ -3,13 +3,15 @@ outputs and the --out file sink.  Everything runs in process through
 cli.main."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cakecheck import cake
+from cakecheck import cake, verification
+from cakecheck.cake import R1
 from cakecheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from cakecheck.verification import SCAN_COLUMNS
+from cakecheck.verification import SCAN_COLUMNS, render_report_text, verify_all
 
 
 def run(argv, capsys):
@@ -130,6 +132,77 @@ def test_failed_cake_reconstruction_is_a_verification_failure(argv, capsys, monk
     code, out, err = run(argv, capsys)
     assert code == EXIT_FAIL and err == ""
     assert "  failure: corners (0, 'begin') and (15, 'end') of class 0 do not coincide\n" in out
+
+
+def _run_on(monkeypatch, module, name, change):
+    """Make the check ``module.name`` run on ``change(cfg)``."""
+    check = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda cfg: check(change(cfg)))
+
+
+def _replace_entry(monkeypatch, module, name, index, entry):
+    table = getattr(module, name)
+    monkeypatch.setattr(module, name, table[:index] + (entry,) + table[index + 1:])
+
+
+def _break_mirror_trace(mp):
+    mirror = verification.mirror_construction
+    mp.setattr(verification, "mirror_construction",
+               lambda cfg: {**mirror(cfg), "trace_residual": 1.0})
+
+
+def _break_angle_sum(mp):
+    angles = verification.angles
+    mp.setattr(verification, "angles", lambda cfg: (*angles(cfg)[:2], angles(cfg)[2] + 1e-6))
+
+
+def _reverse_orientation(cfg):
+    return replace(cfg, c1=cfg.R3.apply(cfg.c1), c2=cfg.R3.apply(cfg.c2),
+                   c3=cfg.R3.apply(cfg.c3))
+
+
+# each case breaks one claim check and names the start of the failure line
+# that the check must print
+CLAIM_FAILURES = {
+    "mirror trace": (_break_mirror_trace, "mirror construction trace residual exceeds 1e-9"),
+    "relation": (lambda mp: _run_on(mp, verification, "check_relation",
+                                    lambda cfg: replace(cfg, R1=cfg.R2)),
+                 "six-letter-word square is trivial in SU(2,1)"),
+    "symmetries": (lambda mp: _run_on(mp, verification, "check_slice_symmetries",
+                                      lambda cfg: replace(cfg, c2=cfg.c2.scale(1j))),
+                   "<c1,c2> is not real"),
+    "toledo": (lambda mp: _run_on(mp, verification, "toledo", _reverse_orientation),
+               "Im h(s) = s (a + b s) with a = "),
+    "ledger": (lambda mp: mp.setattr(cake, "EULER_CHARACTERISTIC", -2),
+               "invariant ledger fails: ledger relation 2(chi+e)=3tau fails: chi=-2"),
+    "angle sum": (_break_angle_sum, "angle sum differs from pi/2"),
+    "corners": (lambda mp: _replace_entry(mp, cake, "CORNER_CLASSES", 1,
+                                          cake.CORNER_CLASSES[0][::-1]),
+                "corner classes 0 and 1 coincide"),
+    "mapping table": (lambda mp: mp.setattr(cake, "MAPPING_TABLE", cake.MAPPING_TABLE
+                                            + (("R1 C1 = C3", (R1,), 1, 3),)),
+                      "mapping-table identity mismatch at R1 C1 = C3"),
+    "identifications": (lambda mp: _replace_entry(mp, cake, "IDENTIFICATIONS", 0,
+                                                  ("I1", cake.IDENTIFICATIONS[1][1], 0, 1)),
+                        "identification I1 begin endpoint mismatch"),
+    "five generators": (lambda mp: _replace_entry(mp, cake, "H5_WORDS", 4, ("X5", (R1,))),
+                        "five-generator product residual "),
+}
+
+
+@pytest.mark.parametrize("case", list(CLAIM_FAILURES))
+def test_failed_claim_is_a_failure_line_of_the_full_report(case, capsys, monkeypatch):
+    """Every claim check fails the same way: exit 1, the complete report on
+    stdout with the check's ``failure:`` line, and nothing on stderr."""
+    breaks, prefix = CLAIM_FAILURES[case]
+    breaks(monkeypatch)
+    code, out, err = run(["verify"], capsys)
+    assert code == EXIT_FAIL and err == ""
+    assert out == render_report_text(verify_all(2.22))
+    for header in ("[parameters]", "[conditions]", "[relations]", "[invariants]",
+                   "[tolerances]", "result: FAIL"):
+        assert header in out, header
+    assert any(line.startswith(f"  failure: {prefix}") for line in out.splitlines()), out
 
 
 def test_failed_cake_parts_are_named(capsys):

@@ -5,6 +5,7 @@ backend agreement, and interval certification."""
 import ast
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,6 @@ from cakecheck.verification import (
     SCAN_COLUMNS,
     TOLEDO_BRANCH,
     TOLEDO_REJECTED,
-    VerificationError,
     certificate_lines,
     certify_range,
     check_slice_symmetries,
@@ -82,7 +82,28 @@ def test_condition_failure_well_below_range():
     cfg = build_configuration(1.9)
     rep = evaluate_conditions(cfg)
     assert not rep.all_positive
-    assert rep.first_failure() == "4a"
+    assert [cid for cid in CONDITION_IDS if rep.verdicts[cid] is not SignVerdict.POSITIVE] == ["4a"]
+    assert verify_all(1.9)["failures"] == ["condition 4a not certified positive"]
+
+
+def test_every_failing_condition_is_named():
+    # 4b and 5 both fail at t = 100; each gets its own line, in id order
+    assert verify_all(100.0)["failures"] == [
+        "condition 4b not certified positive",
+        "condition 5 not certified positive",
+    ]
+
+
+def test_missing_w3_conditions_are_named(monkeypatch):
+    build = verification.build_configuration
+    monkeypatch.setattr(verification, "build_configuration",
+                        lambda t, backend: replace(build(t, backend), w3=None))
+    report = verify_all(2.22)
+    assert not report["conditions"]["complete"]
+    assert [f for f in report["failures"] if f.startswith("condition")] == [
+        "condition 6b not certified positive",
+        "condition 6c not certified positive",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +111,8 @@ def test_condition_failure_well_below_range():
 
 
 def test_seven_letter_relation(cfg222):
-    rel = check_relation(cfg222)
+    rel, failures = check_relation(cfg222)
+    assert failures == []
     assert rel["relation_residual"] < 1e-9
     assert rel["square_residual"] < 1e-9
     assert rel["square_is_nontrivial_in_su"]
@@ -113,32 +135,51 @@ def test_relation_matches_explicit_chain(cfg222):
             "square_residual": square.scalar_residual(THETA_SQ),
             "square_is_nontrivial_in_su": abs(square.scalar_part() - 1.0) > 0.5,
         }
-        got = check_relation(cfg)
+        got, failures = check_relation(cfg)
+        assert failures == []
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert got[key] == value, (cfg.params.t, key)
 
 
 def test_relation_requires_mirror():
+    # a precondition, not a failed claim: a plain ValueError
     cfg = build_configuration(2.22)
-    with pytest.raises(VerificationError):
-        check_relation(cfg)
+    for check in (check_relation, check_slice_symmetries):
+        with pytest.raises(ValueError, match="mirror construction must run before"):
+            check(cfg)
+
+
+def test_su_triviality_of_the_square_is_a_failure(cfg222):
+    # with R1 := R2 the half word R3 R2 R2 R3 R2 R2 is the identity, so its
+    # square is 1 in SU(2,1) as well
+    rel, failures = check_relation(replace(cfg222, R1=cfg222.R2))
+    assert not rel["square_is_nontrivial_in_su"]
+    assert failures == [
+        "seven-letter relation residual exceeds 1e-9",
+        "six-letter-word square is not theta^2 Id",
+        "six-letter-word square is trivial in SU(2,1)",
+    ]
 
 
 def test_slice_symmetry_suite(cfg222):
-    cor = check_slice_symmetries(cfg222)
+    cor, failures = check_slice_symmetries(cfg222)
+    assert failures == []
+    assert list(cor) == ["r3_c3_residual", "r3_d1_residual", "r3_c1_fixed",
+                         "q_arg_mod_pi_residual", "segment_geodesics_distinct"]
     assert cor["r3_c3_residual"] < 1e-9
     assert cor["r3_d1_residual"] < 1e-9
     assert cor["r3_c1_fixed"]
     assert cor["q_arg_mod_pi_residual"] < 1e-9
-    assert cor["c1c2_real"] and cor["c3c2_real"]
-    assert cor["segment_geodesics_distinct"] == (True, True, True)
+    assert cor["segment_geodesics_distinct"] == [True, True, True]
 
 
 def test_segment_geodesics_in_one_complex_line_coincide(cfg222, monkeypatch):
     # d1, d2 on the c1-c2 line: the first pair of segments spans one complex line
     on_line = replace(cfg222, d1=cfg222.c1, d2=cfg222.c2)
-    assert check_slice_symmetries(on_line)["segment_geodesics_distinct"] == (False, True, True)
+    cor, failures = check_slice_symmetries(on_line)
+    assert cor["segment_geodesics_distinct"] == [False, True, True]
+    assert "segment geodesics coincide" in failures
     check = verification.check_slice_symmetries
     monkeypatch.setattr(verification, "check_slice_symmetries",
                         lambda cfg: check(replace(cfg, d1=cfg.c1, d2=cfg.c2)))
@@ -155,8 +196,8 @@ def test_toledo_invariant(cfg222):
     rng = random.Random(20261018)
     ts = [2.13, 2.34] + [rng.uniform(2.13, 2.34) for _ in range(20)]
     for cfg in [cfg222] + [build_configuration(t) for t in ts]:
-        # toledo raises unless the snapped value is TOLEDO_BRANCH
-        presnap = toledo(cfg)
+        presnap, failures = toledo(cfg)
+        assert failures == [], cfg.params.t
         assert Fraction(round(presnap * 3 / 2) * 2, 3) == Fraction(-8, 3), cfg.params.t
         assert abs(presnap - float(TOLEDO_BRANCH)) < 1e-6
         assert abs(presnap + 8 / 3) < 16e-9 / math.pi
@@ -169,8 +210,11 @@ def test_toledo_rejects_reversed_orientation(cfg222):
     # upper half plane and the branch test must refuse to pick a value
     mirrored = replace(cfg222, c1=cfg222.R3.apply(cfg222.c1),
                        c2=cfg222.R3.apply(cfg222.c2), c3=cfg222.R3.apply(cfg222.c3))
-    with pytest.raises(VerificationError):
-        toledo(mirrored)
+    presnap, failures = toledo(mirrored)
+    assert math.isnan(presnap)
+    assert len(failures) == 1
+    assert re.fullmatch(r"Im h\(s\) = s \(a \+ b s\) with a = \S+, a \+ b = \S+ is not "
+                        r"negative on \(0, 1\]: out-of-regime parameter", failures[0])
 
 
 def test_euler_side_test(cfg222):
@@ -178,26 +222,36 @@ def test_euler_side_test(cfg222):
     assert side["e"] == 0
     assert side["s"] > 0
     assert side["verdict"] is SignVerdict.POSITIVE
+    # an undecided 6c is a precondition error, not a failed claim
+    rep = evaluate_conditions(cfg222)
+    for verdicts in ({**rep.verdicts, "6c": SignVerdict.INDETERMINATE},
+                     {cid: v for cid, v in rep.verdicts.items() if cid != "6c"}):
+        with pytest.raises(ValueError, match="side test needs a decided 6c"):
+            euler_side_test(replace(rep, verdicts=verdicts))
 
 
 def test_invariant_ledger(cfg222):
     e = euler_side_test(evaluate_conditions(cfg222))["e"]
-    invariant_ledger(e)  # raises on a failed relation
+    assert invariant_ledger(e) == []
     assert TOLEDO_BRANCH == Fraction(-8, 3)
     assert e == 0 and cake.EULER_CHARACTERISTIC == -4 and cake.GENUS == 3
     assert 2 * (cake.EULER_CHARACTERISTIC + e) == 3 * TOLEDO_BRANCH
     cover_chi, cover_e, cover_tau = COVER2
     assert (cover_chi, cover_e, cover_tau) == (-2, 0, Fraction(-4, 3))
     assert 2 * (cover_chi + cover_e) == 3 * cover_tau
-    with pytest.raises(VerificationError, match="ledger relation 2"):
-        invariant_ledger(e + 8)
+    assert invariant_ledger(e + 8) == [
+        "invariant ledger fails: ledger relation 2(chi+e)=3tau fails: chi=-4, e=8, tau=-8/3"]
+    assert invariant_ledger(e + 4) == [
+        "invariant ledger fails: ledger relation 2(chi+e)=3tau fails: chi=-4, e=4, tau=-8/3",
+        "invariant ledger fails: e = 4 is not 0 mod 8",
+    ]
 
 
 def test_ledger_reads_chi_and_genus_from_the_cake(monkeypatch):
     monkeypatch.setattr(cake, "EULER_CHARACTERISTIC", -2)
     monkeypatch.setattr(cake, "GENUS", 2)
-    with pytest.raises(VerificationError, match="chi=-2"):
-        invariant_ledger(0)
+    assert invariant_ledger(0) == [
+        "invariant ledger fails: ledger relation 2(chi+e)=3tau fails: chi=-2, e=0, tau=-8/3"]
     inv = verify_all(2.22)["invariants"]
     assert (inv["chi"], inv["genus"]) == (-2, 2)
     assert (inv["cake"]["euler_characteristic"], inv["cake"]["genus"]) == (-2, 2)
@@ -569,14 +623,15 @@ def _forced(fn, **results):
 
 
 def test_verify_all_enforces_slice_symmetry_results(monkeypatch):
-    monkeypatch.setattr(verification, "check_slice_symmetries", _forced(
-        verification.check_slice_symmetries,
-        r3_c1_fixed=False, c1c2_real=False, c3c2_real=False,
-    ))
+    check = verification.check_slice_symmetries
+    monkeypatch.setattr(verification, "check_slice_symmetries",
+                        lambda cfg: check(replace(cfg, c1=cfg.d2, c2=cfg.c2.scale(1j))))
     report = verify_all(2.22)
     assert not report["passed"]
+    assert report["relations"]["symmetries"]["r3_c1_fixed"] is False
     assert report["failures"] == [
         "antilinear generator does not fix c1",
+        "endpoint argument class is not pi/6 mod pi",
         "<c1,c2> is not real",
         "<c3,c2> is not real",
     ]
