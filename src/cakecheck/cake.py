@@ -8,28 +8,28 @@ Their 32 ends meet in the 16 corners of the declared table CORNER_CLASSES;
 the orbits of those corners under the pairings give the 3 - 8 + 1 = -4
 Euler characteristic of a genus 3 surface.  The boundary cycle, orbits,
 Euler characteristic and genus follow from the tables alone and are
-module constants computed once at import.  A configuration is audited by
-``audit``: the corner table, the mapping tables, the identifications and
-the five-generator presentation each report their failures as strings.
+module constants computed once at import.
 
-Slices are represented by their polar points, so every statement reduces
-to a projective equality of vectors.
+Slices are represented by their polar points.  Every equality the tables
+declare follows from the letter rows, R_i^2 = 1 and the relator (which the
+relation check checks), and ``normal_form`` derives it, once per table and
+process.  At a configuration ``audit`` checks only what does not follow:
+the 12 letter rows, 120 separations of the corner points and a negative
+control.  Each check returns its failures as strings.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .hermitian import RESIDUAL_TOL, Isometry, projectively_equal
-from .construction import THETA_INV_SQ, TriangleConfiguration, angles
+from .hermitian import Isometry, projectively_equal
+from .construction import TriangleConfiguration, angles
 
 # generator indices into cfg.reflections()
 R0, R1, R2, R3 = 0, 1, 2, 3
 
 RELATOR = (R3, R1, R2, R3, R2, R1, R3, R1, R2, R3, R2, R1)
-
-# bound on the involution residuals X_i^2 - Id of the five-generator cover
-H5_INVOLUTION_TOL = 1e-10
 
 
 def subword(i: int):
@@ -39,63 +39,110 @@ def subword(i: int):
     return RELATOR[:i]
 
 
-def realize_word(letters, cfg: TriangleConfiguration) -> Isometry:
-    """Juxtaposition acts on the left: the rightmost letter applies first.
+def _generator(cfg, letter):
+    gen = cfg.reflections()[letter]
+    if gen is None:
+        raise ValueError(f"word uses R{letter} before the mirror construction ran")
+    return gen
 
-    A word is composed once per configuration, as its prefix times its last
-    letter (((Id R_a) R_b) R_c, left to right), and then served from
-    ``cfg.cake_memo``; most cake words are relator prefixes, so they share
-    the compositions of the shorter ones."""
-    letters = tuple(letters)
-    iso = cfg.cake_memo.get(letters)
-    if iso is None:
-        if not letters:
-            iso = Isometry.identity(cfg.ctx)
-        else:
-            gen = cfg.reflections()[letters[-1]]
-            if gen is None:
-                raise ValueError(f"word uses R{letters[-1]} before the mirror construction ran")
-            iso = realize_word(letters[:-1], cfg) * gen
-        cfg.cake_memo[letters] = iso
+
+def realize_word(letters, cfg: TriangleConfiguration) -> Isometry:
+    """The isometry of a word, composed from the identity left to right
+    (((Id R_a) R_b) R_c); juxtaposition acts on the left, so the rightmost
+    letter applies first."""
+    iso = Isometry.identity(cfg.ctx)
+    for letter in letters:
+        iso = iso * _generator(cfg, letter)
     return iso
+
+
+def _slice_vector(cfg, slice_ref):
+    """The polar point of the slice (letters, k): p_k with the letters
+    applied one by one, rightmost first."""
+    letters, k = slice_ref
+    vec = (cfg.p1, cfg.p2, cfg.p3)[k - 1]
+    for letter in reversed(letters):
+        vec = _generator(cfg, letter).apply(vec)
+    return vec
 
 
 # ---------------------------------------------------------------------------
 # mapping tables
 
 
-def _slice_point(cfg, k):
-    return (cfg.p1, cfg.p2, cfg.p3)[k - 1]
-
-
-def _spine_point(cfg, k):
-    return (cfg.c1, cfg.c2, cfg.c3)[k - 1]
-
-
-# the identities of the subword tables: (label, word letters, source
-# basis index, target basis index) for W C_src = C_dst
-MAPPING_TABLE = (
+# the identities of the subword tables: (label, word letters, source basis
+# index, target basis index) for W C_src = C_dst; the letter rows come first:
+# R1 swaps C1 and C2, R2 swaps C2 and C3, and R3 fixes C1 and C3
+LETTER_ROWS = (
     ("R1 C1 = C2", (R1,), 1, 2), ("R1 C2 = C1", (R1,), 2, 1),
     ("R2 C2 = C3", (R2,), 2, 3), ("R2 C3 = C2", (R2,), 3, 2),
     ("R3 C1 = C1", (R3,), 1, 1), ("R3 C3 = C3", (R3,), 3, 3),
+)
+MAPPING_TABLE = (
+    *LETTER_ROWS,
     *((f"W{i} C1 = C1", subword(i), 1, 1) for i in (1, 6, 7, 12)),
     *((f"W{i} C2 = C1", subword(i), 2, 1) for i in (2, 5, 8, 11)),
     *((f"W{i} C3 = C1", subword(i), 3, 1) for i in (3, 4, 9, 10)),
 )
 
 
+@functools.cache
+def _rewriting_rules():
+    # (letter, k) -> k' for the letter rows, and each rotation of the relator
+    # or of its inverse (the relator reversed) keyed by its first half + 1 letters
+    rows = {(letters[0], src): dst for _, letters, src, dst in LETTER_ROWS}
+    m, n = len(RELATOR), len(RELATOR) // 2 + 1
+    return rows, {rr[i:i + n]: rr[i:i + m] for rr in (RELATOR * 2, RELATOR[::-1] * 2)
+                  for i in range(m)}, n
+
+
+def normal_form(letters, k=None):
+    """The slice (letters, C_k), or the word alone for k None, rewritten by the
+    first rule that applies until none does: the rightmost letter's letter
+    row; cancel the first doubled letter; replace the first subword of over
+    half a relator rotation, as long as it matches, by the inverse of the
+    rest.  Each rule shortens the word and follows from the presentation, so
+    equal normal forms prove two slices equal; the rules are not complete."""
+    rows, rotations, n = _rewriting_rules()
+    w = tuple(letters)
+    while w:
+        if (w[-1], k) in rows:
+            w, k = w[:-1], rows[w[-1], k]
+            continue
+        i = next((i for i in range(len(w) - 1) if w[i] == w[i + 1]), None)
+        if i is not None:
+            w = w[:i] + w[i + 2:]
+            continue
+        i = next((i for i in range(len(w) - n + 1) if w[i:i + n] in rotations), None)
+        if i is None:
+            break
+        rot, j = rotations[w[i:i + n]], n
+        while j < len(rot) and i + j < len(w) and w[i + j] == rot[j]:
+            j += 1
+        w = w[:i] + rot[j:][::-1] + w[i + j:]
+    return w, k
+
+
+@functools.cache
+def _derive_mapping_table(table):
+    return tuple(f"mapping-table identity not derived at {label}"
+                 for label, letters, src, dst in table if normal_form(letters, src) != ((), dst))
+
+
 def verify_mapping_tables(cfg: TriangleConfiguration):
-    """Each MAPPING_TABLE identity on the slices, checked as W p_src prop
-    p_dst, and on the spine points (label in lower case), plus one
-    deliberate negative control, an identity absent from the tables.
-    Returns a failure string for each mismatch."""
-    failures = []
-    for label, letters, src, dst in MAPPING_TABLE:
-        w = realize_word(letters, cfg)
-        for form, point in ((label, _slice_point), (label.replace("C", "c"), _spine_point)):
-            if not projectively_equal(w.apply(point(cfg, src)), point(cfg, dst)):
+    """Each MAPPING_TABLE row derived; at ``cfg`` each letter row on the
+    slices, as R p_src prop p_dst, and on the spine points (label in lower
+    case), and a negative control absent from the tables, W1 C2 = C1 in its
+    normal form R3 C2 = C1.  Returns a failure string for each row not
+    derived and each mismatch."""
+    failures = list(_derive_mapping_table(MAPPING_TABLE))
+    slices, spines = (cfg.p1, cfg.p2, cfg.p3), (cfg.c1, cfg.c2, cfg.c3)
+    for label, (letter,), src, dst in LETTER_ROWS:
+        gen = _generator(cfg, letter)
+        for form, points in ((label, slices), (label.replace("C", "c"), spines)):
+            if not projectively_equal(gen.apply(points[src - 1]), points[dst - 1]):
                 failures.append(f"mapping-table identity mismatch at {form}")
-    if projectively_equal(realize_word(subword(1), cfg).apply(cfg.p2), cfg.p1):
+    if projectively_equal(_slice_vector(cfg, normal_form(subword(1), 2)), cfg.p1):
         failures.append("mapping-table identity mismatch at W1 C2 = C1 (negative control)")
     return failures
 
@@ -106,28 +153,17 @@ def verify_mapping_tables(cfg: TriangleConfiguration):
 # each boundary side is (triangle label, begin slice, end slice); a slice is
 # (word letters, basis index).  The list order is not the boundary order:
 # BOUNDARY_CYCLE walks the sides through CORNER_CLASSES.
-W2R3 = subword(2) + (R3,)
-W5R3 = subword(5) + (R3,)
-W8R3 = subword(8) + (R3,)
-W11R3 = subword(11) + (R3,)
+W2R3, W5R3, W8R3, W11R3 = (subword(i) + (R3,) for i in (2, 5, 8, 11))
 
 BOUNDARY_SIDES = (
-    ("Delta12", ((), 2), ((), 3)),
-    ("Delta13", (W2R3, 3), (W2R3, 2)),
-    ("Delta13", (W2R3, 1), (W2R3, 2)),
-    ("Delta4", (subword(4), 2), (subword(4), 1)),
-    ("Delta3", (subword(3), 2), (subword(3), 1)),
-    ("Delta14", (W5R3, 1), (W5R3, 2)),
-    ("Delta14", (W5R3, 3), (W5R3, 2)),
-    ("Delta7", (subword(7), 2), (subword(7), 3)),
-    ("Delta6", (subword(6), 2), (subword(6), 3)),
-    ("Delta15", (W8R3, 3), (W8R3, 2)),
-    ("Delta15", (W8R3, 1), (W8R3, 2)),
-    ("Delta10", (subword(10), 2), (subword(10), 1)),
-    ("Delta9", (subword(9), 2), (subword(9), 1)),
-    ("Delta16", (W11R3, 1), (W11R3, 2)),
-    ("Delta16", (W11R3, 3), (W11R3, 2)),
-    ("Delta1", (subword(1), 2), (subword(1), 3)),
+    ("Delta12", ((), 2), ((), 3)), ("Delta13", (W2R3, 3), (W2R3, 2)),
+    ("Delta13", (W2R3, 1), (W2R3, 2)), ("Delta4", (subword(4), 2), (subword(4), 1)),
+    ("Delta3", (subword(3), 2), (subword(3), 1)), ("Delta14", (W5R3, 1), (W5R3, 2)),
+    ("Delta14", (W5R3, 3), (W5R3, 2)), ("Delta7", (subword(7), 2), (subword(7), 3)),
+    ("Delta6", (subword(6), 2), (subword(6), 3)), ("Delta15", (W8R3, 3), (W8R3, 2)),
+    ("Delta15", (W8R3, 1), (W8R3, 2)), ("Delta10", (subword(10), 2), (subword(10), 1)),
+    ("Delta9", (subword(9), 2), (subword(9), 1)), ("Delta16", (W11R3, 1), (W11R3, 2)),
+    ("Delta16", (W11R3, 3), (W11R3, 2)), ("Delta1", (subword(1), 2), (subword(1), 3)),
 )
 
 # identification isometries: name, word, source side index, target side index
@@ -150,36 +186,20 @@ TRIANGLES = tuple(
 )
 
 
-def _slice_vector(cfg, slice_ref):
-    # memoized next to the words: a (letters, k) key never equals a word key,
-    # whose entries are letters, not tuples
-    vec = cfg.cake_memo.get(slice_ref)
-    if vec is None:
-        letters, k = slice_ref
-        vec = realize_word(letters, cfg).apply(_slice_point(cfg, k))
-        cfg.cake_memo[slice_ref] = vec
-    return vec
+@functools.cache
+def _derive_identifications(identifications, sides):
+    return tuple(f"identification {name} {end} endpoint not derived"
+                 for name, letters, src, dst in identifications
+                 for i, end in ((1, "begin"), (2, "end"))
+                 if normal_form(letters + sides[src][i][0], sides[src][i][1])
+                 != normal_form(*sides[dst][i]))
 
 
 def verify_identifications(cfg: TriangleConfiguration):
-    """Each identification must preserve the form and send the begin/end
-    slices of its source side to the begin/end slices of its target side.
-    Returns a failure string for each part that fails."""
-    failures = []
-    for name, letters, src, dst in IDENTIFICATIONS:
-        iso = realize_word(letters, cfg)
-        # the inverse-word letters were appended reversed; each letter is an
-        # involution, so reversal alone realizes the inverse
-        form_res = iso.form_residual([(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.c1, cfg.d3)])
-        if not form_res < RESIDUAL_TOL:
-            failures.append(f"identification {name} form residual "
-                            f"{form_res:.3e} exceeds {RESIDUAL_TOL:.0e}")
-        ends = zip(("begin", "end"), BOUNDARY_SIDES[src][1:], BOUNDARY_SIDES[dst][1:])
-        for end, s_ref, t_ref in ends:
-            if not projectively_equal(iso.apply(_slice_vector(cfg, s_ref)),
-                                      _slice_vector(cfg, t_ref)):
-                failures.append(f"identification {name} {end} endpoint mismatch")
-    return failures
+    """Each identification sends the begin/end slices of its source side to
+    those of its target side, derived (it preserves the form because its
+    letters do).  Returns a failure for each endpoint not derived."""
+    return list(_derive_identifications(IDENTIFICATIONS, BOUNDARY_SIDES))
 
 
 # ---------------------------------------------------------------------------
@@ -242,64 +262,53 @@ EULER_CHARACTERISTIC = len(VERTEX_ORBITS) - len(IDENTIFICATIONS) + 1
 GENUS = (2 - EULER_CHARACTERISTIC) // 2
 
 
-def _corner_vector(cfg, corner):
-    side, end = corner
-    _, begin_ref, end_ref = BOUNDARY_SIDES[side]
-    return _slice_vector(cfg, begin_ref if end == "begin" else end_ref)
+@functools.cache
+def _derive_corners(classes, sides):
+    # the failures, and the normal form of each class's first corner
+    forms = [[normal_form(*sides[side][1 if end == "begin" else 2]) for side, end in cls]
+             for cls in classes]
+    return (tuple(f"corners {first} and {second} of class {idx} not derived to coincide"
+                  for idx, ((first, second), (a, b)) in enumerate(zip(classes, forms)) if a != b),
+            tuple(a for a, _ in forms))
 
 
 def build_cake(cfg: TriangleConfiguration):
-    """Check CORNER_CLASSES at a built configuration: the two corners of
-    each class coincide (16 projective equalities), and the first corner of
-    each class differs from the first corner of every earlier class (120),
-    so the table names 16 distinct corner points, each shared by two sides.
-    Returns the failure found first, as a one-string list, or []."""
-    firsts = []
-    for idx, (first, second) in enumerate(CORNER_CLASSES):
-        vec = _corner_vector(cfg, first)
-        if not projectively_equal(vec, _corner_vector(cfg, second)):
-            return [f"corners {first} and {second} of class {idx} do not coincide"]
-        for earlier, other in enumerate(firsts):
-            if projectively_equal(other, vec):
-                return [f"corner classes {earlier} and {idx} coincide"]
-        firsts.append(vec)
-    return []
+    """CORNER_CLASSES names 16 distinct corner points, each shared by two
+    sides: the corners of each class coincide, derived (16 rows), and at
+    ``cfg`` the points of their normal forms differ (120 separations).
+    Returns a failure for each row not derived and each coinciding pair."""
+    failures, forms = _derive_corners(CORNER_CLASSES, BOUNDARY_SIDES)
+    points = [_slice_vector(cfg, form) for form in forms]
+    return list(failures) + [f"corner classes {earlier} and {idx} coincide"
+                             for idx in range(len(points)) for earlier in range(idx)
+                             if projectively_equal(points[earlier], points[idx])]
 
 
 # ---------------------------------------------------------------------------
 # five-generator presentation
 
 
-H5_WORDS = (
-    ("X1", (R1,)),
-    ("X2", (R2,)),
-    ("X3", (R3, R2, R3)),
-    ("X4", (R3, R1, R3)),
-    ("X5", (R0,)),
-)
+H5_WORDS = (("X1", (R1,)), ("X2", (R2,)), ("X3", (R3, R2, R3)), ("X4", (R3, R1, R3)),
+            ("X5", (R0,)))
+
+
+@functools.cache
+def _derive_h5(words):
+    failures = [f"five-generator {name} is antilinear"
+                for name, letters in words if letters.count(R3) % 2]
+    failures += [f"five-generator {name} involution not derived"
+                 for name, letters in words if normal_form(letters + letters) != ((), None)]
+    product = tuple(letter for _, letters in reversed(words) for letter in letters)
+    if normal_form(product) != ((R0,) + subword(6), None):
+        failures.append("five-generator product not derived")
+    return tuple(failures)
 
 
 def h5_presentation_check(cfg: TriangleConfiguration):
-    """The index-2 cover generators: each X_i is linear (even R3 count) and
-    an involution, and X5 X4 X3 X2 X1 is the scalar theta^-2.  Returns a
-    failure string for each part that fails."""
-    realized = {name: realize_word(letters, cfg) for name, letters in H5_WORDS}
-    failures = []
-    for name, iso in realized.items():
-        if iso.antilinear:
-            failures.append(f"five-generator {name} is antilinear")
-        residual = (iso * iso).scalar_residual(1.0)
-        if not residual < H5_INVOLUTION_TOL:
-            failures.append(f"five-generator {name} involution residual "
-                            f"{residual:.3e} exceeds {H5_INVOLUTION_TOL:.0e}")
-    product = (
-        realized["X5"] * realized["X4"] * realized["X3"] * realized["X2"] * realized["X1"]
-    )
-    residual = product.scalar_residual(THETA_INV_SQ)
-    if not residual < RESIDUAL_TOL:
-        failures.append(f"five-generator product residual {residual:.3e} "
-                        f"exceeds {RESIDUAL_TOL:.0e}")
-    return failures
+    """The index-2 cover generators, derived: each X_i is linear (even R3
+    count) and an involution, and X5 X4 X3 X2 X1 = R0 W6, theta^-2 by the
+    relation.  Returns a failure string for each part that fails."""
+    return list(_derive_h5(H5_WORDS))
 
 
 def audit(cfg: TriangleConfiguration):

@@ -19,6 +19,7 @@ import sys
 from .construction import build_configuration, mirror_construction
 from .verification import (
     certificate_lines,
+    check_relation,
     certify_range,
     render_report_structured,
     render_report_text,
@@ -104,7 +105,7 @@ def cmd_cake(args) -> int:
     cfg = build_configuration(args.t)
     mirror_construction(cfg)
     text = cake_mod.dump(cfg)
-    failures = cake_mod.audit(cfg)[1]
+    failures = check_relation(cfg)[1] + cake_mod.audit(cfg)[1]
     text += f"[verdicts] mapping_tables={'FAIL' if failures else 'ok'}\n"
     text += "".join(f"  failure: {f}\n" for f in failures)
     _emit(text, args.out)

@@ -11,7 +11,7 @@ m3, the isotropic direction w3, and the generating reflections R0..R3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import FAST, DomainError, SignVerdict, certified_sign
 from .hermitian import (
@@ -160,10 +160,6 @@ class TriangleConfiguration:
     R0: Isometry | None = None
     R3: Isometry | None = None
 
-    # cake words and slice vectors realized at this configuration, filled by
-    # the cake module; ``dataclasses.replace`` starts an empty one
-    cake_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
     @property
     def backend(self):
         return self.params.backend
@@ -173,13 +169,20 @@ class TriangleConfiguration:
         return (self.R0, self.R1, self.R2, self.R3)
 
 
+# condition 8 is the real part of a product 1.7 t times its size: floats lose ~t 2^-53
+FAST_T_MAX = 1e12
+
+
 def build_configuration(t, backend=FAST) -> TriangleConfiguration:
     """The configuration at t.  For a finite t > 3/2 the form has signature
     (2,1) and no norm the construction reflects in or divides by vanishes,
     so a failed sign check or division means rounding or overflow lost the
-    construction: a DomainError, not a GeometryError."""
+    construction: a DomainError, not a GeometryError.  So is a fast t above
+    FAST_T_MAX, where an enclosure would already have lost it."""
     params = solve_parameters(t, backend)
     try:
+        if not backend.rigorous and params.t > FAST_T_MAX:
+            raise DomainError(f"fast t above {FAST_T_MAX!r}")
         return _assemble(params)
     except (DomainError, GeometryError) as exc:
         raise DomainError(
@@ -315,7 +318,6 @@ def mirror_construction(cfg: TriangleConfiguration):
 
     cfg.R0 = R0
     cfg.R3 = R3
-    cfg.cake_memo.clear()  # nothing realized against the previous generators survives
     return {
         "trace_residual": trace_residual,
         "gram_residual": gram_residual,

@@ -187,12 +187,8 @@ class ProjVector:
         return ProjVector(tuple(s * a for a in self.coords), self.ctx)
 
 
-def _max_abs(coords) -> float:
-    return max(abs(complex(c)) for c in coords)
-
-
 def _coord_scale(v: ProjVector) -> float:
-    return _max_abs(v.coords)
+    return max(abs(complex(c)) for c in v.coords)
 
 
 def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
@@ -200,13 +196,11 @@ def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
     ``RESIDUAL_TOL``, scaled by the coordinate magnitudes.  Reads the
     coordinates as plain complex numbers, so only fast-backend vectors are
     accepted; an enclosure coordinate raises ``TypeError``."""
-    a = u.coords
-    b = v.coords
-    scale = max(_max_abs(a), 1e-300) * max(_max_abs(b), 1e-300)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if abs(a[i] * b[j] - a[j] * b[i]) > RESIDUAL_TOL * scale:
-            return False
-    return True
+    (a0, a1, a2), (b0, b1, b2) = u.coords, v.coords
+    tol = RESIDUAL_TOL * (max(abs(a0), abs(a1), abs(a2), 1e-300)
+                          * max(abs(b0), abs(b1), abs(b2), 1e-300))
+    return not (abs(a0 * b1 - a1 * b0) > tol or abs(a0 * b2 - a2 * b0) > tol
+                or abs(a1 * b2 - a2 * b1) > tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +265,6 @@ class Isometry:
         """tr/3 -- the scalar when the matrix is (close to) scalar * Id."""
         return complex(self.trace()) / 3.0
 
-    def form_residual(self, probes) -> float:
-        """Max relative defect of <Tu,Tv> against <u,v> (conjugated for
-        antilinear T) over the given probe vector pairs."""
-        ctx = self.ctx
-        worst = 0.0
-        for u, v in probes:
-            lhs = complex(ctx.inner(self.apply(u), self.apply(v)))
-            rhs = complex(ctx.inner(u, v))
-            if self.antilinear:
-                rhs = rhs.conjugate()
-            denom = max(abs(rhs), 1.0)
-            worst = max(worst, abs(lhs - rhs) / denom)
-        return worst
-
 
 def reflection(p: ProjVector) -> Isometry:
     """R(p): x -> 2 <x,p>/<p,p> p - x.  Involutive, determinant 1; a
@@ -299,7 +279,8 @@ def reflection(p: ProjVector) -> Isometry:
     w = tuple(sum3(g[i][0] * cp[0], g[i][1] * cp[1], g[i][2] * cp[2]) for i in range(3))
     pp = sum3(pc[0] * w[0], pc[1] * w[1], pc[2] * w[2])
     if not ctx.backend.rigorous:
-        scale = _coord_scale(p) ** 2 * max(1.0, mat_max_abs(g))
+        # the rounding-error scale of <p,p>: sum_ij |p_i| |g_ij| |p_j|
+        scale = sum(abs(pc[i]) * abs(g[i][j]) * abs(pc[j]) for i in range(3) for j in range(3))
         if abs(complex(pp)) <= 1e-12 * max(scale, 1e-300):
             raise GeometryError("reflection in an isotropic point is undefined")
     two_over = 2.0 / pp

@@ -342,12 +342,18 @@ def toledo(cfg: TriangleConfiguration):
     end_branch = cmath.phase(h_end) + 2.0 * math.pi
     variation = end_branch - math.pi  # anchored at Arg <c2,c2> = pi
     presnap = -16.0 * variation / math.pi
-    tau = Fraction(round(presnap * 3 / 2) * 2, 3)
-    if abs(presnap - float(tau)) > 1e-6:
+    tau = snap_toledo(presnap)
+    if tau is None:
         return presnap, [f"pre-snap Toledo value {presnap} is not within 1e-6 of a multiple of 2/3"]
     if tau != TOLEDO_BRANCH:
         return presnap, [f"closed-form tau {tau} is not the admissible branch {TOLEDO_BRANCH}"]
     return presnap, []
+
+
+def snap_toledo(presnap: float):
+    """The multiple of 2/3 within 1e-6 of ``presnap``; None if there is none."""
+    tau = None if math.isnan(presnap) else Fraction(round(presnap * 3 / 2) * 2, 3)
+    return tau if tau is not None and abs(presnap - float(tau)) <= 1e-6 else None
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +378,22 @@ def euler_side_test(report: ConditionReport):
     return {"s": report.plain("6c"), "e": e, "verdict": verdict}
 
 
-# the genus-2 cover of the genus-3 surface: (chi, e, tau)
+# a genus-2 surface, which the genus-3 surface double-covers: (chi, e, tau)
 COVER2 = (-2, 0, Fraction(-4, 3))
 
 
 def invariant_ledger(e: int):
     """Ledger for the genus-3 surface, whose chi is the cake's (3 - 8 + 1 =
     -4) and whose tau is TOLEDO_BRANCH, with Euler number ``e``, and for the
-    genus-2 cover COVER2: both must satisfy 2(chi + e) = 3 tau exactly, in
-    rational arithmetic, and e must be 0 mod 8.  Returns a failure string
-    for each that fails."""
+    genus-2 surface COVER2 that it double-covers: both must satisfy
+    2(chi + e) = 3 tau exactly, in rational arithmetic, and e must be 0 mod
+    8.  Returns a failure string for each that fails."""
     chi = cake.EULER_CHARACTERISTIC
     cover_chi, cover_e, cover_tau = COVER2
     return [f"invariant ledger fails: {msg}" for failed, msg in (
         (2 * (chi + e) != 3 * TOLEDO_BRANCH,
          f"ledger relation 2(chi+e)=3tau fails: chi={chi}, e={e}, tau={TOLEDO_BRANCH}"),
-        (2 * (cover_chi + cover_e) != 3 * cover_tau, "genus-2 cover ledger relation fails"),
+        (2 * (cover_chi + cover_e) != 3 * cover_tau, "genus-2 ledger relation fails"),
         (e % 8 != 0, f"e = {e} is not 0 mod 8"),
     ) if failed]
 
@@ -547,6 +553,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
         angle_sum = sum(beta)
         angle_sum_residual = abs(angle_sum - math.pi / 2)
         presnap, toledo_failures = toledo(cfg)
+        tau = snap_toledo(presnap)
         e = euler_side_test(cond)["e"]
         ledger_failures = invariant_ledger(e)
         failures += relation_failures + symmetry_failures + toledo_failures + ledger_failures
@@ -558,7 +565,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
             "angles": list(beta),
             "angle_sum": angle_sum,
             "angle_sum_residual": angle_sum_residual,
-            "toledo": str(TOLEDO_BRANCH),
+            "toledo": "undetermined" if tau is None else str(tau),
             "toledo_presnap": presnap,
             "toledo_rejected": [str(c) for c in TOLEDO_REJECTED],
             "euler": e,

@@ -1,8 +1,9 @@
-"""Checks that only the tests call: point classification, parametrized
-geodesics and the geodesic through two points (the property suites draw
-random geodesics with them), the half-shift along a loxodromic axis, the
-reflection trace identities, the closest-point stationarity residual and
-the float parameter triple.  All run on the fast backend."""
+"""Checks that only the tests call: point classification, the form
+residual of an isometry, parametrized geodesics and the geodesic through
+two points (the property suites draw random geodesics with them), the
+half-shift along a loxodromic axis, the reflection trace identities, the
+closest-point stationarity residual and the float parameter triple.  All
+run on the fast backend."""
 
 import enum
 import math
@@ -108,6 +109,20 @@ def geodesic_through(a: ProjVector, b: ProjVector) -> GeodesicParam:
     if xa > xb:
         geo = GeodesicParam(v2, v1)
     return geo
+
+
+def form_residual(iso: Isometry, probes) -> float:
+    """Max relative defect of <Tu,Tv> against <u,v> (conjugated for
+    antilinear T) over the given probe vector pairs."""
+    ctx = iso.ctx
+    worst = 0.0
+    for u, v in probes:
+        lhs = complex(ctx.inner(iso.apply(u), iso.apply(v)))
+        rhs = complex(ctx.inner(u, v))
+        if iso.antilinear:
+            rhs = rhs.conjugate()
+        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
+    return worst
 
 
 def as_floats(params):

@@ -1,4 +1,5 @@
-"""Cake combinatorics: subwords, mapping tables, identifications, the
+"""Cake combinatorics: subwords, the rewriting that derives the cake's
+equalities from the presentation, mapping tables, identifications, the
 assembled 16-triangle surface, and the five-generator presentation."""
 
 import math
@@ -30,14 +31,15 @@ from cakecheck.cake import (
     W11R3,
     build_cake,
     h5_presentation_check,
+    normal_form,
     realize_word,
     subword,
     verify_identifications,
     verify_mapping_tables,
 )
 from cakecheck.cli import EXIT_FAIL, main
-from cakecheck.construction import angles, build_configuration, mirror_construction
-from cakecheck.hermitian import GramContext, Isometry
+from cakecheck.construction import THETA_INV_SQ, angles, build_configuration, mirror_construction
+from cakecheck.hermitian import GramContext, Isometry, projectively_equal
 from cakecheck.numerics import FastBackend
 from cakecheck.verification import verify_all
 
@@ -92,8 +94,9 @@ CAKE_WORDS = (
 
 
 def test_memoized_words_are_bit_identical():
+    # each word is composed from the identity, letter by letter, every time
     cfg, ref = _mirrored(), _mirrored()
-    for calls in ("first", "memoized"):
+    for calls in ("first", "second"):
         for letters in CAKE_WORDS:
             _assert_same_isometry(realize_word(letters, cfg),
                                   _compose_from_identity(letters, ref), (calls, letters))
@@ -110,9 +113,10 @@ def test_verify_composes_each_word_once(monkeypatch):
     monkeypatch.setattr(Isometry, "compose", counting)
     assert verify_all(2.22)["passed"]
     # composing every cake word from the identity took 629, 102 while the
-    # relation check composed its own twelve letters, and 90 while the
-    # mirror checked R(m2') R(m1') against the product
-    assert count[0] <= 89
+    # relation check composed its own twelve letters, 90 while the mirror
+    # checked R(m2') R(m1') against the product, and 89 while the cake
+    # composed its words; now the mirror composes 3 and the relation 8
+    assert count[0] <= 11
 
 
 def test_verify_reads_each_value_once(monkeypatch):
@@ -135,14 +139,15 @@ def test_verify_reads_each_value_once(monkeypatch):
     # through FastBackend.mid and toledo() formed <c1,y> and <y,c2> twice;
     # 152 while the slice check drew six geodesics to compare their ends and
     # the mirror renormalized m1', m2' and probed R3 with four pairs; 94
-    # while it found m1' through a geodesic parameter
+    # while it found m1' through a geodesic parameter, 91 while the cake
+    # measured the identifications' form residuals
     assert counts["mid"] <= 3
-    assert counts["inner"] <= 91
+    assert counts["inner"] <= 43
 
 
 def test_word_needs_mirror():
     cfg = build_configuration(2.22)
-    # an R3-free word realized first must not let an R3 word through the memo
+    # an R3-free word realized first must not let an R3 word through
     realize_word((R1, R2, R1), cfg)
     with pytest.raises(ValueError):
         realize_word(subword(1), cfg)
@@ -161,6 +166,7 @@ def test_word_error_names_the_missing_generator():
 
 
 def test_memo_is_per_configuration(cfg222):
+    # a word is realized from the generators of the configuration it is given
     realize_word((R1,), cfg222)
     swapped = replace(cfg222, R1=cfg222.R2)
     _assert_same_isometry(realize_word((R1,), swapped),
@@ -169,23 +175,115 @@ def test_memo_is_per_configuration(cfg222):
                           _compose_from_identity((R1,), cfg222), "R1")
 
 
+def _derived_rows():
+    """Every equality the audit derives, as (name, word, point index, the
+    slice it equals); a spine form negates its point indices.  A mapping-table
+    row and a corner equal their normal forms, an identification endpoint
+    the end of the target side."""
+    rows = []
+    for label, letters, src, dst in MAPPING_TABLE:
+        rows += [(label, letters, src, ((), dst)), (label.lower(), letters, -src, ((), -dst))]
+    for idx, cls in enumerate(CORNER_CLASSES):
+        for side, end in cls:
+            letters, k = BOUNDARY_SIDES[side][1 if end == "begin" else 2]
+            rows.append((f"corner {side} {end} of class {idx}", letters, k,
+                         normal_form(letters, k)))
+    for name, letters, src, dst in IDENTIFICATIONS:
+        for e, end in ((1, "begin"), (2, "end")):
+            (s_letters, s_k), target = BOUNDARY_SIDES[src][e], BOUNDARY_SIDES[dst][e]
+            assert normal_form(letters + s_letters, s_k) == normal_form(*target), name
+            rows.append((f"{name} {end}", letters + s_letters, s_k, target))
+    return rows
+
+
+def _point(cfg, k):
+    return (cfg.p1, cfg.p2, cfg.p3)[k - 1] if k > 0 else (cfg.c1, cfg.c2, cfg.c3)[-k - 1]
+
+
+@pytest.mark.parametrize("t", [1.6, 2.13, 2.22, 2.34, 30.0])
+def test_derived_rows_hold_in_floats(t):
+    """The float re-checks the derivation replaced: each derived row's word,
+    composed as one matrix, sends its point to the point of the slice it
+    equals, each X_i^2 is the identity and X5 X4 X3 X2 X1 is theta^-2."""
+    cfg = _mirrored(t)
+    for name, letters, k, (e_letters, e_k) in _derived_rows():
+        expected = realize_word(e_letters, cfg).apply(_point(cfg, e_k))
+        assert projectively_equal(realize_word(letters, cfg).apply(_point(cfg, k)), expected), name
+    for name, letters in H5_WORDS:
+        assert realize_word(letters + letters, cfg).scalar_residual(1.0) < 1e-10, name
+    product = realize_word(sum((w for _, w in reversed(H5_WORDS)), ()), cfg)
+    assert product.scalar_residual(THETA_INV_SQ) < 1e-9
+
+
+def test_normal_forms():
+    # applying the letter rows first reduces every declared row; the 16
+    # corner classes have 16 distinct normal forms of at most 6 letters
+    assert cake._derive_mapping_table(MAPPING_TABLE) == ()
+    failures, forms = cake._derive_corners(CORNER_CLASSES, BOUNDARY_SIDES)
+    assert failures == () and len(set(forms)) == 16
+    assert max(len(letters) for letters, _ in forms) == 6
+    # the rules: a letter row, a doubled letter, and a relator subword of 7
+    # letters replaced by the inverse of the other 5
+    assert normal_form((R2, R1), 1) == ((), 3)
+    assert normal_form((R3, R1, R1, R3)) == ((), None)
+    assert normal_form(RELATOR[:7]) == (RELATOR[7:][::-1], None)
+    assert normal_form(RELATOR) == normal_form(RELATOR[::-1]) == ((), None)
+    # the negative control does not reduce: W1 C2 = C1 stays R3 C2 = C1
+    assert normal_form(subword(1), 2) == ((R3,), 2)
+    # X5 X4 X3 X2 X1 reduces freely to R0 W6
+    assert normal_form(sum((w for _, w in reversed(H5_WORDS)), ())) == ((R0,) + subword(6), None)
+
+
+def test_derivation_runs_once_per_tables(cfg222, monkeypatch):
+    calls = [0]
+    reduce = cake.normal_form
+
+    def counting(*args):
+        calls[0] += 1
+        return reduce(*args)
+
+    cake.audit(cfg222)
+    monkeypatch.setattr(cake, "normal_form", counting)
+    # a new table is derived once, 32 corners; the audit then rewrites only
+    # the control
+    monkeypatch.setattr(cake, "CORNER_CLASSES", CORNER_CLASSES[1:] + CORNER_CLASSES[:1])
+    cake.audit(cfg222)
+    assert calls[0] == 33
+    calls[0] = 0
+    assert cake.audit(cfg222)[1] == []
+    assert calls[0] == 1
+
+
 def test_mapping_tables(cfg222):
     assert verify_mapping_tables(cfg222) == []
     # 18 identities x slice+point forms + control
     assert len(MAPPING_TABLE) == len({label for label, *_ in MAPPING_TABLE}) == 18
     assert cake.audit(cfg222)[0]["mapping_table_count"] == 37
-    # the negative control is live: with p2 := p1 its identity holds
-    assert verify_mapping_tables(replace(cfg222, p2=cfg222.p1))[-1] == (
-        "mapping-table identity mismatch at W1 C2 = C1 (negative control)")
+    # the negative control is live: with p2 := p1 its identity holds, and
+    # the letter rows that move C1 or C2 fail in their slice form
+    assert verify_mapping_tables(replace(cfg222, p2=cfg222.p1)) == [
+        "mapping-table identity mismatch at R1 C1 = C2",
+        "mapping-table identity mismatch at R1 C2 = C1",
+        "mapping-table identity mismatch at R2 C2 = C3",
+        "mapping-table identity mismatch at R2 C3 = C2",
+        "mapping-table identity mismatch at W1 C2 = C1 (negative control)",
+    ]
+    # a letter row that no longer holds at the configuration fails in the
+    # form that moved
+    assert verify_mapping_tables(replace(cfg222, c3=cfg222.c2)) == [
+        "mapping-table identity mismatch at R2 c2 = c3",
+        "mapping-table identity mismatch at R2 c3 = c2",
+        "mapping-table identity mismatch at R3 c3 = c3",
+    ]
 
 
 def test_failed_mapping_table_names_its_label(cfg222, monkeypatch):
-    # R1 swaps C1 and C2, so this identity fails in both forms
+    # R1 swaps C1 and C2, so this row does not reduce to C3: it is named
+    # once, as a row the presentation does not derive
     monkeypatch.setattr(cake, "MAPPING_TABLE", MAPPING_TABLE + (("R1 C1 = C3", (R1,), 1, 3),))
-    assert cake.audit(cfg222)[1] == [
-        "mapping-table identity mismatch at R1 C1 = C3",
-        "mapping-table identity mismatch at R1 c1 = c3",
-    ]
+    assert cake.audit(cfg222)[1] == ["mapping-table identity not derived at R1 C1 = C3"]
+    monkeypatch.undo()
+    assert cake.audit(cfg222)[1] == []
 
 
 def test_identifications(cfg222, monkeypatch):
@@ -196,8 +294,8 @@ def test_identifications(cfg222, monkeypatch):
     monkeypatch.setattr(cake, "IDENTIFICATIONS",
                         ((name, IDENTIFICATIONS[1][1], src, dst),) + IDENTIFICATIONS[1:])
     assert verify_identifications(cfg222) == [
-        "identification I1 begin endpoint mismatch",
-        "identification I1 end endpoint mismatch",
+        "identification I1 begin endpoint not derived",
+        "identification I1 end endpoint not derived",
     ]
 
 
@@ -265,8 +363,10 @@ def test_verify_checks_the_corner_table_not_a_scan(monkeypatch):
     monkeypatch.setattr(verification, "projectively_equal", counting)
     assert verify_all(2.22)["passed"]
     # 316 while build_cake rediscovered the corner classes by an all-pairs
-    # scan, 196 while the slice check compared segment-geodesic endpoints
-    assert count[0] <= 190
+    # scan, 196 while the slice check compared segment-geodesic endpoints,
+    # 190 while the cake re-checked its derived equalities in floats; now
+    # 120 separations, 12 letter rows, the control and R3 c1 = c1
+    assert count[0] <= 134
 
 
 def test_build_cake_deterministic(cfg222):
@@ -276,19 +376,19 @@ def test_build_cake_deterministic(cfg222):
 
 
 def test_h5_presentation(cfg222):
-    # every X_i linear with X_i^2 - Id below 1e-10, and the product residual
-    # below 1e-9
+    # every X_i linear with X_i^2 reduced to the empty word, and the product
+    # reduced to R0 W6
     assert h5_presentation_check(cfg222) == []
     assert cake.audit(cfg222)[0]["h5_ok"] is True
 
 
 @pytest.mark.parametrize("index, letters, expected", [
     # X5 := R1 is still a linear involution; only the product breaks
-    (4, (R1,), [r"five-generator product residual \S+ exceeds 1e-09"]),
+    (4, (R1,), [r"five-generator product not derived"]),
     # X3 := R3 R2 has one antilinear letter and is no involution
     (2, (R3, R2), [r"five-generator X3 is antilinear",
-                   r"five-generator X3 involution residual \S+ exceeds 1e-10",
-                   r"five-generator product residual \S+ exceeds 1e-09"]),
+                   r"five-generator X3 involution not derived",
+                   r"five-generator product not derived"]),
 ], ids=["product", "X3"])
 def test_failed_h5_part_is_named(index, letters, expected, monkeypatch, capsys):
     name = H5_WORDS[index][0]

@@ -8,6 +8,7 @@ import pytest
 
 from cakecheck import construction
 from cakecheck.construction import (
+    FAST_T_MAX,
     THETA,
     THETA_SQ,
     ParameterDomainError,
@@ -28,8 +29,8 @@ from cakecheck.hermitian import (
     projectively_equal,
     reflection,
 )
-from cakecheck.numerics import FAST, RIGOROUS, Interval, TaylorBackend
-from helpers import as_floats, half_shift
+from cakecheck.numerics import FAST, RIGOROUS, DomainError, Interval, TaylorBackend
+from helpers import as_floats, form_residual, half_shift
 
 GRID = [1.6 + (3.0 - 1.6) * k / 49 for k in range(50)]
 
@@ -64,6 +65,15 @@ def test_parameter_domain_gate():
         for t in (math.inf, -math.inf, math.nan):
             with pytest.raises(ParameterDomainError, match="not finite"):
                 solve_parameters(t, backend)
+
+
+def test_fast_construction_ends_at_its_precision_bound():
+    # the fast floats resolve condition 8 to about t 2^-53; past FAST_T_MAX
+    # that is a domain error, not a report of float noise
+    assert build_configuration(FAST_T_MAX).params.t == FAST_T_MAX
+    for t in (math.nextafter(FAST_T_MAX, math.inf), 1e50):
+        with pytest.raises(DomainError, match="double precision cannot resolve"):
+            build_configuration(t)
 
 
 def test_parameter_grid_residuals_and_order():
@@ -131,7 +141,7 @@ def test_mirror_grid_residuals():
         assert res["involution_residual"] < 1e-9, t
         assert cfg.R3 is not None and cfg.R3.antilinear
         probes = [(cfg.p1, cfg.p2), (cfg.p2, cfg.p3), (cfg.m1, cfg.c1), (cfg.c2, cfg.d3)]
-        assert cfg.R3.form_residual(probes) < 1e-9, t
+        assert form_residual(cfg.R3, probes) < 1e-9, t
         # R3 p2 = p2' = -R(m1') p1, both mirrored midpoints are negative, and
         # they decompose the product: R(m2') R(m1') = I
         iso = (cfg.R2 * cfg.R1 * cfg.R0).scaled(THETA_SQ)

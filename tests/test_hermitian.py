@@ -22,9 +22,10 @@ from cakecheck.hermitian import (
     projectively_equal,
     reflection,
 )
+from cakecheck.construction import build_configuration, mirror_construction
 from cakecheck.numerics import FAST
 from helpers import (
-    PointClass, classify, geodesic_through, half_shift, stationarity_residual,
+    PointClass, classify, form_residual, geodesic_through, half_shift, stationarity_residual,
     trace_identities_check,
 )
 
@@ -70,7 +71,7 @@ def test_reflection_involution_det_form(ctx):
         r = reflection(p)
         assert (r * r).scalar_residual(1.0) < 1e-9 * max(1.0, mat_max_abs(r.m) ** 2)
         assert abs(complex(mat_det(r.m)) - 1.0) < 1e-9 * max(1.0, mat_max_abs(r.m) ** 3)
-        assert r.form_residual(probes) < 1e-9 * max(1.0, mat_max_abs(r.m) ** 2)
+        assert form_residual(r, probes) < 1e-9 * max(1.0, mat_max_abs(r.m) ** 2)
 
 
 def test_reflection_fixes_its_point_and_negates_orthogonals(ctx):
@@ -85,6 +86,19 @@ def test_reflection_of_isotropic_point_rejected(cfg222):
     assert cfg222.w3 is not None
     with pytest.raises(GeometryError):
         reflection(cfg222.w3)
+
+
+def test_isotropy_guard_reads_the_rounding_scale_of_the_norm():
+    # <p1,p1> = 1 exactly, though Gram entries reach 1e12: the guard scales
+    # by sum_ij |p_i| |g_ij| |p_j| = 1, not by |p|^2 max |G|, so R(p1) is built
+    cfg = build_configuration(1e12)
+    r0 = reflection(cfg.p1)
+    assert projectively_equal(r0.apply(cfg.p1), cfg.p1)
+    mirror_construction(cfg)
+    # an isotropic vector at the same t still raises
+    assert cfg.w3 is not None
+    with pytest.raises(GeometryError, match="isotropic"):
+        reflection(cfg.w3)
 
 
 # ---------------------------------------------------------------------------

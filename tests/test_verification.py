@@ -54,6 +54,7 @@ from cakecheck.verification import (
     replay_range_certificate,
     scan,
     scan_to_csv,
+    snap_toledo,
     toledo,
     verify_all,
 )
@@ -215,6 +216,31 @@ def test_toledo_rejects_reversed_orientation(cfg222):
     assert len(failures) == 1
     assert re.fullmatch(r"Im h\(s\) = s \(a \+ b s\) with a = \S+, a \+ b = \S+ is not "
                         r"negative on \(0, 1\]: out-of-regime parameter", failures[0])
+
+
+def test_toledo_snaps_to_the_lattice():
+    assert snap_toledo(-8 / 3 + 1e-9) == Fraction(-8, 3)
+    assert snap_toledo(40 / 3) == Fraction(40, 3)
+    assert snap_toledo(-8 / 3 + 1e-5) is None
+    assert snap_toledo(math.nan) is None
+
+
+def test_report_states_the_toledo_value_it_computed(monkeypatch):
+    # with the orientation reversed the branch test fails: the report states
+    # no invariant, where it used to print -8/3 next to the failure
+    check = verification.toledo
+    monkeypatch.setattr(verification, "toledo", lambda cfg: check(replace(
+        cfg, c1=cfg.R3.apply(cfg.c1), c2=cfg.R3.apply(cfg.c2), c3=cfg.R3.apply(cfg.c3))))
+    report = verify_all(2.22)
+    assert not report["passed"]
+    assert report["invariants"]["toledo"] == "undetermined"
+    assert math.isnan(report["invariants"]["toledo_presnap"])
+    assert "  Toledo = undetermined (pre-snap nan, rejected ['40/3'])\n" in render_report_text(report)
+    # a value off the lattice is undetermined too, and one on it is stated
+    monkeypatch.setattr(verification, "toledo", lambda cfg: (-2.5, ["off the lattice"]))
+    assert verify_all(2.22)["invariants"]["toledo"] == "undetermined"
+    monkeypatch.setattr(verification, "toledo", lambda cfg: (40 / 3, ["other branch"]))
+    assert verify_all(2.22)["invariants"]["toledo"] == "40/3"
 
 
 def test_euler_side_test(cfg222):
