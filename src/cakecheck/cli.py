@@ -105,11 +105,11 @@ def cmd_cake(args) -> int:
     cfg = build_configuration(args.t)
     mirror_construction(cfg)
     text = cake_mod.dump(cfg)
-    failures = check_relation(cfg)[1] + cake_mod.audit(cfg)[1]
-    text += f"[verdicts] mapping_tables={'FAIL' if failures else 'ok'}\n"
-    text += "".join(f"  failure: {f}\n" for f in failures)
+    relation, cake = check_relation(cfg)[1], cake_mod.audit(cfg)[1]
+    text += f"[verdicts] relation={'FAIL' if relation else 'ok'} cake={'FAIL' if cake else 'ok'}\n"
+    text += "".join(f"  failure: {f}\n" for f in relation + cake)
     _emit(text, args.out)
-    return EXIT_FAIL if failures else EXIT_OK
+    return EXIT_FAIL if relation or cake else EXIT_OK
 
 
 def main(argv=None) -> int:

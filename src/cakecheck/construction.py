@@ -201,14 +201,14 @@ def _assemble(params: ParameterTriple) -> TriangleConfiguration:
 
     inv_n1 = 1 / b.sqrt(2 * (t1 - 1))
     inv_n2 = 1 / b.sqrt(2 * (t2 - 1))
-    m1 = ctx.vector(1, -1, 0).scale(b.complex_(inv_n1))
-    m2 = (p2.scale(th) - p3).scale(b.complex_(inv_n2))
+    m1 = ctx.vector(b.complex_(inv_n1), b.complex_(-inv_n1), 0)
+    m2 = ctx.vector(0, b.complex_(inv_n2) * th, b.complex_(-inv_n2))
     m3 = ctx.vector(-1, 0, 1)
 
-    c1 = ctx.vector(0, 0, 1) - ctx.vector(1, 0, 0).scale(b.complex_(t_))
-    b2 = ctx.vector(0, 0, 1) - p2.scale(b.complex_(t2) * th)
-    e2 = ctx.vector(1, 0, 0) - p2.scale(b.complex_(t1))
-    d3 = ctx.vector(1, 0, 0) - p3.scale(b.complex_(t_))
+    c1 = ctx.vector(b.complex_(-t_), 0, 1)
+    b2 = ctx.vector(0, -(b.complex_(t2) * th), 1)
+    e2 = ctx.vector(1, b.complex_(-t1), 0)
+    d3 = ctx.vector(1, 0, b.complex_(-t_))
     q1 = ctx.vector(1, 1, 0)
     q3 = ctx.vector(1, 0, 1)
 

@@ -7,11 +7,12 @@ antiholomorphic ones).  Everything here is written against the scalar
 backend protocol of :mod:`cakecheck.numerics`, so the same formulas run in
 fast and rigorous mode; the one operation that needs branch decisions, the
 closest point on the axis of a loxodromic isometry, is fast-backend only.
+
+A point's covector w = G conj(v) is formed once and kept on it (:func:`covector`):
+<u, v> = u . w, <p_i, v> = w_i, and the basis point p_j carries column j of G.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 # bound on every floating-point residual check: projective equality, the
@@ -128,7 +129,8 @@ class GramContext:
         return x
 
     def basis(self):
-        return (self.vector(1, 0, 0), self.vector(0, 1, 0), self.vector(0, 0, 1))
+        one, zero = self._lift_scalar(1), self._lift_scalar(0)
+        return tuple(ProjVector(e, self, c) for e, c in zip(mat_identity(one, zero), zip(*self.g)))
 
     def _check(self, *vectors):
         for v in vectors:
@@ -137,13 +139,8 @@ class GramContext:
 
     def inner(self, u: "ProjVector", v: "ProjVector"):
         self._check(u, v)
-        cv = vec_conj(v.coords)
-        g = self.g
-        return sum3(
-            u.coords[0] * sum3(g[0][0] * cv[0], g[0][1] * cv[1], g[0][2] * cv[2]),
-            u.coords[1] * sum3(g[1][0] * cv[0], g[1][1] * cv[1], g[1][2] * cv[2]),
-            u.coords[2] * sum3(g[2][0] * cv[0], g[2][1] * cv[1], g[2][2] * cv[2]),
-        )
+        uc, w = u.coords, covector(v)
+        return sum3(uc[0] * w[0], uc[1] * w[1], uc[2] * w[2])
 
     def norm2(self, v: "ProjVector"):
         """<v,v> as a backend real scalar."""
@@ -163,13 +160,16 @@ class GramContext:
         return (xy * xy.conjugate()).real / (xx * yy)
 
 
-@dataclass(eq=False)
 class ProjVector:
     """A representative of a projective point: 3 coordinates in the working
-    basis, interpreted against a Gram context."""
+    basis, interpreted against a Gram context.  Frozen, so that its cached
+    covector ``w`` cannot go stale."""
 
-    coords: tuple
-    ctx: GramContext
+    def __init__(self, coords: tuple, ctx: GramContext, w: tuple | None = None):
+        self.__dict__.update(coords=coords, ctx=ctx, w=w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: a ProjVector is frozen")
 
     def __add__(self, other: "ProjVector") -> "ProjVector":
         self.ctx._check(other)
@@ -185,6 +185,15 @@ class ProjVector:
     def scale(self, s) -> "ProjVector":
         s = self.ctx._lift_scalar(s)
         return ProjVector(tuple(s * a for a in self.coords), self.ctx)
+
+
+def covector(v: ProjVector):
+    """w = G conj(v), so that <u, v> = u . w; formed on first use and kept."""
+    if v.w is None:
+        g, cv = v.ctx.g, vec_conj(v.coords)
+        v.__dict__["w"] = tuple(sum3(g[i][0] * cv[0], g[i][1] * cv[1], g[i][2] * cv[2])
+                                for i in range(3))
+    return v.w
 
 
 def _coord_scale(v: ProjVector) -> float:
@@ -272,11 +281,8 @@ def reflection(p: ProjVector) -> Isometry:
     to p (p positive)."""
     ctx = p.ctx
     pc = p.coords
-    cp = vec_conj(pc)
     g = ctx.g
-    # w_i = (G conj(p))_i, so <x,p> = sum_i x_i w_i; <p,p> reuses the
-    # products that ctx.inner(p, p) would form
-    w = tuple(sum3(g[i][0] * cp[0], g[i][1] * cp[1], g[i][2] * cp[2]) for i in range(3))
+    w = covector(p)  # <x,p> = x . w
     pp = sum3(pc[0] * w[0], pc[1] * w[1], pc[2] * w[2])
     if not ctx.backend.rigorous:
         # the rounding-error scale of <p,p>: sum_ij |p_i| |g_ij| |p_j|

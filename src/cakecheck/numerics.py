@@ -17,13 +17,13 @@ On a point, a ComplexPair of Intervals multiplies in one fused step from
 the float bounds: the same products, rounded outward alike and combined in
 the same order as the product taken operation by operation, hence
 bit-identical bounds, with only the two result Intervals built.  A rigorous
-``verify_all(2.22)`` makes 428 complex products and 72 ``Interval``
+``verify_all(2.22)`` makes 318 complex products and 72 ``Interval``
 products, down from 1362.  On a range, a ComplexPair of Taylor models
 multiplies likewise from the coefficient lists and remainders, and every
 polynomial product runs through a straight-line kernel for its pair of
 factor lengths, built on first use, that sums each coefficient in the order
 of the schoolbook loop: every enclosure is bit-identical.  An evaluation on
-[2.2, 2.20025] makes 428 complex products with 14 kernels and builds 1989
+[2.2, 2.20025] makes 318 complex products with 14 kernels and builds 1577
 ``TaylorModel``s, down from 2857.
 """
 

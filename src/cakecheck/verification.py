@@ -38,6 +38,7 @@ from .numerics import (
 from .hermitian import (
     RESIDUAL_TOL,
     GeometryError,
+    covector,
     mat_det,
     projectively_equal,
     reflection,
@@ -131,9 +132,11 @@ def condition_items(cfg: TriangleConfiguration):
         positives["6c"] = v6c
 
     th_bar = b.theta.conjugate()
-    z7a = ctx.inner(cfg.p2, cfg.c1) * ctx.inner(cfg.c1, cfg.p3)
-    z7b = ctx.inner(cfg.p3, cfg.c2) * ctx.inner(cfg.c2, cfg.p1)
-    z7c = ctx.inner(cfg.p1, cfg.c3) * ctx.inner(cfg.c3, cfg.p2)
+    # <p_i, x> is entry i of x's covector w, and <x, p_j> is conj(w_j)
+    c1w, c2w, c3w = covector(cfg.c1), covector(cfg.c2), covector(cfg.c3)
+    z7a = c1w[1] * c1w[2].conjugate()
+    z7b = c2w[2] * c2w[0].conjugate()
+    z7c = c3w[0] * c3w[1].conjugate()
     values["7a"] = z7a.real
     positives["7a"] = values["7a"]
     values["7b"] = (th_bar * z7b).real

@@ -140,9 +140,11 @@ def test_verify_reads_each_value_once(monkeypatch):
     # 152 while the slice check drew six geodesics to compare their ends and
     # the mirror renormalized m1', m2' and probed R3 with four pairs; 94
     # while it found m1' through a geodesic parameter, 91 while the cake
-    # measured the identifications' form residuals
+    # measured the identifications' form residuals, 43 while condition 7
+    # formed its six products <p_i, x>, <x, p_j> as inner products rather
+    # than reading them off the covectors of c1, c2, c3
     assert counts["mid"] <= 3
-    assert counts["inner"] <= 43
+    assert counts["inner"] == 37
 
 
 def test_word_needs_mirror():

@@ -114,14 +114,14 @@ def test_cake_audit(capsys):
     code, out, _ = run(["cake"], capsys)
     assert code == EXIT_OK
     assert "[pairings]" in out
-    assert "mapping_tables=ok" in out
+    assert "[verdicts] relation=ok cake=ok" in out.splitlines()
 
 
 def test_cake_audit_passes_near_the_domain_end(capsys):
     # the identifications' endpoint checks need R3 accurate to well below 1e-9
     code, out, _ = run(["cake", "--t", "1.6"], capsys)
     assert code == EXIT_OK
-    assert "mapping_tables=ok" in out
+    assert "[verdicts] relation=ok cake=ok" in out.splitlines()
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["cake"]])
@@ -213,11 +213,12 @@ def test_failed_cake_parts_are_named(capsys):
     # and cake names each of its failed claims
     code, out, _ = run(["cake", "--t", "30"], capsys)
     assert code == EXIT_OK
-    assert out.endswith("[verdicts] mapping_tables=ok\n")
+    assert out.endswith("[verdicts] relation=ok cake=ok\n")
     code, out, _ = run(["cake", "--t", "1e3"], capsys)
     assert code == EXIT_FAIL
     verdict, *failures = out[out.index("[verdicts]"):].splitlines()
-    assert verdict == "[verdicts] mapping_tables=FAIL"
+    # only the relation fails, and the verdict line says which part failed
+    assert verdict == "[verdicts] relation=FAIL cake=ok"
     assert failures == ["  failure: seven-letter relation residual exceeds 1e-9",
                         "  failure: six-letter-word square is not theta^2 Id"]
 

@@ -16,14 +16,16 @@ from cakecheck.hermitian import (
     Isometry,
     ProjVector,
     closest_axis_point,
+    covector,
     mat_det,
     mat_max_abs,
     mat_max_abs_diff,
     projectively_equal,
     reflection,
+    sum3,
 )
 from cakecheck.construction import build_configuration, mirror_construction
-from cakecheck.numerics import FAST
+from cakecheck.numerics import FAST, RIGOROUS
 from helpers import (
     PointClass, classify, form_residual, geodesic_through, half_shift, stationarity_residual,
     trace_identities_check,
@@ -57,6 +59,44 @@ def _rand_point(ctx, rng, cls):
 @pytest.fixture(scope="module")
 def ctx(cfg222):
     return cfg222.ctx
+
+
+# ---------------------------------------------------------------------------
+# inner products through covectors
+
+
+def _three_sum_inner(ctx, u, v):
+    """<u, v> with G conj(v) formed afresh inside the sum."""
+    g, cv, uc = ctx.g, [x.conjugate() for x in v.coords], u.coords
+    return sum3(*(uc[i] * sum3(g[i][0] * cv[0], g[i][1] * cv[1], g[i][2] * cv[2])
+                  for i in range(3)))
+
+
+def _inside(z, ref):
+    return all(ref_part.lo <= part.lo and part.hi <= ref_part.hi
+               for part, ref_part in ((z.real, ref.real), (z.imag, ref.imag)))
+
+
+def test_inner_reads_the_covector_formed_once(ctx):
+    rng = random.Random(23)
+    for _ in range(200):
+        u, v = _rand_vec(ctx, rng), _rand_vec(ctx, rng)
+        got, want = ctx.inner(u, v), _three_sum_inner(ctx, u, v)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert covector(v) is covector(v)
+    cfg = build_configuration(2.22, RIGOROUS)
+    for c in (ctx, cfg.ctx):
+        for j, p in enumerate(c.basis()):
+            assert all(a is row[j] for a, row in zip(covector(p), c.g))
+    # <p_i, x> = w_i and <x, p_i> = conj(w_i) read no product, so their
+    # enclosures lie inside the ones the sum of products gives
+    for x in (cfg.m1, cfg.m2, cfg.c1, cfg.c2, cfg.c3, cfg.d3, cfg.b2, cfg.e2):
+        for i, p in enumerate((cfg.p1, cfg.p2, cfg.p3)):
+            w_i = covector(x)[i]
+            assert _inside(w_i, _three_sum_inner(cfg.ctx, p, x))
+            assert _inside(w_i.conjugate(), _three_sum_inner(cfg.ctx, x, p))
+    with pytest.raises(AttributeError, match="frozen"):
+        cfg.c1.coords = cfg.c2.coords
 
 
 # ---------------------------------------------------------------------------

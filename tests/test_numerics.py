@@ -221,9 +221,11 @@ def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
         counted(ComplexPair, name, "complex")
     assert verify_all(2.22, "rigorous")["passed"]
     # 1362 Interval products while each complex product formed its parts'
-    # products as Intervals
+    # products as Intervals; 428 complex products while every inner product
+    # and reflection formed G conj(v) afresh and points were built by
+    # scaling basis vectors
     assert counts["interval"] <= 72
-    assert counts["complex"] == 428
+    assert counts["complex"] == 318
 
 
 def test_certified_sign_verdicts():
@@ -601,10 +603,11 @@ def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
         monkeypatch.setattr(ComplexPair, name, wrapper)
     complete, items = condition_enclosures(Interval(2.2, 2.20025))
     assert complete and len(items) == 11
-    assert counts["complex"] == 428
-    # 2857 while each complex product built its four real products and its
-    # two sums as models
-    assert counts["model"] <= 1989
+    # 428 and 1989 while G conj(v) was formed afresh for every inner product
+    # and reflection; 2857 models while each complex product built its four
+    # real products and its two sums as models
+    assert counts["complex"] == 318
+    assert counts["model"] == 1577
 
 
 def test_kernels_are_built_for_the_shapes_used(monkeypatch):
