@@ -105,7 +105,7 @@ def cmd_cake(args) -> int:
     cfg = build_configuration(args.t)
     mirror_construction(cfg)
     text = cake_mod.dump(cfg)
-    relation, cake = check_relation(cfg)[1], cake_mod.audit(cfg)[1]
+    relation, cake = check_relation(cfg)[1], cake_mod.audit(cfg)
     text += f"[verdicts] relation={'FAIL' if relation else 'ok'} cake={'FAIL' if cake else 'ok'}\n"
     text += "".join(f"  failure: {f}\n" for f in relation + cake)
     _emit(text, args.out)

@@ -21,6 +21,7 @@ from .hermitian import (
     Isometry,
     ProjVector,
     closest_axis_point,
+    covector,
     reflection,
 )
 
@@ -328,13 +329,14 @@ def mirror_construction(cfg: TriangleConfiguration):
 def angles(cfg: TriangleConfiguration):
     """The three triangle angles beta1, beta2, beta3 at the vertices,
     read off as arguments of the hermitian products whose positivity is the
-    angle-range condition; their sum is pi/2 for the verified range."""
-    ctx = cfg.ctx
+    angle-range condition; their sum is pi/2 for the verified range.  Like
+    condition 7 they read <p_i, c> = w_i and <c, p_j> = conj(w_j) off the
+    covector w of each spine point c."""
     th_bar = THETA.conjugate()
-
-    z1 = complex(ctx.inner(cfg.p2, cfg.c1)) * complex(ctx.inner(cfg.c1, cfg.p3))
-    z2 = th_bar * complex(ctx.inner(cfg.p3, cfg.c2)) * complex(ctx.inner(cfg.c2, cfg.p1))
-    z3 = th_bar * complex(ctx.inner(cfg.p1, cfg.c3)) * complex(ctx.inner(cfg.c3, cfg.p2))
+    c1w, c2w, c3w = covector(cfg.c1), covector(cfg.c2), covector(cfg.c3)
+    z1 = c1w[1] * c1w[2].conjugate()
+    z2 = th_bar * c2w[2] * c2w[0].conjugate()
+    z3 = th_bar * c3w[0] * c3w[1].conjugate()
     for k, z in (("1", z1), ("2", z2), ("3", z3)):
         if not z.real > 0.0:
             raise GeometryError(f"angle beta{k} is outside (-pi/2, pi/2): Re = {z.real}")

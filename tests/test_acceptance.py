@@ -26,9 +26,7 @@ from cakecheck.hermitian import (
 from cakecheck import cake
 from cakecheck.verification import (
     CONDITION_IDS,
-    COVER2,
     TOLEDO_BRANCH,
-    TOLEDO_REJECTED,
     check_slice_symmetries,
     check_relation,
     certify_range,
@@ -99,7 +97,12 @@ def test_criterion_04_toledo(cfg222, capsys):
     presnap, failures = toledo(cfg222)  # fails unless the snapped value is TOLEDO_BRANCH
     ok = failures == [] and TOLEDO_BRANCH == Fraction(-8, 3)
     ok = ok and abs(presnap - float(TOLEDO_BRANCH)) < 1e-6
-    ok = ok and TOLEDO_REJECTED == (Fraction(40, 3),)
+    # the class pi/6 mod pi ends at pi/6 or 7 pi/6 in (0, 2 pi), where
+    # tau = -16 (end/pi - 1); |tau| <= |chi| keeps one branch of the two
+    chi = abs(cake.EULER_CHARACTERISTIC)
+    branches = [-16 * (end - 1) for end in (Fraction(1, 6), Fraction(7, 6))]
+    ok = ok and [tau for tau in branches if abs(tau) <= chi] == [TOLEDO_BRANCH]
+    ok = ok and [tau for tau in branches if abs(tau) > chi] == [Fraction(40, 3)]
     _report(capsys, 4, "Toledo invariant snaps to -8/3 (pre-snap < 1e-6 off), "
             "branch logic rejects 40/3 via |tau| <= 4", ok)
 
@@ -109,7 +112,10 @@ def test_criterion_05_euler_and_ledger(cfg222, capsys):
     ok = invariant_ledger(side["e"]) == []
     ok = ok and side["e"] == 0 and side["e"] % 8 == 0
     ok = ok and 2 * (cake.EULER_CHARACTERISTIC + side["e"]) == 3 * TOLEDO_BRANCH
-    cover_chi, cover_e, cover_tau = COVER2
+    # a double cover doubles chi, e and tau: the genus-2 surface below
+    cover_chi, cover_e, cover_tau = (Fraction(cake.EULER_CHARACTERISTIC, 2),
+                                     Fraction(side["e"], 2), TOLEDO_BRANCH / 2)
+    ok = ok and (cover_chi, cover_e, cover_tau) == (-2, 0, Fraction(-4, 3))
     ok = ok and 2 * (cover_chi + cover_e) == 3 * cover_tau
     _report(capsys, 5, "side test gives e = 0; 2(chi+e) = 3 tau exact for the "
             "genus-3 surface and the genus-2 surface it double-covers; e = 0 mod 8", ok)
@@ -279,7 +285,7 @@ def test_criterion_09_cake_audit(cfg222, capsys):
     ok = ok and (len(cake.IDENTIFICATIONS) == 8 and len(cake.VERTEX_ORBITS) == 3
                  and cake.EULER_CHARACTERISTIC == -4 and cake.GENUS == 3)
     ok = ok and cake.verify_mapping_tables(cfg222) == []
-    ok = ok and cake.audit(cfg222)[0]["mapping_table_count"] == 37
+    ok = ok and cake.audit(cfg222) == [] and len(cake.MAPPING_TABLE) == 18
     # the negative control is live: with p2 := p1 its identity holds
     ok = ok and ("mapping-table identity mismatch at W1 C2 = C1 (negative control)"
                  in cake.verify_mapping_tables(replace(cfg222, p2=cfg222.p1)))

@@ -142,9 +142,10 @@ def test_verify_reads_each_value_once(monkeypatch):
     # while it found m1' through a geodesic parameter, 91 while the cake
     # measured the identifications' form residuals, 43 while condition 7
     # formed its six products <p_i, x>, <x, p_j> as inner products rather
-    # than reading them off the covectors of c1, c2, c3
+    # than reading them off the covectors of c1, c2, c3, 37 while angles()
+    # formed the same six products
     assert counts["mid"] <= 3
-    assert counts["inner"] == 37
+    assert counts["inner"] == 31
 
 
 def test_word_needs_mirror():
@@ -252,15 +253,25 @@ def test_derivation_runs_once_per_tables(cfg222, monkeypatch):
     cake.audit(cfg222)
     assert calls[0] == 33
     calls[0] = 0
-    assert cake.audit(cfg222)[1] == []
+    assert cake.audit(cfg222) == []
     assert calls[0] == 1
 
 
-def test_mapping_tables(cfg222):
-    assert verify_mapping_tables(cfg222) == []
-    # 18 identities x slice+point forms + control
+def test_mapping_tables(cfg222, monkeypatch):
+    # 18 identities derived; at the configuration the 6 letter rows in their
+    # slice and point forms, and the control: 13 point comparisons
     assert len(MAPPING_TABLE) == len({label for label, *_ in MAPPING_TABLE}) == 18
-    assert cake.audit(cfg222)[0]["mapping_table_count"] == 37
+    calls = [0]
+    equal = cake.projectively_equal
+
+    def counting(u, v):
+        calls[0] += 1
+        return equal(u, v)
+
+    monkeypatch.setattr(cake, "projectively_equal", counting)
+    assert verify_mapping_tables(cfg222) == []
+    assert calls[0] == 2 * len(cake.LETTER_ROWS) + 1 == 13
+    monkeypatch.undo()
     # the negative control is live: with p2 := p1 its identity holds, and
     # the letter rows that move C1 or C2 fail in their slice form
     assert verify_mapping_tables(replace(cfg222, p2=cfg222.p1)) == [
@@ -283,9 +294,9 @@ def test_failed_mapping_table_names_its_label(cfg222, monkeypatch):
     # R1 swaps C1 and C2, so this row does not reduce to C3: it is named
     # once, as a row the presentation does not derive
     monkeypatch.setattr(cake, "MAPPING_TABLE", MAPPING_TABLE + (("R1 C1 = C3", (R1,), 1, 3),))
-    assert cake.audit(cfg222)[1] == ["mapping-table identity not derived at R1 C1 = C3"]
+    assert cake.audit(cfg222) == ["mapping-table identity not derived at R1 C1 = C3"]
     monkeypatch.undo()
-    assert cake.audit(cfg222)[1] == []
+    assert cake.audit(cfg222) == []
 
 
 def test_identifications(cfg222, monkeypatch):
@@ -381,7 +392,7 @@ def test_h5_presentation(cfg222):
     # every X_i linear with X_i^2 reduced to the empty word, and the product
     # reduced to R0 W6
     assert h5_presentation_check(cfg222) == []
-    assert cake.audit(cfg222)[0]["h5_ok"] is True
+    assert cake.audit(cfg222) == []
 
 
 @pytest.mark.parametrize("index, letters, expected", [
@@ -405,7 +416,9 @@ def test_failed_h5_part_is_named(index, letters, expected, monkeypatch, capsys):
         assert len(lines) == len(expected), (argv, lines)
         for line, pattern in zip(lines, expected):
             assert re.fullmatch(pattern, line), (argv, line)
-    assert verify_all(2.22)["invariants"]["h5_ok"] is False
+    failures = verify_all(2.22)["failures"]
+    assert len(failures) == len(expected)
+    assert all(re.fullmatch(p, f) for p, f in zip(expected, failures)), failures
 
 
 def test_dump_audit_tables(cfg222):

@@ -273,6 +273,7 @@ GOLDEN = Path(__file__).parent / "golden"
      "verify_rigorous_structured.txt"),
     (["scan", "--backend", "rigorous"], "scan_rigorous.csv"),
     (["certify"], "certify.txt"),
+    (["verify", "--backend", "rigorous"], "verify_rigorous_text.txt"),
 ])
 def test_output_matches_golden_file(argv, name, capsys):
     """These outputs use only IEEE + - * /, sqrt and nextafter, so they are

@@ -3,6 +3,7 @@ points, the mirror construction, and the angle formulas, at the published
 parameter and across a t-grid."""
 
 import math
+import random
 
 import pytest
 
@@ -240,3 +241,30 @@ def test_angle_sum_on_grid_where_conditions_certify():
         assert abs(sum(angles(cfg)) - math.pi / 2) < 1e-9, t
         hits += 1
     assert hits > 5  # the certified band [2.13, 2.34] intersects the grid
+
+
+def test_angles_read_the_covectors_condition_7_reads(monkeypatch):
+    # <p_i, c> = w_i and <c, p_j> = conj(w_j), in the association
+    # (conj(theta) A) B, give the six inner products' angles bit for bit
+    def inner_angles(cfg):
+        ctx, th_bar = cfg.ctx, THETA.conjugate()
+        zs = (ctx.inner(cfg.p2, cfg.c1) * ctx.inner(cfg.c1, cfg.p3),
+              th_bar * ctx.inner(cfg.p3, cfg.c2) * ctx.inner(cfg.c2, cfg.p1),
+              th_bar * ctx.inner(cfg.p1, cfg.c3) * ctx.inner(cfg.c3, cfg.p2))
+        return tuple(math.atan2(z.imag, z.real) for z in zs)
+
+    rng = random.Random(24)
+    calls = [0]
+    inner = construction.GramContext.inner
+
+    def counting(self, u, v):
+        calls[0] += 1
+        return inner(self, u, v)
+
+    for _ in range(400):
+        cfg = build_configuration(math.exp(rng.uniform(math.log(1.51), math.log(1e11))))
+        monkeypatch.setattr(construction.GramContext, "inner", counting)
+        beta = angles(cfg)
+        monkeypatch.undo()
+        assert beta == inner_angles(cfg), cfg.params.t
+    assert calls[0] == 0
