@@ -17,7 +17,10 @@ import argparse
 import sys
 
 from .construction import build_configuration, mirror_construction
+from .numerics import MAX_DEPTH
 from .verification import (
+    CERTIFIED_RANGE,
+    PUBLISHED_T,
     certificate_lines,
     check_relation,
     certify_range,
@@ -33,38 +36,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="cakecheck",
-        description="verify the triangle-of-bisectors configuration and its invariants",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def t_range(sp):
-        sp.add_argument("--lo", type=float, default=2.13)
-        sp.add_argument("--hi", type=float, default=2.34)
-
-    sp = sub.add_parser("verify", help="full verification at one t")
-    sp.add_argument("--t", type=float, default=2.22)
-    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
-    sp.add_argument("--format", choices=("text", "structured"), default="text")
-
-    sp = sub.add_parser("scan", help="grid scan of condition values")
-    t_range(sp)
-    sp.add_argument("--steps", type=int, default=22)
-    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
-
-    sp = sub.add_parser("certify", help="rigorous interval certificate")
-    t_range(sp)
-    sp.add_argument("--max-depth", type=int, default=40)
-
-    sp = sub.add_parser("cake", help="combinatorial audit dump")
-    sp.add_argument("--t", type=float, default=2.22)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--out", help="also write the output to this file")
-    return p
+REPORT_FORMATS = {"text": render_report_text, "structured": render_report_structured}
 
 
 def _emit(text: str, out_path):
@@ -77,10 +49,7 @@ def _emit(text: str, out_path):
 
 def cmd_verify(args) -> int:
     report = verify_all(args.t, backend_name=args.backend)
-    if args.format == "structured":
-        _emit(render_report_structured(report), args.out)
-    else:
-        _emit(render_report_text(report), args.out)
+    _emit(REPORT_FORMATS[args.format](report), args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
@@ -112,22 +81,53 @@ def cmd_cake(args) -> int:
     return EXIT_FAIL if relation or cake else EXIT_OK
 
 
+def build_parser():
+    p = argparse.ArgumentParser(
+        prog="cakecheck",
+        description="verify the triangle-of-bisectors configuration and its invariants",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def t_range(sp):
+        sp.add_argument("--lo", type=float, default=CERTIFIED_RANGE[0])
+        sp.add_argument("--hi", type=float, default=CERTIFIED_RANGE[1])
+
+    sp = sub.add_parser("verify", help="full verification at one t")
+    sp.set_defaults(run=cmd_verify)
+    sp.add_argument("--t", type=float, default=PUBLISHED_T)
+    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
+    sp.add_argument("--format", choices=REPORT_FORMATS, default="text")
+
+    sp = sub.add_parser("scan", help="grid scan of condition values")
+    sp.set_defaults(run=cmd_scan)
+    t_range(sp)
+    sp.add_argument("--steps", type=int, default=22)
+    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
+
+    sp = sub.add_parser("certify", help="rigorous interval certificate")
+    sp.set_defaults(run=cmd_certify)
+    t_range(sp)
+    sp.add_argument("--max-depth", type=int, default=MAX_DEPTH)
+
+    sp = sub.add_parser("cake", help="combinatorial audit dump")
+    sp.set_defaults(run=cmd_cake)
+    sp.add_argument("--t", type=float, default=PUBLISHED_T)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="also write the output to this file")
+    return p
+
+
+PARSER = build_parser()  # one per process: parsing keeps no state
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        if args.command == "cake":
-            return cmd_cake(args)
-        return EXIT_USAGE
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

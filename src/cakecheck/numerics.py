@@ -37,6 +37,7 @@ from fractions import Fraction
 _INF = math.inf
 
 DEFAULT_ZERO_TOL = 1e-12
+MAX_DEPTH = 40  # default bisection depth of certify_on_interval
 
 
 class DomainError(ValueError):
@@ -830,7 +831,7 @@ class Certificate:
         return self.status == "certified"
 
 
-def certify_on_interval(evaluator, lo: float, hi: float, max_depth: int = 40) -> Certificate:
+def certify_on_interval(evaluator, lo: float, hi: float, max_depth: int = MAX_DEPTH) -> Certificate:
     """Adaptive bisection certification.
 
     ``evaluator(t: Interval)`` must return ``(complete, items)`` where

@@ -2,6 +2,7 @@
 outputs and the --out file sink.  Everything runs in process through
 cli.main."""
 
+import argparse
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -296,14 +297,39 @@ def test_fast_verify_matches_masked_golden_file(capsys):
     assert masked.encode() == (GOLDEN / "verify_fast_structured.txt").read_bytes()
 
 
+def _masked_text(report):
+    return re.sub(r"(?m)^(?=.*residual)(.*?) = .*$", r"\1 = <masked>", report).encode()
+
+
 def test_fast_text_verify_matches_masked_golden_file(capsys):
     """The default text report, with everything after the first ` = ` of
     each line that mentions a residual masked.  CI applies the same mask
     with sed."""
     code, out, _ = run(["verify"], capsys)
     assert code == EXIT_OK
-    masked = re.sub(r"(?m)^(?=.*residual)(.*?) = .*$", r"\1 = <masked>", out)
-    assert masked.encode() == (GOLDEN / "verify_fast_text.txt").read_bytes()
+    assert _masked_text(out) == (GOLDEN / "verify_fast_text.txt").read_bytes()
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """main builds no parser: the one built at import serves every call and
+    keeps no state, so a verify after a usage error and --help prints the
+    golden report."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["verify", "--backend", "exact"], capsys)[0] == EXIT_USAGE
+    code, out, _ = run(["--help"], capsys)
+    assert code == EXIT_OK and out.startswith("usage: cakecheck ")
+    code, out, _ = run(["verify"], capsys)
+    assert code == EXIT_OK
+    assert _masked_text(out) == (GOLDEN / "verify_fast_text.txt").read_bytes()
+    assert run(["cake"], capsys)[0] == EXIT_OK
+    assert built == []
 
 
 def test_cake_tables_match_golden_file(capsys):
