@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .construction import build_configuration, mirror_construction
-from .numerics import MAX_DEPTH
+from .numerics import BACKENDS, DEFAULT_BACKEND, MAX_DEPTH
 from .verification import (
     CERTIFIED_RANGE,
     PUBLISHED_T,
@@ -92,17 +92,20 @@ def build_parser():
         sp.add_argument("--lo", type=float, default=CERTIFIED_RANGE[0])
         sp.add_argument("--hi", type=float, default=CERTIFIED_RANGE[1])
 
+    def backend(sp):
+        sp.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND)
+
     sp = sub.add_parser("verify", help="full verification at one t")
     sp.set_defaults(run=cmd_verify)
     sp.add_argument("--t", type=float, default=PUBLISHED_T)
-    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
+    backend(sp)
     sp.add_argument("--format", choices=REPORT_FORMATS, default="text")
 
     sp = sub.add_parser("scan", help="grid scan of condition values")
     sp.set_defaults(run=cmd_scan)
     t_range(sp)
     sp.add_argument("--steps", type=int, default=22)
-    sp.add_argument("--backend", choices=("fast", "rigorous"), default="fast")
+    backend(sp)
 
     sp = sub.add_parser("certify", help="rigorous interval certificate")
     sp.set_defaults(run=cmd_certify)

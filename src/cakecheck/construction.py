@@ -180,15 +180,17 @@ def build_configuration(t, backend=FAST) -> TriangleConfiguration:
     so a failed sign check or division means rounding or overflow lost the
     construction: a DomainError, not a GeometryError.  So is a fast t above
     FAST_T_MAX, where an enclosure would already have lost it."""
-    params = solve_parameters(t, backend)
     try:
+        params = solve_parameters(t, backend)
         if not backend.rigorous and params.t > FAST_T_MAX:
             raise DomainError(f"fast t above {FAST_T_MAX!r}")
         return _assemble(params)
+    except ParameterDomainError:
+        raise
     except (DomainError, GeometryError) as exc:
         raise DomainError(
             f"double precision cannot resolve the construction at "
-            f"t = {backend.mid_real(params.t)!r}"
+            f"t = {backend.mid_real(t)!r}"
         ) from exc
 
 

@@ -3,28 +3,34 @@
 All geometric code in this package is written against a tiny backend
 protocol, so the same code path runs on two backends: ordinary double
 precision (``FastBackend``, "fast") and rigorous enclosures of functions
-of the parameter (``TaylorBackend``), whose reals are outward-rounded
-Intervals at a point (radius 0, "rigorous") and Taylor models in the
-parameter on a range.  The protocol is ``real``, ``complex_``, ``theta``,
-``sqrt``, ``mid`` and ``mid_real``, plus the ``name`` and ``rigorous``
-flags.  Complex scalars are read through Python's number protocol,
-``z.conjugate()``, ``z.real`` and ``z.imag``, on every backend; the
-enclosure backend's complex type is ``ComplexPair``.  Every enclosure
-operation encloses the exact result, so a sign decision made on an
-enclosure that excludes 0 is certified.
+of the parameter (``TaylorBackend``), whose reals are Intervals at a point
+(radius 0, "rigorous") and Taylor models in the parameter on a range.  The
+protocol is ``real``, ``complex_``, ``theta``, ``sqrt``, ``mid`` and
+``mid_real``, plus the ``name`` and ``rigorous`` flags.  Complex scalars
+are read through Python's number protocol, ``z.conjugate()``, ``z.real``
+and ``z.imag``, on every backend; the enclosure backend's complex type is
+``ComplexPair``.  Every enclosure operation encloses the exact result, so
+a sign decision made on an enclosure that excludes 0 is certified.
 
-On a point, a ComplexPair of Intervals multiplies in one fused step from
-the float bounds: the same products, rounded outward alike and combined in
-the same order as the product taken operation by operation, hence
-bit-identical bounds, with only the two result Intervals built.  A rigorous
+Both enclosure arithmetics round alike.  A midpoint or coefficient is a
+float computed in round-to-nearest, and each operation adds to a radius
+what its operands' radii spread, gamma_k times the magnitudes of the k
+products it summed (Higham 2002), times ``_SLACK``, plus ``_TINY``.  An
+``Interval`` is such a ball, a midpoint and a radius (Rump 1999).  Each
+Interval operation gives the exact range of its result over its operands'
+balls, plus rounding: its midpoint is the float value, moved to the centre
+of that range where the range is lopsided about it (a product, quotient or
+square root of wide balls), and a point enclosure is a few ulps wide.  On a
+point, a ComplexPair of Intervals multiplies in one step from the parts'
+midpoints and radii, with only the two result Intervals built: a rigorous
 ``verify_all(2.22)`` makes 318 complex products and 72 ``Interval``
-products, down from 1362.  On a range, a ComplexPair of Taylor models
-multiplies likewise from the coefficient lists and remainders, and every
-polynomial product runs through a straight-line kernel for its pair of
-factor lengths, built on first use, that sums each coefficient in the order
-of the schoolbook loop: every enclosure is bit-identical.  An evaluation on
-[2.2, 2.20025] makes 318 complex products with 14 kernels and builds 1577
-``TaylorModel``s, down from 2857.
+products.  On a range, a ComplexPair of Taylor models multiplies likewise
+from the coefficient lists and remainders, and every polynomial product
+runs through a straight-line kernel for its pair of factor lengths, built on
+first use, that sums each coefficient in the order of the schoolbook loop,
+to the same bits.  An evaluation on [2.2, 2.20025] makes
+318 complex products with 14 kernels and builds 1577 ``TaylorModel``s,
+down from 2857.
 """
 
 from __future__ import annotations
@@ -63,73 +69,92 @@ def _up(x: float) -> float:
     return _nextafter(x, _INF)
 
 
-def _product_bounds(al: float, ah: float, bl: float, bh: float):
-    """Bounds of [al, ah] * [bl, bh]: the least and the greatest of the four
-    products, rounded outward.  Rounding to nearest is monotone, so for
-    finite bounds the signs name those two products (among two candidates
-    each when both intervals straddle 0).  With an infinite bound all four
-    are formed: a product can then be NaN, 0 * inf, and min and max depend
-    on the order."""
-    if -_INF < al and ah < _INF and -_INF < bl and bh < _INF:
-        if al >= 0.0:
-            if bl >= 0.0:
-                lo, hi = al * bl, ah * bh
-            elif bh <= 0.0:
-                lo, hi = ah * bl, al * bh
-            else:
-                lo, hi = ah * bl, ah * bh
-        elif ah <= 0.0:
-            if bl >= 0.0:
-                lo, hi = al * bh, ah * bl
-            elif bh <= 0.0:
-                lo, hi = ah * bh, al * bl
-            else:
-                lo, hi = al * bh, al * bl
-        elif bl >= 0.0:
-            lo, hi = al * bh, ah * bh
-        elif bh <= 0.0:
-            lo, hi = ah * bl, al * bl
-        else:
-            lo, hi = al * bh, al * bl
-            x, y = ah * bl, ah * bh
-            if x < lo:
-                lo = x
-            if y > hi:
-                hi = y
-    else:
-        p = (al * bl, al * bh, ah * bl, ah * bh)
-        lo, hi = min(p), max(p)
-    return _nextafter(lo, -_INF), _nextafter(hi, _INF)
-
+# Rounding model of both arithmetics.  In round-to-nearest, one operation's
+# float result is off by at most gamma_1 times its magnitude, and a float
+# sum of k products by gamma_k = k u / (1 - k u), u = 2^-53, times the sum
+# of their magnitudes (Higham 2002, ch. 3).  Each bound is itself a float
+# sum of nonnegative terms; multiplying it by _SLACK and adding _TINY makes
+# it an upper bound despite its own rounding and any underflow.
+_U = 2.0 ** -53
+_GAMMA1 = _U / (1.0 - _U)
+_GAMMA2 = 2.0 * _U / (1.0 - 2.0 * _U)
+_GAMMA = 2.0 ** -48  # >= gamma_31, for the Taylor coefficients
+_SLACK = 1.0 + 2.0 ** -40
+_TINY = 2.0 ** -1000
 
 _new = object.__new__
 
 
-class Interval:
-    """Closed real interval with outward rounding after every operation."""
+def _ball(m: float, r: float, x: "Interval | None" = None) -> "Interval":
+    """The Interval [m - r, m + r], written into x if given; a non-finite m
+    or r is an overflow."""
+    if not abs(m) + r < _INF:
+        raise DomainError(f"enclosure {m!r} +- {r!r} overflowed")
+    if x is None:
+        x = _new(Interval)
+    x.m = m
+    x.r = r
+    return x
 
-    __slots__ = ("lo", "hi")
+
+def _times(a: float, ar: float, b: float, br: float):
+    """(p, s, w): the exact range of the product of the balls (a, ar) and
+    (b, br) is the ball around a b + s of radius w, and p is the float a b.
+    If neither ball has 0 inside, s = +-ar br and w = |a| br + ar |b|, else
+    s = +-min(|a| br, ar |b|) and w = ar br + max(|a| br, ar |b|); s takes
+    the sign of a b, and its float is off by gamma_1 |s|."""
+    p = a * b
+    A, B = abs(a), abs(b)
+    u, v = A * br, ar * B
+    if A >= ar and B >= br:
+        s, w = ar * br, u + v
+    elif u < v:
+        s, w = u, ar * br + v
+    else:
+        s, w = v, ar * br + u
+    return p, (s if (a > 0.0) == (b > 0.0) else -s), w
+
+
+def _around(f: float, s: float, w: float, err: float) -> "Interval":
+    """The Interval around f + s of radius w for floats f, s off by err in
+    all; the float m = f + s is off by at most gamma_1 |m| and at most |s|."""
+    m = f + s
+    g, s = _GAMMA1 * abs(m), abs(s)
+    return _ball(m, (w + err + (g if g < s else s)) * _SLACK + _TINY)
+
+
+def _ball_product(a: float, ar: float, b: float, br: float) -> "Interval":
+    """The product of the balls (a, ar) and (b, br) as an Interval."""
+    p, s, w = _times(a, ar, b, br)
+    return _around(p, s, w, _GAMMA1 * (abs(p) + abs(s)))
+
+
+class Interval:
+    """Closed real interval as a ball: the midpoint ``m`` and the radius
+    ``r`` of [m - r, m + r] (Rump, BIT 39, 1999).  Every operation forms
+    the exact range of its result as a ball around the float value plus a
+    shift (_around), and adds to the radius gamma_k times the magnitudes it
+    summed, times _SLACK, plus _TINY: the rounding model of the Taylor
+    models.  ``lo`` and ``hi`` read the bounds back, rounded outward."""
+
+    __slots__ = ("m", "r")
 
     def __init__(self, lo, hi=None):
-        if hi is None:
-            hi = lo
         lo = float(lo)
-        hi = float(hi)
+        hi = lo if hi is None else float(hi)
         if not lo <= hi:
-            # a NaN bound is an arithmetic result out of domain (an overflow)
             raise (ValueError if lo > hi else DomainError)(f"invalid interval [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
+        m = lo if lo == hi else 0.5 * (lo + hi)
+        r = max(hi - m, m - lo)
+        _ball(m, _up(r) if r else r, self)
 
-    @staticmethod
-    def _of(lo: float, hi: float) -> "Interval":
-        """The interval [lo, hi] of two float bounds, without conversion."""
-        if not lo <= hi:
-            raise (ValueError if lo > hi else DomainError)(f"invalid interval [{lo}, {hi}]")
-        x = _new(Interval)
-        x.lo = lo
-        x.hi = hi
-        return x
+    @property
+    def lo(self) -> float:
+        return _down(self.m - self.r) if self.r else self.m
+
+    @property
+    def hi(self) -> float:
+        return _up(self.m + self.r) if self.r else self.m
 
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -144,35 +169,23 @@ class Interval:
             return Interval(float(x))
         return None
 
-    @staticmethod
-    def _const(v: float) -> "Interval":
-        return Interval(v)
-
     def range(self) -> "Interval":
         return self
 
-    def is_zero(self) -> bool:
-        return self.lo == 0.0 and self.hi == 0.0
-
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+        return self.m
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return Interval._of(-self.hi, -self.lo)
+        return _ball(-self.m, self.r)
 
     def __add__(self, other):
         o = other if type(other) is Interval else Interval._lift(other)
         if o is None:
             return NotImplemented
-        return Interval._of(_nextafter(self.lo + o.lo, -_INF), _nextafter(self.hi + o.hi, _INF))
+        m = self.m + o.m
+        return _ball(m, (self.r + o.r + _GAMMA1 * abs(m)) * _SLACK + _TINY)
 
     __radd__ = __add__
 
@@ -180,7 +193,8 @@ class Interval:
         o = other if type(other) is Interval else Interval._lift(other)
         if o is None:
             return NotImplemented
-        return Interval._of(_nextafter(self.lo - o.hi, -_INF), _nextafter(self.hi - o.lo, _INF))
+        m = self.m - o.m
+        return _ball(m, (self.r + o.r + _GAMMA1 * abs(m)) * _SLACK + _TINY)
 
     def __rsub__(self, other):
         o = Interval._lift(other)
@@ -192,7 +206,7 @@ class Interval:
         o = other if type(other) is Interval else Interval._lift(other)
         if o is None:
             return NotImplemented
-        return Interval._of(*_product_bounds(self.lo, self.hi, o.lo, o.hi))
+        return _ball_product(self.m, self.r, o.m, o.r)
 
     __rmul__ = __mul__
 
@@ -200,10 +214,23 @@ class Interval:
         o = Interval._lift(other)
         if o is None:
             return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
+        a, ar, b, br = self.m, self.r, o.m, o.r
+        B = abs(b)
+        if not B > br:
             raise DomainError("division by an interval containing zero")
-        p = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
-        return Interval(_down(min(p)), _up(max(p)))
+        d = B - br
+        if abs(a) < ar:  # [a - ar, a + ar] / (B - br), signed as b
+            c = a / d
+            return _around(c if b > 0.0 else -c, 0.0, ar / d, _GAMMA2 * abs(c))
+        # [|a| - ar, |a| + ar] / [B - br, B + br], signed: the ball around
+        # a/b +- q br / (B + br) of radius q B / (B + br), for q = (ar + |a/b|
+        # br) / (B - br), which a larger q contains.  q is two ratios, so no
+        # underflow is divided by a small d, and |a/b| < |m| + 2^-1074.
+        m = a / b
+        q = ar / d + (abs(m) + 5e-324) * (br / d)
+        s = q * (br / (B + br))
+        return _around(m, s if (a > 0.0) == (b > 0.0) else -s, q * (B / (B + br)),
+                       _GAMMA1 * abs(m) + _GAMMA * s)
 
     def __rtruediv__(self, other):
         o = Interval._lift(other)
@@ -212,19 +239,30 @@ class Interval:
         return o / self
 
     def sqr(self) -> "Interval":
-        if self.lo >= 0.0:
-            return Interval(_down(self.lo * self.lo), _up(self.hi * self.hi))
-        if self.hi <= 0.0:
-            return Interval(_down(self.hi * self.hi), _up(self.lo * self.lo))
-        m = max(-self.lo, self.hi)
-        return Interval(0.0, _up(m * m))
+        a, ar = abs(self.m), self.r
+        if a >= ar:
+            return _ball_product(a, ar, a, ar)
+        # [0, (a + ar)^2] as the ball (h, h): for the float s = a + ar,
+        # (a + ar)^2 <= (1 + gamma_1)^3 s s <= (1 + 2 gamma_2) s s <= 2 h
+        s = a + ar
+        h = 0.5 * (s * s)
+        h = (h + 2.0 * _GAMMA2 * h) * _SLACK + _TINY
+        return _ball(h, h)
 
     def sqrt(self) -> "Interval":
-        if self.lo < 0.0:
+        a, ar = self.m, self.r
+        if not a >= ar:
             raise DomainError(
                 f"sqrt argument enclosure [{self.lo}, {self.hi}] is not nonnegative"
             )
-        return Interval(max(0.0, _down(math.sqrt(self.lo))), _up(math.sqrt(self.hi)))
+        m = math.sqrt(a)
+        if not ar:
+            return _around(m, 0.0, 0.0, _GAMMA1 * m)
+        # [sqrt(a - ar), sqrt(a + ar)]: its ends are below and above sqrt(a)
+        # by the gaps below, each off by a few ulps of itself
+        below = ar / (m + math.sqrt(a - ar))
+        above = ar / (math.sqrt(a + ar) + m)
+        return _around(m, 0.5 * (above - below), 0.5 * (above + below), _GAMMA1 * m + _GAMMA * below)
 
     def inv(self) -> "Interval":
         return 1.0 / self
@@ -241,36 +279,36 @@ class Interval:
 #     f(m + delta)  in  c0 + c1 delta + ... + cn delta^n + [-r, r]
 #
 # for all |delta| <= rad, with float coefficients ck and one remainder
-# radius r (Makino & Berz 2003; Revol, Makino & Berz 2005).  Coefficients
-# are computed in round-to-nearest, and every operation adds to r a bound
-# on what the polynomial part leaves out.  With |A| = sum |ak| rad^k, the
-# bound of the polynomial part of A over the box, these are:
+# radius r (Makino & Berz 2003; Revol, Makino & Berz 2005).  Its constant
+# term and remainder form a ball, as an Interval does.  Coefficients are
+# computed in round-to-nearest, and every operation adds to r a bound on
+# what the polynomial part leaves out, in the rounding model of the
+# Intervals above.  With |A| = sum |ak| rad^k, the bound of the polynomial
+# part of A over the box, these are:
 #
 #   - rounding: a computed coefficient is a float sum of at most n + 1
-#     products, off by at most _GAMMA times the sum of their magnitudes;
-#     over all coefficients of a product A*B that is _GAMMA |A| |B|, and
-#     _GAMMA |C| for a sum C = A + B or a scaled model C = x A;
+#     <= 31 products, off by at most _GAMMA >= gamma_31 times the sum of
+#     their magnitudes; over all coefficients of a product A*B that is
+#     _GAMMA |A| |B|, and _GAMMA |C| for a sum C = A + B or a scaled model
+#     C = x A;
 #   - truncation: the product terms of degree > n that A*B drops, bounded
 #     by sum_{k>n} |pk| rad^k;
 #   - remainders: |A| rb + |B| ra + ra rb for A*B;
-#   - constants: an Interval constant enters as its midpoint, with its
+#   - constants: an Interval constant enters as its midpoint m, with its
 #     radius in r, and so does a rounded 1/c0 or sqrt(c0);
 #   - series rest: 1/x and sqrt(x) write x = c0 (1 + g) with |g| <= q < 1
 #     over the box, sum the first n + 1 terms of the series of 1/(1+g) and
 #     sqrt(1+g), and add the Lagrange rest q^(n+1) / (1-q), respectively
 #     |binom(1/2, n+1)| q^(n+1) / (1-q)^(n+1/2).
 #
-# Each bound is itself a float sum of nonnegative terms; multiplying it by
-# _SLACK and adding _TINY makes it an upper bound despite its own rounding
-# and any underflow.  range() rounds outward.  The range enclosure has width
+# Each bound is multiplied by _SLACK and increased by _TINY, as an
+# Interval's radius is.  range() is the ball of the float bounds of the
+# polynomial part, widened by their rounding and the remainder.  The range
+# enclosure has width
 # ~ |f'| * 2 rad + O(rad^(n+1)) instead of K * 2 rad for a huge dependency
 # constant K, which is what makes range certification feasible.
 
 TAYLOR_ORDER = 6
-
-_GAMMA = 2.0 ** -48  # >= gamma_31 = 31u/(1 - 31u), u = 2^-53: sums of <= 31 products
-_SLACK = 1.0 + 2.0 ** -40
-_TINY = 2.0 ** -1000
 
 
 def _series_coefficients(a: Fraction, terms: int) -> tuple:
@@ -295,11 +333,6 @@ def _norm(c, pw) -> float:
     for ck, p in zip(c, pw):
         s += abs(ck) * p
     return s
-
-
-def _mid_rad(x: Interval):
-    m = 0.5 * (x.lo + x.hi)
-    return m, max(x.hi - m, m - x.lo) * _SLACK
 
 
 _KERNELS = {}  # product kernels by the lengths of the factors, built on first use
@@ -397,7 +430,7 @@ class TaylorModel:
         if isinstance(x, TaylorModel):
             return x
         if isinstance(x, Interval):
-            return self._const(*_mid_rad(x))
+            return self._const(x.m, x.r)
         if isinstance(x, (int, float)):
             return self._const(float(x))
         return None
@@ -417,8 +450,8 @@ class TaylorModel:
                 hi += x
             else:
                 lo += x
-        err = (_GAMMA * mag + self.r) * _SLACK + _TINY
-        return Interval(_down(lo - err), _up(hi + err))
+        m = 0.5 * (lo + hi)
+        return _ball(m, (max(hi - m, m - lo) + _GAMMA * mag + self.r) * _SLACK + _TINY)
 
     def __neg__(self):
         return TaylorModel([-x for x in self.c], self.r, self.pw)
@@ -464,7 +497,7 @@ class TaylorModel:
         if isinstance(other, (int, float)):
             return self._scale(float(other))
         if isinstance(other, Interval):
-            return self._scale(*_mid_rad(other))
+            return self._scale(other.m, other.r)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -553,7 +586,7 @@ class ComplexPair:
         lifted = self.real._lift(x)
         if lifted is None:
             return None
-        return ComplexPair(lifted, self.real._const(0.0))
+        return ComplexPair(lifted, self.real._lift(0.0))
 
     def range(self) -> "ComplexPair":
         return ComplexPair(self.real.range(), self.imag.range())
@@ -616,34 +649,40 @@ class ComplexPair:
         return o / self
 
 
+_NARROW = 2.0 ** -27
+
+
+def _interval_pair_product(xr, xi, yr, yi) -> ComplexPair:
+    """The complex product for Interval parts, (xr yr - xi yi) + i (xr yi +
+    xi yr): each product as in _times, each part as in _around, with err
+    gamma_2 times the magnitudes of its two products and two shifts."""
+    a, ar, b, br = xr.m, xr.r, xi.m, xi.r
+    c, cr, d, dr = yr.m, yr.r, yi.m, yi.r
+    A, B, C, D = abs(a), abs(b), abs(c), abs(d)
+    if ((ar <= _NARROW * A or not a) and (br <= _NARROW * B or not b)
+            and (cr <= _NARROW * C or not c) and (dr <= _NARROW * D or not d)):
+        # each part's radius is at most 2^-27 of its midpoint, or that is 0:
+        # then the ball around a c of radius A cr + ar (C + cr) is the exact
+        # range of a product, or wider by 2 ar cr <= 2^-53 |a c|
+        ac, bd, ad, bc = a * c, b * d, a * d, b * c
+        real = A * cr + ar * (C + cr) + B * dr + br * (D + dr) + _GAMMA2 * (abs(ac) + abs(bd))
+        imag = A * dr + ar * (D + dr) + B * cr + br * (C + cr) + _GAMMA2 * (abs(ad) + abs(bc))
+        return ComplexPair(_ball(ac - bd, real * _SLACK + _TINY), _ball(ad + bc, imag * _SLACK + _TINY))
+    p1, s1, w1 = _times(a, ar, c, cr)
+    p2, s2, w2 = _times(b, br, d, dr)
+    p3, s3, w3 = _times(a, ar, d, dr)
+    p4, s4, w4 = _times(b, br, c, cr)
+    return ComplexPair(_around(p1 - p2, s1 - s2, w1 + w2, _GAMMA2 * (abs(p1) + abs(p2) + abs(s1) + abs(s2))),
+                       _around(p3 + p4, s3 + s4, w3 + w4, _GAMMA2 * (abs(p3) + abs(p4) + abs(s3) + abs(s4))))
+
+
 # A complex product is (xr yr) - (xi yi) + i ((xr yi) + (xi yr)).  The
 # products with a part that is the exact constant 0 (of a lifted real or
 # imaginary constant) are exactly 0 and are skipped: the factor with such a
 # part goes second, leaving (xr yr) + i (xi yr) or -(xi yi) + i (xr yi).
-# The two functions below form each product and sum from the parts' floats
-# exactly as the real operations would, so the bits are the same, and build
-# only the two result parts.
-
-
-def _interval_pair_product(xr, xi, yr, yi) -> ComplexPair:
-    """The complex product for Interval parts, from their float bounds."""
-    if xi.lo == 0.0 == xi.hi or xr.lo == 0.0 == xr.hi:
-        xr, xi, yr, yi = yr, yi, xr, xi
-    yrl, yrh, yil, yih = yr.lo, yr.hi, yi.lo, yi.hi
-    if yil == 0.0 == yih:
-        return ComplexPair(Interval._of(*_product_bounds(xr.lo, xr.hi, yrl, yrh)),
-                           Interval._of(*_product_bounds(xi.lo, xi.hi, yrl, yrh)))
-    if yrl == 0.0 == yrh:
-        rl, rh = _product_bounds(xi.lo, xi.hi, yil, yih)
-        return ComplexPair(Interval._of(-rh, -rl),
-                           Interval._of(*_product_bounds(xr.lo, xr.hi, yil, yih)))
-    xrl, xrh, xil, xih = xr.lo, xr.hi, xi.lo, xi.hi
-    al, ah = _product_bounds(xrl, xrh, yrl, yrh)
-    bl, bh = _product_bounds(xil, xih, yil, yih)
-    real = Interval._of(_nextafter(al - bh, -_INF), _nextafter(ah - bl, _INF))
-    al, ah = _product_bounds(xrl, xrh, yil, yih)
-    bl, bh = _product_bounds(xil, xih, yrl, yrh)
-    return ComplexPair(real, Interval._of(_nextafter(al + bl, -_INF), _nextafter(ah + bh, _INF)))
+# For Taylor-model parts, the function below forms each product and sum
+# from the parts' coefficients exactly as the real operations would, so the
+# bits are the same, and builds only the two result parts.
 
 
 def _taylor_pair_product(xr, xi, yr, yi) -> ComplexPair:
@@ -671,9 +710,9 @@ def certified_sign(x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
     if isinstance(x, TaylorModel):
         x = x.range()
     if isinstance(x, Interval):
-        if x.lo > 0.0:
+        if x.m > x.r:
             return SignVerdict.POSITIVE
-        if x.hi < 0.0:
+        if -x.m > x.r:
             return SignVerdict.NEGATIVE
         return SignVerdict.INDETERMINATE
     x = float(x)
@@ -746,9 +785,7 @@ class TaylorBackend:
 
     @classmethod
     def for_interval(cls, box: Interval) -> "TaylorBackend":
-        m = box.mid()
-        rad = max(m - box.lo, box.hi - m)
-        return cls(m, _up(rad) if rad > 0.0 else 0.0)
+        return cls(box.m, box.r)
 
     def variable(self):
         """The parameter itself as an enclosure."""
@@ -761,8 +798,9 @@ class TaylorBackend:
     def _const(self, x):
         if self._rad == 0.0:
             return Interval._lift(x)
-        m, r = _mid_rad(x) if isinstance(x, Interval) else (float(x), 0.0)
-        return TaylorModel([m], r, self._pw)
+        if isinstance(x, Interval):
+            return TaylorModel([x.m], x.r, self._pw)
+        return TaylorModel([float(x)], 0.0, self._pw)
 
     def real(self, x):
         if isinstance(x, TaylorModel) and self._rad > 0.0:
@@ -794,14 +832,15 @@ class TaylorBackend:
 FAST = FastBackend()
 RIGOROUS = TaylorBackend(0.0, 0.0)
 
-_BACKENDS = {"fast": FAST, "rigorous": RIGOROUS}
+BACKENDS = {"fast": FAST, "rigorous": RIGOROUS}
+DEFAULT_BACKEND = "fast"
 
 
 def get_backend(name: str):
     try:
-        return _BACKENDS[name]
+        return BACKENDS[name]
     except KeyError:
-        raise ValueError(f"unknown backend {name!r}; expected one of {sorted(_BACKENDS)}")
+        raise ValueError(f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import cake, numerics
 from .numerics import (
+    DEFAULT_BACKEND,
     DEFAULT_ZERO_TOL,
     FAST,
     MAX_DEPTH,
@@ -425,7 +426,7 @@ def published_match(cfg: TriangleConfiguration, report: ConditionReport):
 # scans and certification
 
 
-def scan(lo: float, hi: float, steps: int, backend_name: str = "fast"):
+def scan(lo: float, hi: float, steps: int, backend_name: str = DEFAULT_BACKEND):
     """Evaluate the conditions (plus, on the fast backend, the angle sum and
     the relation residual) on an equispaced grid; per-row errors are
     recorded and the scan continues."""
@@ -461,7 +462,7 @@ def condition_enclosures(t_box):
     keeps enclosure widths near |f'| * width(t) instead of blowing up with
     the dependency constant of the naive interval evaluation; on a point it
     computes on Intervals, like the rigorous backend.  Construction failures
-    (enclosure too wide for a sqrt or a division, or overflowing to NaN) are
+    (enclosure too wide for a sqrt or a division, or overflowing) are
     reported as incomplete rather than raised."""
     backend = TaylorBackend.for_interval(t_box)
     try:
@@ -491,7 +492,7 @@ def replay_range_certificate(cert: Certificate) -> bool:
 # full pipeline
 
 
-def verify_all(t: float = PUBLISHED_T, backend_name: str = "fast"):
+def verify_all(t: float = PUBLISHED_T, backend_name: str = DEFAULT_BACKEND):
     """Run the whole verification pipeline at a single t and return a
     structured report (plain dict with stable key order)."""
     backend = get_backend(backend_name)

@@ -3,15 +3,16 @@ outputs and the --out file sink.  Everything runs in process through
 cli.main."""
 
 import argparse
+import inspect
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cakecheck import cake, verification
+from cakecheck import cake, numerics, verification
 from cakecheck.cake import R1
-from cakecheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from cakecheck.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, PARSER, main
 from cakecheck.verification import SCAN_COLUMNS, render_report_text, verify_all
 
 
@@ -264,6 +265,21 @@ def test_usage_errors(capsys):
     assert run(["verify", "--t", "nan", "--backend", "rigorous"], capsys)[0] == EXIT_USAGE
     assert run(["verify", "--t", "inf"], capsys)[0] == EXIT_USAGE
     assert run(["certify", "--lo", "1.4", "--hi", "1.6"], capsys)[0] == EXIT_USAGE
+
+
+def test_backend_option_offers_the_library_backends():
+    """verify and scan offer exactly the library's backends, and they, the
+    command line and the library functions share one default."""
+    subcommands = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {}
+    for name, sp in subcommands.choices.items():
+        for action in sp._actions:
+            if action.dest == "backend":
+                offered[name] = (list(action.choices), action.default)
+    assert offered == {name: (list(numerics.BACKENDS), numerics.DEFAULT_BACKEND)
+                       for name in ("verify", "scan")}
+    for fn in (verify_all, verification.scan):
+        assert inspect.signature(fn).parameters["backend_name"].default == numerics.DEFAULT_BACKEND
 
 
 GOLDEN = Path(__file__).parent / "golden"

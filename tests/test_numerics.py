@@ -98,51 +98,19 @@ def test_complex_box_mul_contains_exact_product():
         # a few ulps of slack for the float reference product
         assert abs(prod.mid() - exact) <= 1e-12 * max(1.0, abs(exact))
         back = bz / bw * bw
-        assert ((back.real.range().contains(z.real) and back.imag.range().contains(z.imag))
+        assert ((back.real.lo <= z.real <= back.real.hi and back.imag.lo <= z.imag <= back.imag.hi)
                 or abs(back.mid() - z) < 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the radius-0 kernels against the four-product rule
-
-
-def _four_product(a, b):
-    """[a] * [b] by definition: the least and greatest of the four products,
-    rounded outward; a NaN bound (0 * inf) raises DomainError."""
-    p = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(math.nextafter(min(p), -math.inf), math.nextafter(max(p), math.inf))
-
-
-def _ref_sum(a, b):
-    return Interval(math.nextafter(a.lo + b.lo, -math.inf), math.nextafter(a.hi + b.hi, math.inf))
-
-
-def _ref_difference(a, b):
-    return Interval(math.nextafter(a.lo - b.hi, -math.inf), math.nextafter(a.hi - b.lo, math.inf))
-
-
-def _ref_complex_product(x, y):
-    """The ComplexPair product on Interval parts, operation by operation,
-    with the products that have an exact-zero part skipped."""
-    def zero(v):
-        return v.lo == 0.0 and v.hi == 0.0
-
-    a, b = (y, x) if zero(x.imag) or zero(x.real) else (x, y)
-    if zero(b.imag):
-        return _four_product(a.real, b.real), _four_product(a.imag, b.real)
-    if zero(b.real):
-        p = _four_product(a.imag, b.imag)
-        return Interval(-p.hi, -p.lo), _four_product(a.real, b.imag)
-    return (_ref_difference(_four_product(x.real, y.real), _four_product(x.imag, y.imag)),
-            _ref_sum(_four_product(x.real, y.imag), _four_product(x.imag, y.real)))
+# ball arithmetic against the exact range of each operation
 
 
 EDGE_INTERVALS = [
     Interval(0.0), Interval(-0.0), Interval(-0.0, 0.0), Interval(2.5),
     Interval(0.0, 2.5), Interval(-0.0, 2.5), Interval(-3.0, 0.0), Interval(-3.0, -0.0),
-    Interval(-1.5, 2.0), Interval(-5e-324, 5e-324), Interval(1e200, 1e201),
-    Interval(1.0, math.inf), Interval(0.0, math.inf), Interval(-math.inf, -2.0),
-    Interval(-math.inf, math.inf), Interval(math.inf), Interval(-math.inf),
+    Interval(-1.5, 2.0), Interval(-5e-324, 5e-324), Interval(5e-324), Interval(1e-310, 3e-308),
+    Interval(1e100, 1e101), Interval(-1e150, 1e150),
 ]
 
 
@@ -159,50 +127,126 @@ def _interval_pool():
     return EDGE_INTERVALS + [_random_interval(rng) for _ in range(40)]
 
 
-def _same(op, ref):
-    """Both raise DomainError, or both give the same bounds."""
-    try:
-        want = ref()
-    except DomainError:
-        with pytest.raises(DomainError):
+def _ends(x):
+    """The exact ends m - r and m + r of a ball."""
+    return Fraction(x.m) - Fraction(x.r), Fraction(x.m) + Fraction(x.r)
+
+
+_FLOAT_MAX = Fraction(2) ** 1024
+_GAMMA2_BOUND, _TINY_BOUND = Fraction(2) ** -51, Fraction(2) ** -999
+_SLACK = Fraction(numerics._SLACK)
+
+
+def _within(op, values, summed=None):
+    """``op()`` contains every exact value, and its radius is at most the
+    half-width of their range plus what rounding adds: 2^-51 >= gamma_2
+    (within _SLACK) times the magnitude of the terms summed, by default the
+    largest value's, and _TINY.  A value beyond the floats is an overflow,
+    a DomainError."""
+    top = max(abs(v) for v in values)
+    if top >= _FLOAT_MAX:
+        with pytest.raises(DomainError, match="overflowed"):
             op()
         return
-    got = op()
-    got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
-    assert [(g.lo, g.hi) for g in got] == [(w.lo, w.hi) for w in want]
+    x = op()
+    lo, hi = _ends(x)
+    assert all(lo <= v <= hi for v in values), (x, values)
+    # the outward-rounded bounds contain the ball
+    assert Fraction(x.lo) <= lo and hi <= Fraction(x.hi)
+    bound = ((max(values) - min(values)) / 2 + _GAMMA2_BOUND * (summed or top)) * _SLACK + _TINY_BOUND
+    assert Fraction(x.r) <= bound, (x, float(bound))
 
 
-def test_interval_kernels_match_the_four_product_rule():
+def test_interval_ops_contain_the_exact_range():
+    """Each operation contains the exact results at the ends of its operands'
+    balls, which span its exact range (with 0 for the square of a ball that
+    has 0 inside), and its radius is that range's half-width plus
+    rounding."""
     pool = _interval_pool()
     for a in pool:
-        assert (-a).lo == -a.hi and (-a).hi == -a.lo
+        ea = _ends(a)
+        assert ((-a).m, (-a).r) == (-a.m, a.r)
+        _within(a.sqr, [x * x for x in ea] + ([Fraction(0)] if ea[0] < 0 < ea[1] else []))
+        if ea[0] >= 0:
+            # sqrt(v) is in [lo, hi] iff lo <= 0 or lo^2 <= v, and v <= hi^2
+            s = a.sqrt()
+            lo, hi = _ends(s)
+            assert all((lo <= 0 or lo * lo <= v) and v <= hi * hi for v in ea)
+            # its radius is the half-width of [sqrt(lo), sqrt(hi)] plus
+            # rounding, 2^-47 of the larger end, within _SLACK
+            top = math.sqrt(a.m + a.r)
+            half = (top - math.sqrt(a.m - a.r)) / 2
+            assert s.r <= (half + 2.0 ** -47 * top) * numerics._SLACK + 2.0 ** -999
+        else:
+            with pytest.raises(DomainError):
+                a.sqrt()
         for b in pool:
-            _same(lambda: a * b, lambda: _four_product(a, b))
-            _same(lambda: a + b, lambda: _ref_sum(a, b))
-            _same(lambda: a - b, lambda: _ref_difference(a, b))
+            eb = _ends(b)
+            _within(lambda: a + b, [x + y for x in ea for y in eb])
+            _within(lambda: a - b, [x - y for x in ea for y in eb])
+            _within(lambda: a * b, [x * y for x in ea for y in eb])
+            if eb[0] > 0 or eb[1] < 0:
+                # the shift of a quotient's midpoint is off by 2^-48 of itself
+                q = [x / y for x in ea for y in eb]
+                _within(lambda: a / b, q, 10 * max(abs(v) for v in q))
+            else:
+                with pytest.raises(DomainError, match="containing zero"):
+                    a / b
 
 
-def _parts(z):
-    return z.real, z.imag
+def test_interval_overflow_is_a_domain_error():
+    """A non-finite bound, at construction or as a result, is a DomainError:
+    an overflow, not an unbounded interval."""
+    for lo, hi in ((1.0, math.inf), (-math.inf, 2.0), (math.inf, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            Interval(lo, hi)
+    with pytest.raises(DomainError, match="overflowed"):
+        Interval(math.inf)
+    big = Interval(1e200, 1e201)
+    for op in (lambda: big * big, lambda: big.sqr(), lambda: big / Interval(1e-200),
+               lambda: Interval(1.7e308) + Interval(1.7e308),
+               lambda: Interval(-1.7e308) - Interval(1.7e308),
+               lambda: ComplexPair(big, big) * ComplexPair(big, Interval(1.0))):
+        with pytest.raises(DomainError, match="overflowed"):
+            op()
 
 
-def test_fused_complex_product_matches_operation_by_operation():
+def _product_range(ex, ey):
+    """The exact range of x * y over two balls with ends ``ex`` and ``ey``,
+    spanned by the corners."""
+    p = [a * c for a in ex for c in ey]
+    return min(p), max(p)
+
+
+def _complex_range(x, y):
+    """The exact ranges of the real and imaginary parts of x * y over the
+    parts' balls, given as their ends, each with the largest magnitude of
+    the two products it sums: each part is a sum of two products of
+    independent parts."""
+    (xr, xi), (yr, yi) = x, y
+    ac, bd = _product_range(xr, yr), _product_range(xi, yi)
+    ad, bc = _product_range(xr, yi), _product_range(xi, yr)
+    return ([ac[0] - bd[1], ac[1] - bd[0]], max(map(abs, ac)) + max(map(abs, bd)),
+            [ad[0] + bc[0], ad[1] + bc[1]], max(map(abs, ad)) + max(map(abs, bc)))
+
+
+def test_interval_complex_product_contains_the_exact_range():
+    """Each part of the complex product of Interval parts contains its exact
+    range, with a radius of the range's half-width plus rounding; an
+    exact-zero part on either side included."""
     pool = _interval_pool()
     rng = random.Random(5)
     pairs = [ComplexPair(a, b) for a in EDGE_INTERVALS[::2] for b in EDGE_INTERVALS[1::2]]
     pairs += [ComplexPair(rng.choice(pool), rng.choice(pool)) for _ in range(120)]
-    for x in pairs:
-        for y in pairs[::3]:
-            _same(lambda: _parts(x * y), lambda: _ref_complex_product(x, y))
-    # an exact-zero real or imaginary part on either side
     z = ComplexPair(Interval(1.5, 2.0), Interval(-3.0, -1.0))
-    for w in (ComplexPair(Interval(-0.5, 0.25), Interval(0.0)),
-              ComplexPair(Interval(-0.0, 0.0), Interval(4.0, 5.0))):
-        for x, y in ((z, w), (w, z)):
-            _same(lambda: _parts(x * y), lambda: _ref_complex_product(x, y))
-    # 0 * inf overflows to NaN
-    with pytest.raises(DomainError):
-        ComplexPair(Interval(0.0, 1.0), Interval(1.0)) * ComplexPair(Interval(math.inf), Interval(1.0))
+    pairs += [z, ComplexPair(Interval(-0.5, 0.25), Interval(0.0)),
+              ComplexPair(Interval(-0.0, 0.0), Interval(4.0, 5.0))]
+    ends = [(x, (_ends(x.real), _ends(x.imag))) for x in pairs]
+    for x, ex in ends:
+        for y, ey in ends[::3] + ends[-3:]:
+            real, real_summed, imag, imag_summed = _complex_range(ex, ey)
+            _within(lambda: (x * y).real, real, real_summed)
+            _within(lambda: (x * y).imag, imag, imag_summed)
 
 
 def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
@@ -448,7 +492,7 @@ def test_interval_complex_product_with_zero_part_contains_exact_values():
         z = RIGOROUS.complex_(_widened(zr), _widened(zi))
         real = RIGOROUS.complex_(_widened(a))
         imag = RIGOROUS.complex_(0, _widened(a))
-        assert real.imag.is_zero() and imag.real.is_zero()
+        assert (real.imag.m, real.imag.r) == (imag.real.m, imag.real.r) == (0.0, 0.0)
         iv = z * Interval(0.5, 0.75)
         cases = [
             (z * 3, (3 * zr, 3 * zi)),
@@ -572,6 +616,10 @@ def _ref_taylor_complex_product(x, y):
     return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
 
 
+def _parts(z):
+    return z.real, z.imag
+
+
 def test_fused_taylor_complex_product_matches_operation_by_operation(order):
     rng = random.Random(29 + order)
     pw = TaylorBackend(2.2, 1e-3).variable().pw
@@ -655,8 +703,9 @@ def test_taylor_width_tracks_derivative_not_dependency(monkeypatch):
         for _ in range(10):
             acc = acc * x - x
         # true derivative of the iterate is ~2047, so |f'| * 2 rad ~ 0.41
-        assert acc.range().width() < 0.5
-        assert acc.range().width() < acc_n.width()
+        width = acc.range().hi - acc.range().lo
+        assert width < 0.5
+        assert width < acc_n.hi - acc_n.lo
 
 
 def test_taylor_higher_order_tightens_remainder(monkeypatch):
@@ -666,7 +715,7 @@ def test_taylor_higher_order_tightens_remainder(monkeypatch):
     for order in ORDERS[1:]:
         x = _taylor_backend(monkeypatch, order, 2.0, 1e-2).variable()
         f = x * x - 4 * x
-        widths.append(f.range().width())
+        widths.append(f.range().hi - f.range().lo)
         if order >= 2:
             assert f.r < 1e-12
     # true range of (t - 2)^2 - 4 on [1.99, 2.01] is [-4, -3.9999]
@@ -733,14 +782,14 @@ def test_complex_scalars_read_through_the_number_protocol(backend):
     # every backend's complex scalar answers conjugate(), .real and .imag
     # like a Python complex; the backends carry no conj/re/im wrappers
     def holds(x, want):
-        return x.range().contains(want) if backend.rigorous else x == want
+        return x.range().lo <= want <= x.range().hi if backend.rigorous else x == want
 
     z = backend.complex_(0.75, -2.5)
     zc = z.conjugate()
     assert holds(z.real, 0.75) and holds(z.imag, -2.5)
     assert holds(zc.real, 0.75) and holds(zc.imag, 2.5)
     one = (backend.theta * backend.theta.conjugate()).real
-    assert one.range().contains(1.0) if backend.rigorous else abs(one - 1.0) < 1e-15
+    assert holds(one, 1.0) if backend.rigorous else abs(one - 1.0) < 1e-15
     assert not any(hasattr(backend, name) for name in ("conj", "re", "im"))
 
 

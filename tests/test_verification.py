@@ -472,6 +472,34 @@ def test_fast_values_inside_rigorous_enclosures():
             assert iv.lo - slack <= v <= iv.hi + slack, (t, cid)
 
 
+@pytest.mark.parametrize("t", [2.22, 1e6, 1e9])
+def test_rigorous_enclosures_hold_the_fast_values(t):
+    """Each fast condition value lies in its rigorous enclosure, also at
+    large t, where 6b and 6c are too wide to decide a sign; the rigorous
+    report prints each enclosure's midpoint."""
+    _, fast, _ = condition_items(build_configuration(t, FAST))
+    _, rigorous, _ = condition_items(build_configuration(t, RIGOROUS))
+    report = verify_all(t, "rigorous")["conditions"]["values"]
+    assert list(rigorous) == list(fast) == list(report)
+    for cid, v in fast.items():
+        enc = rigorous[cid]
+        parts = ((v.real, enc.real), (v.imag, enc.imag)) if cid == "6b" else ((v, enc),)
+        assert all(x.lo <= y <= x.hi for y, x in parts), (t, cid)
+        assert report[cid] == (complex(enc.real.m, enc.imag.m) if cid == "6b" else enc.m)
+
+
+@pytest.mark.parametrize("t, undecided", [(23714.0, ()), (1e11, ("6b", "6c"))])
+def test_rigorous_verdicts_at_large_t(t, undecided):
+    """Point enclosures are the exact ranges of their operations, rounded:
+    at t = 23714 the |z|^2 of 6b, whose parts are wide but exclude 0, and
+    at 1e11 the quotient of the tance in 6a, whose denominator is wide,
+    still decide the sign."""
+    verdicts = verify_all(t, "rigorous")["conditions"]["verdicts"]
+    assert verdicts == {cid: ("certified-negative" if cid in ("4b", "5") else
+                              "indeterminate" if cid in undecided else "certified-positive")
+                        for cid in CONDITION_IDS}
+
+
 def test_condition_report_plain_on_taylor_range():
     backend = TaylorBackend.for_interval(Interval(2.2, 2.2005))
     rep = evaluate_conditions(build_configuration(backend.variable(), backend))
@@ -584,6 +612,10 @@ def test_certify_counts_at_shipped_order():
     cert = certify_range(2.13, 2.34)
     assert cert.certified
     assert (cert.evaluations, len(cert.leaves)) == (4, 22)
+    # the sharp window, where 4b, 4a, 6b and 6c each force splits
+    sharp = certify_range(2.1228615, 2.343115)
+    assert sharp.certified
+    assert (sharp.evaluations, len(sharp.leaves)) == (28, 110)
     window = certify_range(2.2, 2.20075)
     assert window.certified and window.evaluations == 1
 
