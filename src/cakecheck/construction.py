@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import FAST, DomainError, SignVerdict, certified_sign
+from .numerics import FAST, DomainError, SignVerdict, certified_sign, mid
 from .hermitian import (
     RESIDUAL_TOL,
     GeometryError,
@@ -79,10 +79,9 @@ def parameter_residuals(params: ParameterTriple):
     - the parameter polynomial at t1 (should vanish),
     - 2 t2 - (2 t t1 - t - t1 + 1) (should vanish).
     """
-    b = params.backend
     t, t1, t2 = params.t, params.t1, params.t2
-    r1 = b.mid_real(parameter_polynomial(t, t1))
-    r2 = b.mid_real(2 * t2 - (2 * t * t1 - t - t1 + 1))
+    r1 = mid(parameter_polynomial(t, t1))
+    r2 = mid(2 * t2 - (2 * t * t1 - t - t1 + 1))
     return (abs(r1), abs(r2))
 
 
@@ -190,7 +189,7 @@ def build_configuration(t, backend=FAST) -> TriangleConfiguration:
     except (DomainError, GeometryError) as exc:
         raise DomainError(
             f"double precision cannot resolve the construction at "
-            f"t = {backend.mid_real(t)!r}"
+            f"t = {mid(t)!r}"
         ) from exc
 
 

@@ -122,9 +122,7 @@ class GramContext:
         return ProjVector((lift(a), lift(b), lift(c)), self)
 
     def _lift_scalar(self, x):
-        if isinstance(x, (int, float)):
-            return self.backend.complex_(self.backend.real(x))
-        if isinstance(x, complex):
+        if isinstance(x, (int, float, complex)):
             return self.backend.complex_(x.real, x.imag)
         return x
 

@@ -4,13 +4,14 @@ All geometric code in this package is written against a tiny backend
 protocol, so the same code path runs on two backends: ordinary double
 precision (``FastBackend``, "fast") and rigorous enclosures of functions
 of the parameter (``TaylorBackend``), whose reals are Intervals at a point
-(radius 0, "rigorous") and Taylor models in the parameter on a range.  The
-protocol is ``real``, ``complex_``, ``theta``, ``sqrt``, ``mid`` and
-``mid_real``, plus the ``name`` and ``rigorous`` flags.  Complex scalars
-are read through Python's number protocol, ``z.conjugate()``, ``z.real``
-and ``z.imag``, on every backend; the enclosure backend's complex type is
-``ComplexPair``.  Every enclosure operation encloses the exact result, so
-a sign decision made on an enclosure that excludes 0 is certified.
+(radius 0, "rigorous") and Taylor models in the parameter on a range.  A
+backend only makes scalars: its protocol is ``real``, ``complex_``,
+``theta`` and ``sqrt``, plus the ``name`` and ``rigorous`` flags.  The
+scalars carry Python's number protocol, ``z.conjugate()``, ``z.real`` and
+``z.imag``, on every backend; the enclosure backend's complex type is
+``ComplexPair``.  ``mid(x)`` reads a plain float or complex from any of
+them.  Every enclosure operation encloses the exact result, so a sign
+decision made on an enclosure that excludes 0 is certified.
 
 Both enclosure arithmetics round alike.  A midpoint or coefficient is a
 float computed in round-to-nearest, and each operation adds to a radius
@@ -29,8 +30,8 @@ from the coefficient lists and remainders, and every polynomial product
 runs through a straight-line kernel for its pair of factor lengths, built on
 first use, that sums each coefficient in the order of the schoolbook loop,
 to the same bits.  An evaluation on [2.2, 2.20025] makes
-318 complex products with 14 kernels and builds 1577 ``TaylorModel``s,
-down from 2857.
+318 complex products with 14 kernels and builds 1578 ``TaylorModel``s,
+down from 2857, one of them the backend's unit.
 """
 
 from __future__ import annotations
@@ -129,7 +130,31 @@ def _ball_product(a: float, ar: float, b: float, br: float) -> "Interval":
     return _around(p, s, w, _GAMMA1 * (abs(p) + abs(s)))
 
 
-class Interval:
+class _Scalar:
+    """The reflected operators of an enclosure type, written once: ``k - x``
+    and ``k / x`` lift k with the type's own ``_lift`` and apply the forward
+    operator."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is None else o - self
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is None else o / self
+
+
+def mid(x):
+    """A plain value of the scalar x: the float of a real, the complex of a
+    complex and the midpoint of an enclosure."""
+    if isinstance(x, _Scalar):
+        return x.mid()
+    return x if isinstance(x, complex) else float(x)
+
+
+class Interval(_Scalar):
     """Closed real interval as a ball: the midpoint ``m`` and the radius
     ``r`` of [m - r, m + r] (Rump, BIT 39, 1999).  Every operation forms
     the exact range of its result as a ball around the float value plus a
@@ -196,12 +221,6 @@ class Interval:
         m = self.m - o.m
         return _ball(m, (self.r + o.r + _GAMMA1 * abs(m)) * _SLACK + _TINY)
 
-    def __rsub__(self, other):
-        o = Interval._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = other if type(other) is Interval else Interval._lift(other)
         if o is None:
@@ -231,12 +250,6 @@ class Interval:
         s = q * (br / (B + br))
         return _around(m, s if (a > 0.0) == (b > 0.0) else -s, q * (B / (B + br)),
                        _GAMMA1 * abs(m) + _GAMMA * s)
-
-    def __rtruediv__(self, other):
-        o = Interval._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def sqr(self) -> "Interval":
         a, ar = abs(self.m), self.r
@@ -399,7 +412,7 @@ def _summed(a: list, b: list, r: float, pw: tuple) -> "TaylorModel":
     return TaylorModel(c, (r + _GAMMA * nc) * _SLACK + _TINY, pw, nc)
 
 
-class TaylorModel:
+class TaylorModel(_Scalar):
     """Real Taylor model in one parameter: float coefficients ``c`` of a
     polynomial of degree len(c) - 1 <= n in delta = t - mid, and a
     remainder radius ``r``, valid for |delta| <= rad.  ``pw`` holds
@@ -453,6 +466,9 @@ class TaylorModel:
         m = 0.5 * (lo + hi)
         return _ball(m, (max(hi - m, m - lo) + _GAMMA * mag + self.r) * _SLACK + _TINY)
 
+    def mid(self) -> float:
+        return self.range().m
+
     def __neg__(self):
         return TaylorModel([-x for x in self.c], self.r, self.pw)
 
@@ -480,12 +496,6 @@ class TaylorModel:
             if other is None:
                 return NotImplemented
         return _summed(self.c, [-y for y in other.c], self.r + other.r, self.pw)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def _scale(self, x: float, xr: float = 0.0) -> "TaylorModel":
         """The model times a constant known to lie in [x - xr, x + xr]."""
@@ -539,12 +549,6 @@ class TaylorModel:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def sqr(self) -> "TaylorModel":
         return self * self
 
@@ -565,7 +569,7 @@ class TaylorModel:
         return self.r == 0.0 and len(self.c) == 1 and self.c[0] == 0.0
 
 
-class ComplexPair:
+class ComplexPair(_Scalar):
     """Complex enclosure: a pair of real ones of one type, Intervals or
     Taylor models."""
 
@@ -592,7 +596,7 @@ class ComplexPair:
         return ComplexPair(self.real.range(), self.imag.range())
 
     def mid(self) -> complex:
-        return complex(self.real.range().mid(), self.imag.range().mid())
+        return complex(self.real.mid(), self.imag.mid())
 
     def conjugate(self) -> "ComplexPair":
         return ComplexPair(self.real, -self.imag)
@@ -617,18 +621,11 @@ class ComplexPair:
             return NotImplemented
         return ComplexPair(self.real - o.real, self.imag - o.imag)
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = other if type(other) is ComplexPair else self._lift(other)
         if o is None:
             return NotImplemented
-        if (type(self.real) is Interval and type(self.imag) is Interval
-                and type(o.real) is Interval and type(o.imag) is Interval):
+        if type(self.real) is Interval:
             return _interval_pair_product(self.real, self.imag, o.real, o.imag)
         return _taylor_pair_product(self.real, self.imag, o.real, o.imag)
 
@@ -641,12 +638,6 @@ class ComplexPair:
         d = o.abs2().inv()
         n = self * o.conjugate()
         return ComplexPair(n.real * d, n.imag * d)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
 
 _NARROW = 2.0 ** -27
@@ -754,20 +745,14 @@ class FastBackend:
             raise DomainError(f"sqrt of negative value {x}")
         return math.sqrt(x)
 
-    def mid(self, z) -> complex:
-        return complex(z)
-
-    def mid_real(self, x) -> float:
-        return float(x)
-
 
 class TaylorBackend:
     """Rigorous enclosures of functions of the parameter t on [mid - rad,
-    mid + rad], through the backend protocol.  Reals are made from floats
-    and Intervals by ``_const``: Taylor models of order ``TAYLOR_ORDER`` on
-    a range (rad > 0), far tighter than naive intervals on narrow ranges,
-    and Intervals on a point (rad = 0).  Complex values are ComplexPairs of
-    them, read like a Python complex."""
+    mid + rad], through the backend protocol.  Reals are lifted from floats
+    and Intervals through one unit scalar's ``_lift``: Taylor models of
+    order ``TAYLOR_ORDER`` on a range (rad > 0), far tighter than naive
+    intervals on narrow ranges, and Intervals on a point (rad = 0).
+    Complex values are ComplexPairs of them, read like a Python complex."""
 
     rigorous = True
 
@@ -782,6 +767,7 @@ class TaylorBackend:
         for _ in range(2 * self.order):
             pw.append(_up(pw[-1] * self._rad))
         self._pw = tuple(pw)
+        self._unit = TaylorModel([1.0], 0.0, self._pw) if self._rad > 0.0 else Interval(1.0)
 
     @classmethod
     def for_interval(cls, box: Interval) -> "TaylorBackend":
@@ -795,38 +781,21 @@ class TaylorBackend:
             return TaylorModel([self._mid], self._rad, self._pw)
         return TaylorModel([self._mid, 1.0], 0.0, self._pw)
 
-    def _const(self, x):
-        if self._rad == 0.0:
-            return Interval._lift(x)
-        if isinstance(x, Interval):
-            return TaylorModel([x.m], x.r, self._pw)
-        return TaylorModel([float(x)], 0.0, self._pw)
-
     def real(self, x):
-        if isinstance(x, TaylorModel) and self._rad > 0.0:
-            return x
-        if isinstance(x, (Interval, int, float)):
-            return self._const(x)
-        raise TypeError(f"{self.name} backend cannot lift {type(x).__name__} as a real")
+        r = self._unit._lift(x)
+        if r is None:
+            raise TypeError(f"{self.name} backend cannot lift {type(x).__name__} as a real")
+        return r
 
     def complex_(self, re, im=0.0):
         return ComplexPair(self.real(re), self.real(im))
 
     @property
     def theta(self) -> ComplexPair:
-        half_sqrt3 = Interval(3.0).sqrt() / 2
-        return ComplexPair(self._const(0.5), self._const(half_sqrt3))
+        return self.complex_(0.5, Interval(3.0).sqrt() / 2)
 
     def sqrt(self, x):
         return self.real(x).sqrt()
-
-    def mid(self, z) -> complex:
-        if isinstance(z, ComplexPair):
-            return z.mid()
-        return complex(self.mid_real(z), 0.0)
-
-    def mid_real(self, x) -> float:
-        return self.real(x).range().mid()
 
 
 FAST = FastBackend()

@@ -35,6 +35,7 @@ from .numerics import (
     certified_sign,
     certify_on_interval,
     get_backend,
+    mid,
     replay_certificate,
 )
 from .hermitian import (
@@ -156,7 +157,6 @@ def condition_items(cfg: TriangleConfiguration):
 
 @dataclass
 class ConditionReport:
-    backend: object
     values: dict
     verdicts: dict
     complete: bool
@@ -167,20 +167,11 @@ class ConditionReport:
             v is SignVerdict.POSITIVE for v in self.verdicts.values()
         )
 
-    def plain(self, cid):
-        """The reported value of condition ``cid`` as a plain number: the
-        midpoint of an enclosure, complex for 6b and float otherwise."""
-        b = self.backend
-        v = self.values[cid]
-        return b.mid(v) if cid == "6b" else b.mid_real(v)
-
 
 def evaluate_conditions(cfg: TriangleConfiguration):
     complete, values, positives = condition_items(cfg)
     verdicts = {cid: certified_sign(val) for cid, val in positives.items()}
-    return ConditionReport(
-        backend=cfg.backend, values=values, verdicts=verdicts, complete=complete
-    )
+    return ConditionReport(values=values, verdicts=verdicts, complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +316,6 @@ def toledo(cfg: TriangleConfiguration):
     that |tau| <= |chi| admits.
     """
     ctx = cfg.ctx
-    b = cfg.backend
     c1, c2 = cfg.c1, cfg.c2
     y = cfg.c3.scale(-ctx.inner(c2, cfg.c3))
     c12 = ctx.inner(c1, c2)
@@ -340,10 +330,10 @@ def toledo(cfg: TriangleConfiguration):
     if not (certified_sign(a) is SignVerdict.NEGATIVE
             and certified_sign(a_plus_b) is SignVerdict.NEGATIVE):
         return math.nan, [
-            f"Im h(s) = s (a + b s) with a = {b.mid_real(a)}, a + b = "
-            f"{b.mid_real(a_plus_b)} is not negative on (0, 1]: out-of-regime parameter"
+            f"Im h(s) = s (a + b s) with a = {mid(a)}, a + b = "
+            f"{mid(a_plus_b)} is not negative on (0, 1]: out-of-regime parameter"
         ]
-    h_end = b.mid((c1y * yc2 / c12).conjugate())
+    h_end = mid((c1y * yc2 / c12).conjugate())
     end_branch = cmath.phase(h_end) + 2.0 * math.pi
     variation = end_branch - math.pi  # anchored at Arg <c2,c2> = pi
     presnap = -16.0 * variation / math.pi
@@ -380,7 +370,7 @@ def euler_side_test(report: ConditionReport):
         e = -16
     else:
         raise ValueError(f"side test needs a decided 6c, not {verdict}")
-    return {"s": report.plain("6c"), "e": e, "verdict": verdict}
+    return {"s": mid(report.values["6c"]), "e": e, "verdict": verdict}
 
 
 def invariant_ledger(e: int):
@@ -402,8 +392,7 @@ def invariant_ledger(e: int):
 
 def published_match(cfg: TriangleConfiguration, report: ConditionReport):
     """Compare against the published two-decimal table at t = 2.22."""
-    b = cfg.backend
-    t1, t2 = b.mid_real(cfg.params.t1), b.mid_real(cfg.params.t2)
+    t1, t2 = mid(cfg.params.t1), mid(cfg.params.t2)
     rows = []
 
     def row(key, computed):
@@ -418,7 +407,7 @@ def published_match(cfg: TriangleConfiguration, report: ConditionReport):
         if cid not in report.values:
             rows.append({"key": cid, "printed": PRINTED_VALUES[cid], "computed": None, "ok": False})
             continue
-        row(cid, report.plain(cid))
+        row(cid, mid(report.values[cid]))
     return rows
 
 
@@ -514,8 +503,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = DEFAULT_BACKEND):
     failures = report["failures"]
 
     cfg = build_configuration(t, backend)
-    b = backend
-    t1, t2 = b.mid_real(cfg.params.t1), b.mid_real(cfg.params.t2)
+    t1, t2 = mid(cfg.params.t1), mid(cfg.params.t2)
     r1, r2 = parameter_residuals(cfg.params)
     report["parameters"] = {
         "t": t, "t1": t1, "t2": t2,
@@ -524,7 +512,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = DEFAULT_BACKEND):
 
     cond = evaluate_conditions(cfg)
     report["conditions"] = {
-        "values": {cid: cond.plain(cid) for cid in cond.values},
+        "values": {cid: mid(v) for cid, v in cond.values.items()},
         "verdicts": {cid: v.value for cid, v in cond.verdicts.items()},
         "complete": cond.complete,
     }
@@ -672,8 +660,8 @@ def scan_to_csv(rows) -> str:
         rec["status"] = row["status"]
         rep = row["report"]
         if rep is not None:
-            for cid in rep.values:
-                v = rep.plain(cid)
+            for cid, value in rep.values.items():
+                v = mid(value)
                 if cid == "6b":
                     rec["cond_6b_re"] = _fmt(v.real)
                     rec["cond_6b_im"] = _fmt(v.imag)

@@ -18,7 +18,7 @@ from cakecheck.hermitian import (
     mat_max_abs,
     reflection,
 )
-from cakecheck.numerics import SignVerdict, certified_sign
+from cakecheck.numerics import SignVerdict, certified_sign, mid
 
 
 class PointClass(enum.Enum):
@@ -126,8 +126,7 @@ def form_residual(iso: Isometry, probes) -> float:
 
 
 def as_floats(params):
-    b = params.backend
-    return (b.mid_real(params.t), b.mid_real(params.t1), b.mid_real(params.t2))
+    return (mid(params.t), mid(params.t1), mid(params.t2))
 
 
 def trace_identities_check(x1, x2, x3):

@@ -313,6 +313,21 @@ def test_fast_verify_matches_masked_golden_file(capsys):
     assert masked.encode() == (GOLDEN / "verify_fast_structured.txt").read_bytes()
 
 
+def test_fast_scan_matches_masked_golden_file(capsys):
+    """The default 22-point scan with its relation_residual column masked:
+    that residual sits at rounding level, every other value is pinned.  CI
+    applies the same mask with awk."""
+    code, out, _ = run(["scan"], capsys)
+    assert code == EXIT_OK
+    column = SCAN_COLUMNS.index("relation_residual")
+    rows = [line.split(",") for line in out.splitlines()]
+    for row in rows[1:]:
+        row[column] = "<masked>"
+    assert len(rows) == 23
+    masked = "".join(",".join(row) + "\n" for row in rows)
+    assert masked.encode() == (GOLDEN / "scan_fast.csv").read_bytes()
+
+
 def _masked_text(report):
     return re.sub(r"(?m)^(?=.*residual)(.*?) = .*$", r"\1 = <masked>", report).encode()
 

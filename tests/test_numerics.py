@@ -3,6 +3,7 @@ rational oracle, Taylor model containment, and the bisection certifier
 with its replay."""
 
 import math
+import operator
 import os
 import random
 import subprocess
@@ -26,6 +27,7 @@ from cakecheck.numerics import (
     certified_sign,
     certify_on_interval,
     get_backend,
+    mid,
     replay_certificate,
 )
 from cakecheck.verification import certify_range, condition_enclosures, verify_all
@@ -653,9 +655,10 @@ def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
     assert complete and len(items) == 11
     # 428 and 1989 while G conj(v) was formed afresh for every inner product
     # and reflection; 2857 models while each complex product built its four
-    # real products and its two sums as models
+    # real products and its two sums as models; one of the 1578 is the
+    # backend's unit, through which it lifts its reals
     assert counts["complex"] == 318
-    assert counts["model"] == 1577
+    assert counts["model"] == 1578
 
 
 def test_kernels_are_built_for_the_shapes_used(monkeypatch):
@@ -769,9 +772,9 @@ def test_taylor_backend_protocol_surface():
     assert isinstance(TaylorBackend.for_interval(Interval(2.22, 2.22)).variable(), Interval)
     assert isinstance(RIGOROUS, TaylorBackend)
     th = backend.theta
-    assert abs(backend.mid(th) - complex(0.5, math.sqrt(3) / 2)) < 1e-12
+    assert abs(mid(th) - complex(0.5, math.sqrt(3) / 2)) < 1e-12
     assert isinstance((th * th.conjugate()).real, TaylorModel)
-    assert abs(backend.mid_real(t) - 2.22) < 1e-12
+    assert abs(mid(t) - 2.22) < 1e-12
     assert certified_sign(t) is SignVerdict.POSITIVE
 
 
@@ -780,7 +783,8 @@ def test_taylor_backend_protocol_surface():
 )
 def test_complex_scalars_read_through_the_number_protocol(backend):
     # every backend's complex scalar answers conjugate(), .real and .imag
-    # like a Python complex; the backends carry no conj/re/im wrappers
+    # like a Python complex, and numerics.mid reads it; the backends only
+    # make scalars and carry no conj/re/im or mid wrappers
     def holds(x, want):
         return x.range().lo <= want <= x.range().hi if backend.rigorous else x == want
 
@@ -790,7 +794,124 @@ def test_complex_scalars_read_through_the_number_protocol(backend):
     assert holds(zc.real, 0.75) and holds(zc.imag, 2.5)
     one = (backend.theta * backend.theta.conjugate()).real
     assert holds(one, 1.0) if backend.rigorous else abs(one - 1.0) < 1e-15
-    assert not any(hasattr(backend, name) for name in ("conj", "re", "im"))
+    assert mid(z) == complex(0.75, -2.5) and mid(zc) == complex(0.75, 2.5)
+    assert type(mid(z.real)) is float and mid(z.real) == 0.75
+    assert not any(hasattr(backend, name)
+                   for name in ("conj", "re", "im", "mid", "mid_real", "_const"))
+
+
+def test_backends_lift_only_the_reals_they_hold():
+    """A backend makes its reals from ints, floats and (on the enclosure
+    backend) Intervals; anything else is a TypeError, not a silent cast."""
+    for bad in ("2", 1j):
+        with pytest.raises(TypeError, match="fast backend cannot lift"):
+            FAST.real(bad)
+        with pytest.raises(TypeError, match="rigorous backend cannot lift"):
+            RIGOROUS.real(bad)
+    ranged = TaylorBackend(2.2, 1e-3)
+    x = ranged.variable()
+    with pytest.raises(TypeError, match="rigorous backend cannot lift TaylorModel"):
+        RIGOROUS.real(x)
+    assert ranged.real(x) is x
+    iv = Interval(0.5, 0.75)
+    assert RIGOROUS.real(iv) is iv
+    lifted = ranged.real(iv)
+    assert isinstance(lifted, TaylorModel) and (lifted.c, lifted.r) == ([iv.m], iv.r)
+    assert isinstance(ranged.real(3), TaylorModel) and ranged.real(3).c == [3.0]
+    with pytest.raises(ValueError, match="negative Taylor model radius"):
+        TaylorBackend(2.2, -1e-3)
+
+
+def test_fast_sqrt_snaps_only_rounding_level_negatives():
+    assert FAST.sqrt(-1e-13) == 0.0
+    assert FAST.sqrt(2.25) == 1.5
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        FAST.sqrt(-1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the reflected operators k - x and k / x, written once for all three
+# enclosure types
+
+
+_KS = (3, -2, 0.1, -2.5)
+
+
+def _holds_pair(z, re, im):
+    return (Fraction(z.real.lo) <= re <= Fraction(z.real.hi)
+            and Fraction(z.imag.lo) <= im <= Fraction(z.imag.hi))
+
+
+def _complex_quotient(k, re, im):
+    """k / (re + i im) exactly, as a (real, imaginary) pair."""
+    kr, ki, n = Fraction(k.real), Fraction(k.imag), re * re + im * im
+    return (kr * re + ki * im) / n, (ki * re - kr * im) / n
+
+
+def test_reflected_interval_operators_contain_the_exact_result():
+    """k - x and k / x for an int or float k contain the exact results at
+    the ends of x's ball, with the radius of the forward operation; on a
+    pair of Intervals, at each corner of the box, for a complex k too."""
+    for x in _interval_pool():
+        ex = _ends(x)
+        for k in _KS:
+            q = Fraction(k)
+            _within(lambda: k - x, [q - v for v in ex])
+            if ex[0] > 0 or ex[1] < 0:
+                quotients = [q / v for v in ex]
+                _within(lambda: k / x, quotients, 10 * max(map(abs, quotients)))
+            else:
+                with pytest.raises(DomainError, match="containing zero"):
+                    k / x
+    pairs = [ComplexPair(Interval(1.5, 2.0), Interval(-3.0, -1.0)),
+             ComplexPair(Interval(-0.5, 0.25), Interval(4.0, 5.0)),
+             RIGOROUS.complex_(0.75, -2.5), RIGOROUS.complex_(-1.25)]
+    for z in pairs:
+        for k in _KS + (complex(1.5, -2.0), 3j):
+            diff, quot = k - z, k / z
+            for re in _ends(z.real):
+                for im in _ends(z.imag):
+                    assert _holds_pair(diff, Fraction(k.real) - re, Fraction(k.imag) - im), (k, z)
+                    assert _holds_pair(quot, *_complex_quotient(k, re, im)), (k, z)
+
+
+def test_reflected_taylor_operators_contain_the_exact_result(order):
+    """The same for Taylor models and pairs of them, pointwise in the box."""
+    rng = random.Random(31 + order)
+    for _ in range(4):
+        m, rad = rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-6, -2)
+        x = TaylorBackend(m, rad).variable()
+        a, _, fa, _ = _oracle_operands(x)
+        z = ComplexPair(x * 2 - 1, x * x)
+        for k in _KS:
+            q = Fraction(k)
+            cases = [(k - a, lambda t: q - fa(t)), (k / a, lambda t: q / fa(t)),
+                     (k - z, lambda t: (q - (2 * t - 1), -t * t)),
+                     (k / z, lambda t: _complex_quotient(k, 2 * t - 1, t * t))]
+            for j in range(-4, 5):
+                delta = Fraction(j, 4) * Fraction(rad)
+                t = Fraction(m) + delta
+                for model, exact in cases:
+                    want = exact(t)
+                    if isinstance(model, ComplexPair):
+                        assert _encloses(model.real, delta, want[0]), (order, k, j)
+                        assert _encloses(model.imag, delta, want[1]), (order, k, j)
+                    else:
+                        assert _encloses(model, delta, want), (order, k, j)
+
+
+@pytest.mark.parametrize("bad", ["2", object()], ids=("str", "object"))
+def test_unsupported_operands_raise_type_error(bad):
+    """Each enclosure type declines an operand it cannot lift, on either
+    side of +, -, * and /, so Python raises TypeError."""
+    x = TaylorBackend(2.2, 1e-3).variable()
+    scalars = [Interval(1.0, 2.0), x, RIGOROUS.complex_(0.75, -2.5), ComplexPair(x, x * x)]
+    for s in scalars:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(s, bad)
+            with pytest.raises(TypeError):
+                op(bad, s)
 
 
 # ---------------------------------------------------------------------------
