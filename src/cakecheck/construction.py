@@ -291,12 +291,12 @@ def mirror_construction(cfg: TriangleConfiguration):
     # -R(m1') p1 alone, independent of the scale of m1'
     p2p = cfg.p1 - m1p.scale(2.0 * ctx.inner(cfg.p1, m1p) / ctx.norm2(m1p))
 
-    # the triangle p1, p2', p3 must have the conjugated Gram matrix
-    triple = (cfg.p1, p2p, cfg.p3)
+    # p1, p2', p3 must have the conjugated Gram matrix; the basis points p1, p3
+    # pair to G's real entries 1 and t exactly (their covectors are G's
+    # columns), and <p2',p1>, <p3,p2'> are conjugates of pairings checked here
     defects = [
-        (abs(complex(ctx.inner(triple[i], triple[j])) - ctx.g[i][j].conjugate()),
-         max(1.0, abs(ctx.g[i][j])))
-        for i in range(3) for j in range(3)
+        (abs(complex(ctx.inner(x, y)) - ctx.g[i][j].conjugate()), max(1.0, abs(ctx.g[i][j])))
+        for x, y, i, j in ((cfg.p1, p2p, 0, 1), (p2p, p2p, 1, 1), (p2p, cfg.p3, 1, 2))
     ]
     gram_residual = max(d for d, _ in defects)
     if any(d > RESIDUAL_TOL * scale for d, scale in defects):

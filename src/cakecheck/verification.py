@@ -87,72 +87,64 @@ CERTIFIED_RANGE = (2.13, 2.34)  # the t-range certify_range proves by default
 # conditions
 
 
+# The scalar each condition requires positive, where it is not the value
+# itself: (3) v > 1, (5) v < 2, (6a) u > 1 and (6b) z != 0.
+INEQUALITIES = {
+    "3": lambda v: v - 1,
+    "5": lambda v: 2 - v,
+    "6a": lambda u: u - 1,
+    "6b": lambda z: (z * z.conjugate()).real,
+}
+
+
+def required_positive(cid, value):
+    """The backend real scalar that condition ``cid`` requires positive."""
+    return INEQUALITIES.get(cid, lambda v: v)(value)
+
+
 def condition_items(cfg: TriangleConfiguration):
     """Evaluate all condition left-hand sides.
 
-    Returns ``(complete, values, positives)`` where ``values`` maps the
-    condition id to the reported quantity (the published normalization) and
-    ``positives`` maps it to the backend real scalar that the condition
-    requires to be positive.  ``complete`` is False when the isotropic
-    direction w3 is unavailable (u > 1 not certain), which leaves the two
-    w3-dependent conditions unevaluated.
+    Returns ``(complete, values)`` where ``values`` maps the condition id to
+    the reported quantity (the published normalization), from which
+    :func:`required_positive` reads the scalar the condition requires to
+    be positive.  ``complete`` is False when the isotropic direction w3 is
+    unavailable (u > 1 not certain), which leaves the two w3-dependent
+    conditions unevaluated.
     """
     ctx = cfg.ctx
     b = cfg.backend
     t, t1, t2 = cfg.params.t, cfg.params.t1, cfg.params.t2
 
-    values = {}
-    positives = {}
+    tt, t1t1, t2t2, tt1 = t * t, t1 * t1, t2 * t2, t * t1
+    v3 = tt + t1t1 + t2t2 - tt1 * t2
+    four_tt1t2, four_t2t2 = 4 * tt1 * t2, 4 * t2t2
+    values = {
+        "3": v3,
+        "4a": four_tt1t2 - tt - 4 * t1t1 - four_t2t2 + 4,
+        "4b": four_tt1t2 - 4 * tt - t1t1 - four_t2t2 + 4,
+        "5": b.sqrt(b.real(3)) * (1 + (v3 - 1) / (((t + 1) * (t1 + 1)) * (t2 + 1))),
+        "6a": cfg.u,
+    }
 
-    v3 = t * t + t1 * t1 + t2 * t2 - t * t1 * t2
-    values["3"] = v3
-    positives["3"] = v3 - 1
-
-    v4a = 4 * (t * t1) * t2 - t * t - 4 * (t1 * t1) - 4 * (t2 * t2) + 4
-    v4b = 4 * (t * t1) * t2 - 4 * (t * t) - t1 * t1 - 4 * (t2 * t2) + 4
-    values["4a"] = v4a
-    positives["4a"] = v4a
-    values["4b"] = v4b
-    positives["4b"] = v4b
-
-    v5 = b.sqrt(b.real(3)) * (1 + (v3 - 1) / (((t + 1) * (t1 + 1)) * (t2 + 1)))
-    values["5"] = v5
-    positives["5"] = 2 - v5
-
-    values["6a"] = cfg.u
-    positives["6a"] = cfg.u - 1
-
-    complete = True
-    if cfg.w3 is None:
-        complete = False
-    else:
-        z6b = ctx.inner(reflection(cfg.m3).apply(cfg.w3), cfg.R1.apply(cfg.R2.apply(cfg.w3)))
-        values["6b"] = z6b
-        positives["6b"] = (z6b * z6b.conjugate()).real
-
+    complete = cfg.w3 is not None
+    if complete:
+        values["6b"] = ctx.inner(reflection(cfg.m3).apply(cfg.w3),
+                                 cfg.R1.apply(cfg.R2.apply(cfg.w3)))
         f1 = reflection(cfg.q1).apply(reflection(cfg.q3).apply(cfg.w3))
-        v6c = (ctx.inner(cfg.b2, f1) * ctx.inner(f1, cfg.e2) / ctx.inner(cfg.b2, cfg.e2)).imag
-        values["6c"] = v6c
-        positives["6c"] = v6c
+        values["6c"] = (ctx.inner(cfg.b2, f1) * ctx.inner(f1, cfg.e2)
+                        / ctx.inner(cfg.b2, cfg.e2)).imag
 
     th_bar = b.theta.conjugate()
     # <p_i, x> is entry i of x's covector w, and <x, p_j> is conj(w_j)
     c1w, c2w, c3w = covector(cfg.c1), covector(cfg.c2), covector(cfg.c3)
     z7a = c1w[1] * c1w[2].conjugate()
     z7b = c2w[2] * c2w[0].conjugate()
-    z7c = c3w[0] * c3w[1].conjugate()
     values["7a"] = z7a.real
-    positives["7a"] = values["7a"]
     values["7b"] = (th_bar * z7b).real
-    positives["7b"] = values["7b"]
-    values["7c"] = (th_bar * z7c).real
-    positives["7c"] = values["7c"]
-
-    v8 = (th_bar * z7a * z7b).real
-    values["8"] = v8
-    positives["8"] = v8
-
-    return complete, values, positives
+    values["7c"] = (th_bar * (c3w[0] * c3w[1].conjugate())).real
+    values["8"] = (th_bar * z7a * z7b).real
+    return complete, values
 
 
 @dataclass
@@ -169,8 +161,8 @@ class ConditionReport:
 
 
 def evaluate_conditions(cfg: TriangleConfiguration):
-    complete, values, positives = condition_items(cfg)
-    verdicts = {cid: certified_sign(val) for cid, val in positives.items()}
+    complete, values = condition_items(cfg)
+    verdicts = {cid: certified_sign(required_positive(cid, v)) for cid, v in values.items()}
     return ConditionReport(values=values, verdicts=verdicts, complete=complete)
 
 
@@ -456,13 +448,10 @@ def condition_enclosures(t_box):
     backend = TaylorBackend.for_interval(t_box)
     try:
         cfg = build_configuration(backend.variable(), backend)
-        complete, _, positives = condition_items(cfg)
+        complete, values = condition_items(cfg)
     except (DomainError, GeometryError):
         return False, []
-    items = [
-        (cid, positives[cid].range()) for cid in CONDITION_IDS if cid in positives
-    ]
-    return complete, items
+    return complete, [(cid, required_positive(cid, v).range()) for cid, v in values.items()]
 
 
 def certify_range(lo: float = CERTIFIED_RANGE[0], hi: float = CERTIFIED_RANGE[1],

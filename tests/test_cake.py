@@ -149,7 +149,7 @@ def test_verify_reads_each_value_once(monkeypatch):
     # side test's s: once as 3 complex and 27 real reads through the
     # backend
     assert counts["mid"] == 30
-    assert counts["inner"] == 31
+    assert counts["inner"] == 25
 
 
 def test_word_needs_mirror():

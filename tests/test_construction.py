@@ -13,6 +13,7 @@ from cakecheck.construction import (
     THETA,
     THETA_SQ,
     ParameterDomainError,
+    ParameterTriple,
     angles,
     build_configuration,
     build_gram,
@@ -93,6 +94,13 @@ def test_gram_signature_check_runs():
     p1, p2, p3 = ctx.basis()
     assert float(ctx.norm2(p1)) == pytest.approx(1.0)
     assert complex(ctx.inner(p1, p2)) == pytest.approx(complex(ctx.inner(p2, p1)).conjugate())
+
+
+def test_gram_rejects_a_nonnegative_determinant():
+    # t = t1 = t2 = 3: the second minor 1 - 9 is negative, but the
+    # determinant 1 - (27 - 27) is not
+    with pytest.raises(GeometryError, match=r"^Gram determinant is not negative: "):
+        build_gram(ParameterTriple(3.0, 3.0, 3.0, FAST))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from cakecheck.verification import (
     render_report_structured,
     render_report_text,
     replay_range_certificate,
+    required_positive,
     scan,
     scan_to_csv,
     snap_toledo,
@@ -104,6 +105,8 @@ def test_missing_w3_conditions_are_named(monkeypatch):
         "condition 6b not certified positive",
         "condition 6c not certified positive",
     ]
+    text = render_report_text(report)
+    assert "  (6b) unavailable\n" in text and "  (6c) unavailable\n" in text
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,16 @@ def test_toledo_rejects_reversed_orientation(cfg222):
                         r"negative on \(0, 1\]: out-of-regime parameter", failures[0])
 
 
+def test_toledo_names_a_value_off_the_branch_or_the_lattice(cfg222, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(verification, "TOLEDO_BRANCH", Fraction(40, 3))
+        assert toledo(cfg222)[1] == ["closed-form tau -8/3 is not the admissible branch 40/3"]
+    monkeypatch.setattr(verification, "snap_toledo", lambda presnap: None)
+    presnap, failures = toledo(cfg222)
+    assert failures == [f"pre-snap Toledo value {presnap} is not within 1e-6 of a multiple of 2/3"]
+    assert verify_all(2.22)["invariants"]["toledo"] == "undetermined"
+
+
 def test_toledo_snaps_to_the_lattice():
     assert snap_toledo(-8 / 3 + 1e-9) == Fraction(-8, 3)
     assert snap_toledo(40 / 3) == Fraction(40, 3)
@@ -258,6 +271,9 @@ def test_euler_side_test(cfg222):
                      {cid: v for cid, v in rep.verdicts.items() if cid != "6c"}):
         with pytest.raises(ValueError, match="side test needs a decided 6c"):
             euler_side_test(replace(rep, verdicts=verdicts))
+    # a negative 6c puts f1 on the other side: the bundle with e = -16
+    negative = replace(rep, verdicts={**rep.verdicts, "6c": SignVerdict.NEGATIVE})
+    assert euler_side_test(negative)["e"] == -16
 
 
 def test_invariant_ledger(cfg222):
@@ -314,9 +330,10 @@ def rigorous_enclosure_lines():
     ts = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)] + [2.22, 1.6, 3.0]
     lines = []
     for t in ts:
-        _, values, positives = condition_items(build_configuration(t, RIGOROUS))
-        for kind, table in (("value", values), ("positive", positives)):
-            for cid, v in table.items():
+        _, values = condition_items(build_configuration(t, RIGOROUS))
+        for kind, read in (("value", lambda cid, v: v), ("positive", required_positive)):
+            for cid, value in values.items():
+                v = read(cid, value)
                 parts = ((("re", v.real), ("im", v.imag)) if isinstance(v, numerics.ComplexPair)
                          else (("re", v),))
                 for part, x in parts:
@@ -408,8 +425,8 @@ def test_condition_evaluation_composes_no_isometry(evaluate, monkeypatch):
 
 
 @pytest.mark.parametrize("evaluate, product, limit", [
-    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics, "_product"), 1118),
-    (lambda: verify_all(2.22, "rigorous"), (Interval, "__mul__"), 51),
+    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics, "_product"), 1109),
+    (lambda: verify_all(2.22, "rigorous"), (Interval, "__mul__"), 42),
 ], ids=["condition_enclosures", "verify_all_rigorous"])
 def test_condition_evaluation_builds_five_reflections(evaluate, product, limit, monkeypatch):
     """R1, R2, R(m3), R(q1), R(q3), each with <p,p> read off its own
@@ -462,14 +479,14 @@ def test_fast_values_inside_rigorous_enclosures():
     for _ in range(20):
         t = rng.uniform(2.13, 2.34)
         fast_cfg = build_configuration(t, FAST)
-        _, fast_vals, fast_pos = condition_items(fast_cfg)
+        _, fast_vals = condition_items(fast_cfg)
         rig_cfg = build_configuration(Interval(t), RIGOROUS)
-        _, rig_vals, rig_pos = condition_items(rig_cfg)
-        assert set(fast_pos) == set(rig_pos)
-        for cid, enc in rig_pos.items():
-            v = float(fast_pos[cid])
+        _, rig_vals = condition_items(rig_cfg)
+        assert set(fast_vals) == set(rig_vals)
+        for cid, enc in rig_vals.items():
+            v = float(required_positive(cid, fast_vals[cid]))
             slack = 1e-9 * max(1.0, abs(v))
-            iv = enc.range()
+            iv = required_positive(cid, enc).range()
             assert iv.lo - slack <= v <= iv.hi + slack, (t, cid)
 
 
@@ -478,8 +495,8 @@ def test_rigorous_enclosures_hold_the_fast_values(t):
     """Each fast condition value lies in its rigorous enclosure, also at
     large t, where 6b and 6c are too wide to decide a sign; the rigorous
     report prints each enclosure's midpoint."""
-    _, fast, _ = condition_items(build_configuration(t, FAST))
-    _, rigorous, _ = condition_items(build_configuration(t, RIGOROUS))
+    _, fast = condition_items(build_configuration(t, FAST))
+    _, rigorous = condition_items(build_configuration(t, RIGOROUS))
     report = verify_all(t, "rigorous")["conditions"]["values"]
     assert list(rigorous) == list(fast) == list(report)
     for cid, v in fast.items():
@@ -506,7 +523,7 @@ def test_condition_report_plain_on_taylor_range():
     rep = evaluate_conditions(build_configuration(backend.variable(), backend))
     assert rep.complete
     cfg = build_configuration(2.20025)
-    _, fast_vals, _ = condition_items(cfg)
+    _, fast_vals = condition_items(cfg)
     for cid in CONDITION_IDS:
         got = mid(rep.values[cid])
         assert isinstance(got, complex if cid == "6b" else float)
@@ -518,10 +535,10 @@ def test_point_probe_matches_rigorous_backend():
     # arithmetic, so they enclose every condition identically
     complete, items = condition_enclosures(Interval(2.22, 2.22))
     assert complete
-    _, _, positives = condition_items(build_configuration(2.22, RIGOROUS))
-    assert [cid for cid, _ in items] == [cid for cid in CONDITION_IDS if cid in positives]
+    _, values = condition_items(build_configuration(2.22, RIGOROUS))
+    assert [cid for cid, _ in items] == [cid for cid in CONDITION_IDS if cid in values]
     for cid, enc in items:
-        want = positives[cid].range()
+        want = required_positive(cid, values[cid]).range()
         assert (enc.lo, enc.hi) == (want.lo, want.hi), cid
 
 
@@ -533,10 +550,10 @@ def test_taylor_enclosures_contain_fast_values():
         complete, items = condition_enclosures(box)
         assert complete
         t = rng.uniform(box.lo, box.hi)
-        _, _, pos = condition_items(build_configuration(t, FAST))
+        _, values = condition_items(build_configuration(t, FAST))
         enc = dict(items)
         for cid, iv in enc.items():
-            v = float(pos[cid])
+            v = float(required_positive(cid, values[cid]))
             assert iv.lo - 1e-9 <= v <= iv.hi + 1e-9, (t, cid)
 
 
