@@ -332,7 +332,7 @@ def dump(cfg: TriangleConfiguration) -> str:
     """Plain-text audit tables: triangles, boundary sides in cyclic order,
     pairings, vertex orbits, and a summary with the angle residual
     |4 (b1 + b2 + b3) - 2 pi| of the twelve sectors at the central slice."""
-    angle_residual = abs(4.0 * sum(angles(cfg)) - 2.0 * math.pi)
+    angle_residual = abs(4.0 * math.fsum(angles(cfg)) - 2.0 * math.pi)
     lines = ["[triangles]"]
     for label, letters, primed in TRIANGLES:
         base = "base'" if primed else "base"

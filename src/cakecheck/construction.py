@@ -108,8 +108,9 @@ def build_gram(params: ParameterTriple) -> GramContext:
         (t1c, one, b.complex_(t2) * th.conjugate()),
         (tc, b.complex_(t2) * th, one),
     )
-    minor2 = 1 - t1 * t1
-    det = 1 - (t * t + t1 * t1 + t2 * t2 - t * t1 * t2)
+    t1t1 = t1 * t1
+    minor2 = 1 - t1t1
+    det = 1 - (t * t + t1t1 + t2 * t2 - t * t1 * t2)
     if certified_sign(minor2) is not SignVerdict.NEGATIVE:
         raise GeometryError("second leading minor 1 - t1^2 is not negative")
     if certified_sign(det) is not SignVerdict.NEGATIVE:

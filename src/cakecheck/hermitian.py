@@ -8,8 +8,11 @@ backend protocol of :mod:`cakecheck.numerics`, so the same formulas run in
 fast and rigorous mode; the one operation that needs branch decisions, the
 closest point on the axis of a loxodromic isometry, is fast-backend only.
 
-A point's covector w = G conj(v) is formed once and kept on it (:func:`covector`):
-<u, v> = u . w, <p_i, v> = w_i, and the basis point p_j carries column j of G.
+:func:`sum3` fixes the order of every three-term sum.  :func:`mat_vec` is the
+one matrix-vector product: it applies an isometry to a point, and forms a point's
+covector w = G conj(v) once, kept on it (:func:`covector`): <u, v> = u . w,
+<p_i, v> = w_i, and the basis point p_j carries column j of G.  The one product
+of two matrices is ``Isometry.__mul__``.
 """
 
 from __future__ import annotations
@@ -30,18 +33,12 @@ class GeometryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small fixed-size matrix helpers (generic over backend scalars)
+# 3x3 kernels over backend scalars: mat_identity, sum3, mat_vec, vec_conj, mat_det,
+# mat_adjugate (the axis of a loxodromic), and the max-norms of the fast checks
 
 
 def mat_identity(one=1.0, zero=0.0):
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-
-
-def mat_mul(a, b):
-    return tuple(
-        tuple(sum3(a[i][0] * b[0][j], a[i][1] * b[1][j], a[i][2] * b[2][j]) for j in range(3))
-        for i in range(3)
-    )
 
 
 def sum3(x, y, z):
@@ -52,24 +49,8 @@ def mat_vec(m, v):
     return tuple(sum3(m[i][0] * v[0], m[i][1] * v[1], m[i][2] * v[2]) for i in range(3))
 
 
-def mat_conj(m):
-    return tuple(tuple(x.conjugate() for x in row) for row in m)
-
-
 def vec_conj(v):
     return tuple(x.conjugate() for x in v)
-
-
-def mat_scale(m, s):
-    return tuple(tuple(s * x for x in row) for row in m)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(3)) for i in range(3))
-
-
-def mat_trace(m):
-    return sum3(m[0][0], m[1][1], m[2][2])
 
 
 def mat_det(m):
@@ -188,9 +169,7 @@ class ProjVector:
 def covector(v: ProjVector):
     """w = G conj(v), so that <u, v> = u . w; formed on first use and kept."""
     if v.w is None:
-        g, cv = v.ctx.g, vec_conj(v.coords)
-        v.__dict__["w"] = tuple(sum3(g[i][0] * cv[0], g[i][1] * cv[1], g[i][2] * cv[2])
-                                for i in range(3))
+        v.__dict__["w"] = mat_vec(v.ctx.g, vec_conj(v.coords))
     return v.w
 
 
@@ -225,14 +204,12 @@ class Isometry:
 
     def __init__(self, ctx: GramContext, m, antilinear: bool = False):
         self.ctx = ctx
-        self.m = tuple(tuple(row) for row in m)
+        self.m = m
         self.antilinear = bool(antilinear)
 
     @classmethod
     def identity(cls, ctx: GramContext) -> "Isometry":
-        one = ctx._lift_scalar(1.0)
-        zero = ctx._lift_scalar(0.0)
-        return cls(ctx, mat_identity(one, zero), False)
+        return cls(ctx, mat_identity(ctx._lift_scalar(1.0), ctx._lift_scalar(0.0)), False)
 
     def apply(self, v: ProjVector) -> ProjVector:
         self.ctx._check(v)
@@ -241,32 +218,33 @@ class Isometry:
             coords = vec_conj(coords)
         return ProjVector(mat_vec(self.m, coords), self.ctx)
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other: (self.compose(other)).apply(v) == self(other(v))."""
-        if other.ctx is not self.ctx:
-            raise ContextMismatchError("isometries belong to different Gram contexts")
-        om = other.m
-        if self.antilinear:
-            om = mat_conj(om)
-        return Isometry(self.ctx, mat_mul(self.m, om), self.antilinear ^ other.antilinear)
-
     def __mul__(self, other):
+        """self after other: (self * other).apply(v) == self.apply(other.apply(v))."""
         if not isinstance(other, Isometry):
             return NotImplemented
-        return self.compose(other)
+        if other.ctx is not self.ctx:
+            raise ContextMismatchError("isometries belong to different Gram contexts")
+        a, b = self.m, other.m
+        if self.antilinear:
+            b = tuple(vec_conj(row) for row in b)
+        m = tuple(tuple(sum3(a[i][0] * b[0][j], a[i][1] * b[1][j], a[i][2] * b[2][j])
+                        for j in range(3)) for i in range(3))
+        return Isometry(self.ctx, m, self.antilinear ^ other.antilinear)
 
     def scaled(self, s) -> "Isometry":
-        return Isometry(self.ctx, mat_scale(self.m, self.ctx._lift_scalar(s)), self.antilinear)
+        s = self.ctx._lift_scalar(s)
+        m = tuple(tuple(s * x for x in row) for row in self.m)
+        return Isometry(self.ctx, m, self.antilinear)
 
     def trace(self):
-        return mat_trace(self.m)
+        m = self.m
+        return sum3(m[0][0], m[1][1], m[2][2])
 
     # -- fast-mode residual helpers ---------------------------------------
 
     def scalar_residual(self, s: complex) -> float:
         """Max-entry distance from s * Id (fast backend)."""
-        target = mat_identity(complex(s), 0j)
-        return mat_max_abs_diff(self.m, target)
+        return mat_max_abs_diff(self.m, mat_identity(complex(s), 0j))
 
     def scalar_part(self) -> complex:
         """tr/3 -- the scalar when the matrix is (close to) scalar * Id."""
@@ -310,7 +288,8 @@ def closest_axis_point(iso: Isometry, r: float, p: ProjVector) -> ProjVector:
     ctx = iso.ctx
 
     def eigvec(lam):
-        adj = mat_adjugate(mat_sub(iso.m, mat_identity(lam, 0.0)))
+        adj = mat_adjugate(tuple(tuple(x - lam if i == j else x for j, x in enumerate(row))
+                                 for i, row in enumerate(iso.m)))
         j = max(range(3), key=lambda c: max(abs(adj[i][c]) for i in range(3)))
         return ProjVector((adj[0][j], adj[1][j], adj[2][j]), ctx)
 

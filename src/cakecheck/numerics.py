@@ -24,13 +24,13 @@ of that range where the range is lopsided about it (a product, quotient or
 square root of wide balls), and a point enclosure is a few ulps wide.  On a
 point, a ComplexPair of Intervals multiplies in one step from the parts'
 midpoints and radii, with only the two result Intervals built: a rigorous
-``verify_all(2.22)`` makes 318 complex products and 61 ``Interval``
+``verify_all(2.22)`` makes 318 complex products and 60 ``Interval``
 products.  On a range, a ComplexPair of Taylor models multiplies likewise
 from the coefficient lists and remainders, and every polynomial product
 runs through a straight-line kernel for its pair of factor lengths, built on
 first use, that sums each coefficient in the order of the schoolbook loop,
 to the same bits.  An evaluation on [2.2, 2.20025] makes
-318 complex products with 14 kernels and builds 1567 ``TaylorModel``s,
+318 complex products with 14 kernels and builds 1566 ``TaylorModel``s,
 one of them the backend's unit.
 """
 

@@ -428,7 +428,7 @@ def scan(lo: float, hi: float, steps: int, backend_name: str = DEFAULT_BACKEND):
             row["report"] = evaluate_conditions(cfg)
             if not backend.rigorous:
                 mirror_construction(cfg)
-                row["angle_sum"] = sum(angles(cfg))
+                row["angle_sum"] = math.fsum(angles(cfg))
                 row["relation_residual"] = check_relation(cfg)[0]["relation_residual"]
         except (DomainError, GeometryError) as exc:
             row["status"] = "error"
@@ -522,7 +522,7 @@ def verify_all(t: float = PUBLISHED_T, backend_name: str = DEFAULT_BACKEND):
         symmetries, symmetry_failures = check_slice_symmetries(cfg)
         report["relations"] = {**relations, "symmetries": symmetries}
         beta = angles(cfg)
-        angle_sum = sum(beta)
+        angle_sum = math.fsum(beta)
         angle_sum_residual = abs(angle_sum - math.pi / 2)
         presnap, toledo_failures = toledo(cfg)
         tau = snap_toledo(presnap)

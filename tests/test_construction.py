@@ -4,6 +4,7 @@ parameter and across a t-grid."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from cakecheck.construction import (
 from cakecheck.hermitian import (
     RESIDUAL_TOL,
     GeometryError,
+    Isometry,
     closest_axis_point,
     mat_max_abs,
     mat_max_abs_diff,
@@ -201,6 +203,12 @@ def test_wrong_axis_point_is_rejected(wrong, monkeypatch):
         mirror_construction(build_configuration(2.22))
 
 
+def test_mirror_rejects_an_r3_that_is_not_an_involution(monkeypatch):
+    monkeypatch.setattr(Isometry, "scalar_residual", lambda self, s: 1.0)
+    with pytest.raises(GeometryError, match=r"R3\^2 residual"):
+        mirror_construction(build_configuration(2.22))
+
+
 def test_R0_is_built_by_the_mirror_construction():
     cfg = build_configuration(2.22)
     assert cfg.R0 is None
@@ -249,6 +257,12 @@ def test_angle_sum_on_grid_where_conditions_certify():
         assert abs(sum(angles(cfg)) - math.pi / 2) < 1e-9, t
         hits += 1
     assert hits > 5  # the certified band [2.13, 2.34] intersects the grid
+
+
+def test_angles_reject_a_vertex_outside_the_range(cfg222):
+    # <p1, c1> is exactly 0, so with c1 in place of c2, Re z2 = 0.0
+    with pytest.raises(GeometryError, match="angle beta2"):
+        angles(replace(cfg222, c2=cfg222.c1))
 
 
 def test_angles_read_the_covectors_condition_7_reads(monkeypatch):

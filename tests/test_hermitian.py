@@ -374,6 +374,16 @@ def test_context_mismatch_detected(cfg222):
     from cakecheck.construction import build_configuration
     from cakecheck.hermitian import ContextMismatchError
 
-    other = build_configuration(2.22)
+    other = build_configuration(2.3)
     with pytest.raises(ContextMismatchError):
         cfg222.ctx.inner(cfg222.p1, other.p1)
+    with pytest.raises(ContextMismatchError):
+        cfg222.R1 * other.R1
+    with pytest.raises(ContextMismatchError):
+        cfg222.R1.apply(other.p1)
+    with pytest.raises(ContextMismatchError):
+        cfg222.p1 - other.p1
+    with pytest.raises(TypeError):
+        cfg222.R1 * 2
+    with pytest.raises(ValueError):
+        GramContext(FAST, ((1, 0), (0, 1)))

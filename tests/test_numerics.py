@@ -270,7 +270,7 @@ def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
     # products as Intervals; 428 complex products while every inner product
     # and reflection formed G conj(v) afresh and points were built by
     # scaling basis vectors
-    assert counts["interval"] == 61
+    assert counts["interval"] == 60
     assert counts["complex"] == 318
 
 
@@ -655,10 +655,10 @@ def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
     assert complete and len(items) == 11
     # 428 and 1989 while G conj(v) was formed afresh for every inner product
     # and reflection; 2857 models while each complex product built its four
-    # real products and its two sums as models; one of the 1567 is the
+    # real products and its two sums as models; one of the 1566 is the
     # backend's unit, through which it lifts its reals
     assert counts["complex"] == 318
-    assert counts["model"] == 1567
+    assert counts["model"] == 1566
 
 
 def test_kernels_are_built_for_the_shapes_used(monkeypatch):

@@ -412,6 +412,14 @@ def test_verify_all_computes_angles_and_relation_once(monkeypatch):
     assert calls == {"angles": 1, "check_relation": 1}
 
 
+def test_angle_sum_is_correctly_rounded():
+    # the builtin sum of floats rounds each addition before Python 3.12 and
+    # compensates from 3.12 on; at this t the two differ in the last bit
+    t = 2.1305263157894734
+    exact = sum(map(Fraction, construction.angles(build_configuration(t))))
+    assert verify_all(t)["invariants"]["angle_sum"] == float(exact)
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda: condition_enclosures(Interval(2.2, 2.20075)),
     lambda: verify_all(2.22, "rigorous"),
@@ -420,13 +428,13 @@ def test_condition_evaluation_composes_no_isometry(evaluate, monkeypatch):
     def refuse(self, other):
         raise AssertionError("condition evaluation composed an isometry")
 
-    monkeypatch.setattr(Isometry, "compose", refuse)
+    monkeypatch.setattr(Isometry, "__mul__", refuse)
     evaluate()
 
 
 @pytest.mark.parametrize("evaluate, product, limit", [
-    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics, "_product"), 1109),
-    (lambda: verify_all(2.22, "rigorous"), (Interval, "__mul__"), 42),
+    (lambda: condition_enclosures(Interval(2.2, 2.20075)), (numerics, "_product"), 1108),
+    (lambda: verify_all(2.22, "rigorous"), (Interval, "__mul__"), 41),
 ], ids=["condition_enclosures", "verify_all_rigorous"])
 def test_condition_evaluation_builds_five_reflections(evaluate, product, limit, monkeypatch):
     """R1, R2, R(m3), R(q1), R(q3), each with <p,p> read off its own
