@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .hermitian import Isometry, projectively_equal
+from .hermitian import Isometry, coinciding_pairs, projectively_equal
 from .construction import TriangleConfiguration, angles
 
 # generator indices into cfg.reflections()
@@ -56,14 +56,18 @@ def realize_word(letters, cfg: TriangleConfiguration) -> Isometry:
     return iso
 
 
-def _slice_vector(cfg, slice_ref):
-    """The polar point of the slice (letters, k): p_k with the letters
-    applied one by one, rightmost first."""
-    letters, k = slice_ref
-    vec = (cfg.p1, cfg.p2, cfg.p3)[k - 1]
-    for letter in reversed(letters):
-        vec = _generator(cfg, letter).apply(vec)
-    return vec
+def _slice_vectors(cfg, slice_refs):
+    """The polar points of the slices (letters, k): p_k with the letters
+    applied one by one, rightmost first.  Within one call each (suffix, k)
+    is applied once and shared by the slices that end in it."""
+    points = {((), k): p for k, p in enumerate((cfg.p1, cfg.p2, cfg.p3), 1)}
+
+    def point(letters, k):
+        if (letters, k) not in points:
+            points[letters, k] = _generator(cfg, letters[0]).apply(point(letters[1:], k))
+        return points[letters, k]
+
+    return [point(letters, k) for letters, k in slice_refs]
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +127,10 @@ def normal_form(letters, k=None):
     return w, k
 
 
+# a slice identity absent from the tables, W1 C2 = C1, in its normal form
+NEGATIVE_CONTROL = normal_form(subword(1), 2)
+
+
 @functools.cache
 def _derive_mapping_table(table):
     return tuple(f"mapping-table identity not derived at {label}"
@@ -142,7 +150,7 @@ def verify_mapping_tables(cfg: TriangleConfiguration):
         for form, points in ((label, slices), (label.replace("C", "c"), spines)):
             if not projectively_equal(gen.apply(points[src - 1]), points[dst - 1]):
                 failures.append(f"mapping-table identity mismatch at {form}")
-    if projectively_equal(_slice_vector(cfg, normal_form(subword(1), 2)), cfg.p1):
+    if projectively_equal(_slice_vectors(cfg, (NEGATIVE_CONTROL,))[0], cfg.p1):
         failures.append("mapping-table identity mismatch at W1 C2 = C1 (negative control)")
     return failures
 
@@ -275,13 +283,12 @@ def _derive_corners(classes, sides):
 def build_cake(cfg: TriangleConfiguration):
     """CORNER_CLASSES names 16 distinct corner points, each shared by two
     sides: the corners of each class coincide, derived (16 rows), and at
-    ``cfg`` the points of their normal forms differ (120 separations).
+    ``cfg`` the points of their normal forms differ (120 separations, one
+    pass of ``coinciding_pairs``).
     Returns a failure for each row not derived and each coinciding pair."""
     failures, forms = _derive_corners(CORNER_CLASSES, BOUNDARY_SIDES)
-    points = [_slice_vector(cfg, form) for form in forms]
     return list(failures) + [f"corner classes {earlier} and {idx} coincide"
-                             for idx in range(len(points)) for earlier in range(idx)
-                             if projectively_equal(points[earlier], points[idx])]
+                             for earlier, idx in coinciding_pairs(_slice_vectors(cfg, forms))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ backend protocol of :mod:`cakecheck.numerics`, so the same formulas run in
 fast and rigorous mode; the one operation that needs branch decisions, the
 closest point on the axis of a loxodromic isometry, is fast-backend only.
 
-:func:`sum3` fixes the order of every three-term sum.  :func:`mat_vec` is the
-one matrix-vector product: it applies an isometry to a point, and forms a point's
-covector w = G conj(v) once, kept on it (:func:`covector`): <u, v> = u . w,
-<p_i, v> = w_i, and the basis point p_j carries column j of G.  The one product
-of two matrices is ``Isometry.__mul__``.
+Every three-term sum is written out as (x0 y0 + x1 y1) + x2 y2, left to
+right, on every backend, so floats, Intervals and Taylor models see the same
+operations in the same order.  :func:`mat_vec` is the one matrix-vector
+product: it applies an isometry to a point, forms the columns of a product
+of two isometries (``Isometry.__mul__``), and forms a point's covector
+w = G conj(v) once, kept on it (:func:`covector`): <u, v> = u . w,
+<p_i, v> = w_i, and the basis point p_j carries column j of G.
+:func:`coinciding_pairs` is the one projective-equality test.
 """
 
 from __future__ import annotations
@@ -33,24 +36,29 @@ class GeometryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# 3x3 kernels over backend scalars: mat_identity, sum3, mat_vec, vec_conj, mat_det,
-# mat_adjugate (the axis of a loxodromic), and the max-norms of the fast checks
+# 3x3 kernels over backend scalars: mat_identity, mat_vec, vec_conj, mat_det,
+# mat_adjugate (the axis of a loxodromic), and the max-norms of the fast checks.
+# The kernels every backend runs (mat_vec, vec_conj, GramContext.inner,
+# reflection, Isometry.__mul__) write their backend arithmetic out entry by
+# entry, with no loop or generator, and keep the summation order
+# (x0*y0 + x1*y1) + x2*y2
 
 
 def mat_identity(one=1.0, zero=0.0):
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
 
 
-def sum3(x, y, z):
-    return (x + y) + z
-
-
 def mat_vec(m, v):
-    return tuple(sum3(m[i][0] * v[0], m[i][1] * v[1], m[i][2] * v[2]) for i in range(3))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    v0, v1, v2 = v
+    return (m00 * v0 + m01 * v1 + m02 * v2,
+            m10 * v0 + m11 * v1 + m12 * v2,
+            m20 * v0 + m21 * v1 + m22 * v2)
 
 
 def vec_conj(v):
-    return tuple(x.conjugate() for x in v)
+    v0, v1, v2 = v
+    return (v0.conjugate(), v1.conjugate(), v2.conjugate())
 
 
 def mat_det(m):
@@ -118,8 +126,9 @@ class GramContext:
 
     def inner(self, u: "ProjVector", v: "ProjVector"):
         self._check(u, v)
-        uc, w = u.coords, covector(v)
-        return sum3(uc[0] * w[0], uc[1] * w[1], uc[2] * w[2])
+        u0, u1, u2 = u.coords
+        w0, w1, w2 = covector(v)
+        return u0 * w0 + u1 * w1 + u2 * w2
 
     def norm2(self, v: "ProjVector"):
         """<v,v> as a backend real scalar."""
@@ -177,16 +186,29 @@ def _coord_scale(v: ProjVector) -> float:
     return max(abs(complex(c)) for c in v.coords)
 
 
-def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
-    """True iff all 2x2 minors of the 3x2 coordinate matrix vanish to
-    ``RESIDUAL_TOL``, scaled by the coordinate magnitudes.  Reads the
+def coinciding_pairs(points) -> list:
+    """The index pairs (i, j), i < j, ordered by j and then i, of the points
+    that are projectively equal: all 2x2 minors of the 3x2 coordinate matrix
+    of points[i], points[j] vanish to ``RESIDUAL_TOL``, scaled by the two
+    points' coordinate magnitudes, each formed once per point.  Reads the
     coordinates as plain complex numbers, so only fast-backend vectors are
     accepted; an enclosure coordinate raises ``TypeError``."""
-    (a0, a1, a2), (b0, b1, b2) = u.coords, v.coords
-    tol = RESIDUAL_TOL * (max(abs(a0), abs(a1), abs(a2), 1e-300)
-                          * max(abs(b0), abs(b1), abs(b2), 1e-300))
-    return not (abs(a0 * b1 - a1 * b0) > tol or abs(a0 * b2 - a2 * b0) > tol
-                or abs(a1 * b2 - a2 * b1) > tol)
+    pairs, earlier = [], []
+    for j, p in enumerate(points):
+        b0, b1, b2 = p.coords
+        sb = max(abs(b0), abs(b1), abs(b2), 1e-300)
+        for i, ((a0, a1, a2), sa) in enumerate(earlier):
+            tol = RESIDUAL_TOL * (sa * sb)
+            if not (abs(a0 * b1 - a1 * b0) > tol or abs(a0 * b2 - a2 * b0) > tol
+                    or abs(a1 * b2 - a2 * b1) > tol):
+                pairs.append((i, j))
+        earlier.append((p.coords, sb))
+    return pairs
+
+
+def projectively_equal(u: ProjVector, v: ProjVector) -> bool:
+    """True iff u and v are the same projective point (:func:`coinciding_pairs`)."""
+    return bool(coinciding_pairs((u, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +246,11 @@ class Isometry:
             return NotImplemented
         if other.ctx is not self.ctx:
             raise ContextMismatchError("isometries belong to different Gram contexts")
-        a, b = self.m, other.m
+        a = self.m
+        b0, b1, b2 = zip(*other.m)  # the columns of the right factor
         if self.antilinear:
-            b = tuple(vec_conj(row) for row in b)
-        m = tuple(tuple(sum3(a[i][0] * b[0][j], a[i][1] * b[1][j], a[i][2] * b[2][j])
-                        for j in range(3)) for i in range(3))
+            b0, b1, b2 = vec_conj(b0), vec_conj(b1), vec_conj(b2)
+        m = tuple(zip(mat_vec(a, b0), mat_vec(a, b1), mat_vec(a, b2)))
         return Isometry(self.ctx, m, self.antilinear ^ other.antilinear)
 
     def scaled(self, s) -> "Isometry":
@@ -238,7 +260,7 @@ class Isometry:
 
     def trace(self):
         m = self.m
-        return sum3(m[0][0], m[1][1], m[2][2])
+        return m[0][0] + m[1][1] + m[2][2]
 
     # -- fast-mode residual helpers ---------------------------------------
 
@@ -256,22 +278,22 @@ def reflection(p: ProjVector) -> Isometry:
     reflection in the point p (p negative) or in the complex geodesic polar
     to p (p positive)."""
     ctx = p.ctx
-    pc = p.coords
-    g = ctx.g
-    w = covector(p)  # <x,p> = x . w
-    pp = sum3(pc[0] * w[0], pc[1] * w[1], pc[2] * w[2])
+    p0, p1, p2 = p.coords
+    w0, w1, w2 = covector(p)  # <x,p> = x . w
+    pp = p0 * w0 + p1 * w1 + p2 * w2
     if not ctx.backend.rigorous:
         # the rounding-error scale of <p,p>: sum_ij |p_i| |g_ij| |p_j|
-        scale = sum(abs(pc[i]) * abs(g[i][j]) * abs(pc[j]) for i in range(3) for j in range(3))
+        pa, g = (abs(p0), abs(p1), abs(p2)), ctx.g
+        scale = sum(pa[i] * abs(g[i][j]) * pa[j] for i in range(3) for j in range(3))
         if abs(complex(pp)) <= 1e-12 * max(scale, 1e-300):
             raise GeometryError("reflection in an isotropic point is undefined")
     two_over = 2.0 / pp
     one = ctx._lift_scalar(1.0)
-    rows = []
-    for i in range(3):
-        s = two_over * pc[i]
-        rows.append(tuple(s * w[j] - one if i == j else s * w[j] for j in range(3)))
-    return Isometry(ctx, tuple(rows), False)
+    s0, s1, s2 = two_over * p0, two_over * p1, two_over * p2
+    rows = ((s0 * w0 - one, s0 * w1, s0 * w2),
+            (s1 * w0, s1 * w1 - one, s1 * w2),
+            (s2 * w0, s2 * w1, s2 * w2 - one))
+    return Isometry(ctx, rows, False)
 
 
 # ---------------------------------------------------------------------------

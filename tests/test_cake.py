@@ -39,7 +39,14 @@ from cakecheck.cake import (
 )
 from cakecheck.cli import EXIT_FAIL, main
 from cakecheck.construction import THETA_INV_SQ, angles, build_configuration, mirror_construction
-from cakecheck.hermitian import GramContext, Isometry, projectively_equal
+from cakecheck.hermitian import (
+    RESIDUAL_TOL,
+    GramContext,
+    Isometry,
+    coinciding_pairs,
+    projectively_equal,
+)
+from cakecheck.numerics import RIGOROUS
 from cakecheck.verification import verify_all
 
 
@@ -251,14 +258,15 @@ def test_derivation_runs_once_per_tables(cfg222, monkeypatch):
 
     cake.audit(cfg222)
     monkeypatch.setattr(cake, "normal_form", counting)
-    # a new table is derived once, 32 corners; the audit then rewrites only
-    # the control
+    # a new table is derived once, 32 corners; the negative control was
+    # derived at import, so a repeat audit rewrites nothing (it rewrote the
+    # control on every audit before)
     monkeypatch.setattr(cake, "CORNER_CLASSES", CORNER_CLASSES[1:] + CORNER_CLASSES[:1])
     cake.audit(cfg222)
-    assert calls[0] == 33
+    assert calls[0] == 32
     calls[0] = 0
     assert cake.audit(cfg222) == []
-    assert calls[0] == 1
+    assert calls[0] == 0
 
 
 def test_mapping_tables(cfg222, monkeypatch):
@@ -369,21 +377,93 @@ def test_coinciding_classes_are_a_reconstruction_error(cfg222, monkeypatch):
 
 
 def test_verify_checks_the_corner_table_not_a_scan(monkeypatch):
-    count = [0]
-    equal = cake.projectively_equal
+    counts = {"pairs": 0, "single": 0}
+    pairs, equal = cake.coinciding_pairs, cake.projectively_equal
+
+    def counting_pairs(points):
+        counts["pairs"] += len(points) * (len(points) - 1) // 2
+        return pairs(points)
 
     def counting(u, v):
-        count[0] += 1
+        counts["single"] += 1
         return equal(u, v)
 
+    monkeypatch.setattr(cake, "coinciding_pairs", counting_pairs)
     monkeypatch.setattr(cake, "projectively_equal", counting)
     monkeypatch.setattr(verification, "projectively_equal", counting)
     assert verify_all(2.22)["passed"]
-    # 316 while build_cake rediscovered the corner classes by an all-pairs
-    # scan, 196 while the slice check compared segment-geodesic endpoints,
-    # 190 while the cake re-checked its derived equalities in floats; now
-    # 120 separations, 12 letter rows, the control and R3 c1 = c1
-    assert count[0] <= 134
+    # 316 comparisons while build_cake rediscovered the corner classes by an
+    # all-pairs scan, 196 while the slice check compared segment-geodesic
+    # endpoints, 190 while the cake re-checked its derived equalities in
+    # floats; now the 120 separations of the 16 corner points in one pass, and
+    # 14 single comparisons: 12 letter rows, the control and R3 c1 = c1
+    assert counts == {"pairs": 120, "single": 14}
+
+
+def _corner_points(cfg):
+    _, forms = cake._derive_corners(CORNER_CLASSES, BOUNDARY_SIDES)
+    return cake._slice_vectors(cfg, forms), forms
+
+
+def _minor_pairs(points):
+    # every pair whose three 2x2 minors are within RESIDUAL_TOL times the
+    # product of the two points' largest coordinate magnitudes
+    found = []
+    for j, v in enumerate(points):
+        for i in range(j):
+            a, b = points[i].coords, v.coords
+            tol = RESIDUAL_TOL * (max(max(abs(x) for x in a), 1e-300)
+                                  * max(max(abs(x) for x in b), 1e-300))
+            if all(abs(a[r] * b[s] - a[s] * b[r]) <= tol for r, s in ((0, 1), (0, 2), (1, 2))):
+                found.append((i, j))
+    return found
+
+
+@pytest.mark.parametrize("t, expected", [
+    (2.22, 0), (1.6e8, 0), (1.7e8, 2), (1e9, 5), (1e12, 6),
+])
+def test_separation_kernel_finds_the_minor_pairs(t, expected):
+    cfg = _mirrored(t)
+    points, forms = _corner_points(cfg)
+    # each shared suffix gives the bits of the letters applied one by one
+    for point, (letters, k) in zip(points, forms):
+        ref = _point(cfg, k)
+        for letter in reversed(letters):
+            ref = cfg.reflections()[letter].apply(ref)
+        assert point.coords == ref.coords, (letters, k)
+    pairs = coinciding_pairs(points)
+    assert pairs == _minor_pairs(points)
+    assert len(pairs) == expected
+    assert all(projectively_equal(points[i], points[j]) == ((i, j) in pairs)
+               for j in range(16) for i in range(j))
+    assert build_cake(cfg) == [f"corner classes {i} and {j} coincide" for i, j in pairs]
+
+
+def test_separation_kernel_rejects_enclosures():
+    cfg = build_configuration(2.22, RIGOROUS)
+    with pytest.raises(TypeError):
+        coinciding_pairs((cfg.p1, cfg.p2))
+    with pytest.raises(TypeError):
+        projectively_equal(cfg.p1, cfg.p1)
+
+
+def test_cake_applies_each_corner_suffix_once(cfg222, monkeypatch):
+    count = [0]
+    apply = Isometry.apply
+
+    def counting(self, v):
+        count[0] += 1
+        return apply(self, v)
+
+    monkeypatch.setattr(Isometry, "apply", counting)
+    # 47 while each corner point applied all its letters; the 16 corner forms
+    # share suffixes and have 24 distinct (suffix, C_k)
+    assert build_cake(cfg222) == []
+    assert count[0] == 24
+    count[0] = 0
+    # 72 while the cake applied 47
+    assert verify_all(2.22)["passed"]
+    assert count[0] == 49
 
 
 def test_build_cake_deterministic(cfg222):

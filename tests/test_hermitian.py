@@ -22,7 +22,6 @@ from cakecheck.hermitian import (
     mat_max_abs_diff,
     projectively_equal,
     reflection,
-    sum3,
 )
 from cakecheck.construction import build_configuration, mirror_construction
 from cakecheck.numerics import FAST, RIGOROUS
@@ -65,11 +64,15 @@ def ctx(cfg222):
 # inner products through covectors
 
 
+def _sum3(x, y, z):
+    return (x + y) + z
+
+
 def _three_sum_inner(ctx, u, v):
     """<u, v> with G conj(v) formed afresh inside the sum."""
     g, cv, uc = ctx.g, [x.conjugate() for x in v.coords], u.coords
-    return sum3(*(uc[i] * sum3(g[i][0] * cv[0], g[i][1] * cv[1], g[i][2] * cv[2])
-                  for i in range(3)))
+    return _sum3(*(uc[i] * _sum3(g[i][0] * cv[0], g[i][1] * cv[1], g[i][2] * cv[2])
+                   for i in range(3)))
 
 
 def _inside(z, ref):
