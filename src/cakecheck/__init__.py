@@ -7,6 +7,7 @@ from .numerics import (
     FAST,
     RIGOROUS,
     Certificate,
+    ComplexBall,
     ComplexPair,
     Interval,
     SignVerdict,

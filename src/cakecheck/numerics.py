@@ -8,10 +8,10 @@ of the parameter (``TaylorBackend``), whose reals are Intervals at a point
 backend only makes scalars: its protocol is ``real``, ``complex_``,
 ``theta`` and ``sqrt``, plus the ``name`` and ``rigorous`` flags.  The
 scalars carry Python's number protocol, ``z.conjugate()``, ``z.real`` and
-``z.imag``, on every backend; the enclosure backend's complex type is
-``ComplexPair``.  ``mid(x)`` reads a plain float or complex from any of
-them.  Every enclosure operation encloses the exact result, so a sign
-decision made on an enclosure that excludes 0 is certified.
+``z.imag``, on every backend, and a real enclosure's ``sign()``;
+``mid(x)`` reads a plain float or complex from any of them.  Every
+enclosure operation encloses the exact result, so a sign decision made on
+an enclosure that excludes 0 is certified.
 
 Both enclosure arithmetics round alike.  A midpoint or coefficient is a
 float computed in round-to-nearest, and each operation adds to a radius
@@ -21,17 +21,21 @@ products it summed (Higham 2002), times ``_SLACK``, plus ``_TINY``.  An
 Interval operation gives the exact range of its result over its operands'
 balls, plus rounding: its midpoint is the float value, moved to the centre
 of that range where the range is lopsided about it (a product, quotient or
-square root of wide balls), and a point enclosure is a few ulps wide.  On a
-point, a ComplexPair of Intervals multiplies in one step from the parts'
-midpoints and radii, with only the two result Intervals built: a rigorous
+square root of wide balls), and a point enclosure is a few ulps wide.
+
+A real part's type makes the complex type.  On a point it is one
+``ComplexBall``, the midpoints and radii of the two parts' balls in one
+object (as Arb's acb, Johansson 2017), whose operations do the float
+operations of the parts' Interval operations in one step: a rigorous
 ``verify_all(2.22)`` makes 318 complex products and 60 ``Interval``
-products.  On a range, a ComplexPair of Taylor models multiplies likewise
-from the coefficient lists and remainders, and every polynomial product
-runs through a straight-line kernel for its pair of factor lengths, built on
-first use, that sums each coefficient in the order of the schoolbook loop,
-to the same bits.  An evaluation on [2.2, 2.20025] makes
-318 complex products with 14 kernels and builds 1562 ``TaylorModel``s,
-three of them the backend's unit and the parts of its theta.
+products, and builds 593 ComplexBalls and 335 Intervals.  On a range it is
+a ``ComplexPair`` of Taylor models, multiplied from the coefficient lists
+and remainders; every polynomial product runs through a straight-line
+kernel for its pair of factor lengths, built on first use, that sums each
+coefficient in the order of the schoolbook loop, to the same bits.  An
+evaluation on [2.2, 2.20025] makes 318 complex products with 14 kernels
+and builds 1562 ``TaylorModel``s, three of them the backend's unit and the
+parts of its theta.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ _GAMMA2 = 2.0 * _U / (1.0 - 2.0 * _U)
 _GAMMA = 2.0 ** -48  # >= gamma_31, for the Taylor coefficients
 _SLACK = 1.0 + 2.0 ** -40
 _TINY = 2.0 ** -1000
+_NARROW = 2.0 ** -27  # a ball this narrow multiplies as in ComplexBall.__mul__
 
 _new = object.__new__
 
@@ -116,18 +121,18 @@ def _times(a: float, ar: float, b: float, br: float):
     return p, (s if (a > 0.0) == (b > 0.0) else -s), w
 
 
-def _around(f: float, s: float, w: float, err: float) -> "Interval":
-    """The Interval around f + s of radius w for floats f, s off by err in
+def _around(f: float, s: float, w: float, err: float):
+    """(m, r): the ball around f + s of radius w for floats f, s off by err in
     all; the float m = f + s is off by at most gamma_1 |m| and at most |s|."""
     m = f + s
     g, s = _GAMMA1 * abs(m), abs(s)
-    return _ball(m, (w + err + (g if g < s else s)) * _SLACK + _TINY)
+    return m, (w + err + (g if g < s else s)) * _SLACK + _TINY
 
 
 def _ball_product(a: float, ar: float, b: float, br: float) -> "Interval":
     """The product of the balls (a, ar) and (b, br) as an Interval."""
     p, s, w = _times(a, ar, b, br)
-    return _around(p, s, w, _GAMMA1 * (abs(p) + abs(s)))
+    return _ball(*_around(p, s, w, _GAMMA1 * (abs(p) + abs(s))))
 
 
 class _Scalar:
@@ -191,14 +196,22 @@ class Interval(_Scalar):
         if isinstance(x, Interval):
             return x
         if isinstance(x, (int, float)):
-            return Interval(float(x))
+            return _ball(float(x), 0.0)
         return None
+
+    def _complex(self, imag: "Interval") -> "ComplexBall":
+        return ComplexBall(self.m, self.r, imag.m, imag.r)
 
     def range(self) -> "Interval":
         return self
 
     def mid(self) -> float:
         return self.m
+
+    def sign(self) -> SignVerdict:
+        if self.m > self.r:
+            return SignVerdict.POSITIVE
+        return SignVerdict.NEGATIVE if -self.m > self.r else SignVerdict.INDETERMINATE
 
     # -- arithmetic --------------------------------------------------------
 
@@ -240,7 +253,7 @@ class Interval(_Scalar):
         d = B - br
         if abs(a) < ar:  # [a - ar, a + ar] / (B - br), signed as b
             c = a / d
-            return _around(c if b > 0.0 else -c, 0.0, ar / d, _GAMMA2 * abs(c))
+            return _ball(*_around(c if b > 0.0 else -c, 0.0, ar / d, _GAMMA2 * abs(c)))
         # [|a| - ar, |a| + ar] / [B - br, B + br], signed: the ball around
         # a/b +- q br / (B + br) of radius q B / (B + br), for q = (ar + |a/b|
         # br) / (B - br), which a larger q contains.  q is two ratios, so no
@@ -248,8 +261,8 @@ class Interval(_Scalar):
         m = a / b
         q = ar / d + (abs(m) + 5e-324) * (br / d)
         s = q * (br / (B + br))
-        return _around(m, s if (a > 0.0) == (b > 0.0) else -s, q * (B / (B + br)),
-                       _GAMMA1 * abs(m) + _GAMMA * s)
+        return _ball(*_around(m, s if (a > 0.0) == (b > 0.0) else -s, q * (B / (B + br)),
+                              _GAMMA1 * abs(m) + _GAMMA * s))
 
     def sqr(self) -> "Interval":
         a, ar = abs(self.m), self.r
@@ -270,12 +283,12 @@ class Interval(_Scalar):
             )
         m = math.sqrt(a)
         if not ar:
-            return _around(m, 0.0, 0.0, _GAMMA1 * m)
+            return _ball(*_around(m, 0.0, 0.0, _GAMMA1 * m))
         # [sqrt(a - ar), sqrt(a + ar)]: its ends are below and above sqrt(a)
         # by the gaps below, each off by a few ulps of itself
         below = ar / (m + math.sqrt(a - ar))
         above = ar / (math.sqrt(a + ar) + m)
-        return _around(m, 0.5 * (above - below), 0.5 * (above + below), _GAMMA1 * m + _GAMMA * below)
+        return _ball(*_around(m, 0.5 * (above - below), 0.5 * (above + below), _GAMMA1 * m + _GAMMA * below))
 
     def inv(self) -> "Interval":
         return 1.0 / self
@@ -439,6 +452,9 @@ class TaylorModel(_Scalar):
     def _const(self, v: float, r: float = 0.0) -> "TaylorModel":
         return TaylorModel([v], r, self.pw)
 
+    def _complex(self, imag: "TaylorModel") -> "ComplexPair":
+        return ComplexPair(self, imag)
+
     def _lift(self, x):
         if isinstance(x, TaylorModel):
             return x
@@ -468,6 +484,9 @@ class TaylorModel(_Scalar):
 
     def mid(self) -> float:
         return self.range().m
+
+    def sign(self) -> SignVerdict:
+        return self.range().sign()
 
     def __neg__(self):
         return TaylorModel([-x for x in self.c], self.r, self.pw)
@@ -568,19 +587,58 @@ class TaylorModel(_Scalar):
     def is_zero(self) -> bool:
         return self.r == 0.0 and len(self.c) == 1 and self.c[0] == 0.0
 
+    def _complex_product(self, xi, yr, yi) -> "ComplexPair":
+        """(xr + i xi) (yr + i yi) for xr = self, formed from the coefficients
+        and remainders as the real operations form (xr yr) - (xi yi) + i ((xr
+        yi) + (xi yr)), to the same bits, with only the two parts built.  A
+        product with an exact-0 part is skipped: that factor goes second,
+        leaving (xr yr) + i (xi yr) or -(xi yi) + i (xr yi)."""
+        xr, xi, yr, yi = (yr, yi, self, xi) if xi.is_zero() or self.is_zero() else (self, xi, yr, yi)
+        pw = xr.pw
+        if yi.is_zero():
+            return ComplexPair(TaylorModel(*_product(xr, yr), pw), TaylorModel(*_product(xi, yr), pw))
+        if yr.is_zero():
+            c, r = _product(xi, yi)
+            return ComplexPair(TaylorModel([-x for x in c], r, pw), TaylorModel(*_product(xr, yi), pw))
+        a, ra = _product(xr, yr)
+        b, rb = _product(xi, yi)
+        real = _summed(a, [-y for y in b], ra + rb, pw)
+        a, ra = _product(xr, yi)
+        b, rb = _product(xi, yr)
+        return ComplexPair(real, _summed(a, b, ra + rb, pw))
 
-class ComplexPair(_Scalar):
-    """Complex enclosure: a pair of real ones of one type, Intervals or
-    Taylor models."""
+
+class _Complex(_Scalar):
+    """What the complex enclosure types share, read through their parts."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.real!r}, {self.imag!r})"
+
+    def mid(self) -> complex:
+        return complex(self.real.mid(), self.imag.mid())
+
+    def abs2(self):
+        return self.real.sqr() + self.imag.sqr()
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        d = o.abs2().inv()
+        n = self * o.conjugate()
+        return (n.real * d)._complex(n.imag * d)
+
+
+class ComplexPair(_Complex):
+    """Complex enclosure on a range: a pair of Taylor models, whose product
+    is the parts' ``_complex_product``."""
 
     __slots__ = ("real", "imag")
 
     def __init__(self, real, imag):
-        self.real = real
-        self.imag = imag
-
-    def __repr__(self):
-        return f"ComplexPair({self.real!r}, {self.imag!r})"
+        self.real, self.imag = real, imag
 
     def _lift(self, x):
         if isinstance(x, ComplexPair):
@@ -588,21 +646,13 @@ class ComplexPair(_Scalar):
         if isinstance(x, complex):
             return ComplexPair(self.real._lift(x.real), self.real._lift(x.imag))
         lifted = self.real._lift(x)
-        if lifted is None:
-            return None
-        return ComplexPair(lifted, self.real._lift(0.0))
+        return None if lifted is None else ComplexPair(lifted, self.real._lift(0.0))
 
-    def range(self) -> "ComplexPair":
-        return ComplexPair(self.real.range(), self.imag.range())
-
-    def mid(self) -> complex:
-        return complex(self.real.mid(), self.imag.mid())
+    def range(self) -> "ComplexBall":
+        return self.real.range()._complex(self.imag.range())
 
     def conjugate(self) -> "ComplexPair":
         return ComplexPair(self.real, -self.imag)
-
-    def abs2(self):
-        return self.real.sqr() + self.imag.sqr()
 
     def __neg__(self):
         return ComplexPair(-self.real, -self.imag)
@@ -625,87 +675,96 @@ class ComplexPair(_Scalar):
         o = other if type(other) is ComplexPair else self._lift(other)
         if o is None:
             return NotImplemented
-        if type(self.real) is Interval:
-            return _interval_pair_product(self.real, self.imag, o.real, o.imag)
-        return _taylor_pair_product(self.real, self.imag, o.real, o.imag)
+        return self.real._complex_product(self.imag, o.real, o.imag)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
+
+class ComplexBall(_Complex):
+    """Complex point enclosure: the balls (a, ar) of the real part and (b,
+    br) of the imaginary part, in one object.  Each operation does the float
+    operations of the same operation on the parts as Intervals."""
+
+    __slots__ = ("a", "ar", "b", "br")
+
+    def __init__(self, a: float, ar: float, b: float, br: float):
+        if not (abs(a) + ar < _INF and abs(b) + br < _INF):
+            raise DomainError(f"enclosure {complex(a, b)!r} +- {max(ar, br)!r} overflowed")
+        self.a, self.ar, self.b, self.br = a, ar, b, br
+
+    @property
+    def real(self) -> Interval:
+        return _ball(self.a, self.ar)
+
+    @property
+    def imag(self) -> Interval:
+        return _ball(self.b, self.br)
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, ComplexBall):
+            return x
+        if isinstance(x, complex):
+            return ComplexBall(x.real, 0.0, x.imag, 0.0)
+        x = Interval._lift(x)
+        return None if x is None else ComplexBall(x.m, x.r, 0.0, 0.0)
+
+    def conjugate(self) -> "ComplexBall":
+        return ComplexBall(self.a, self.ar, -self.b, self.br)
+
+    def __neg__(self):
+        return ComplexBall(-self.a, self.ar, -self.b, self.br)
+
+    def __add__(self, other):
+        o = other if type(other) is ComplexBall else self._lift(other)
         if o is None:
             return NotImplemented
-        d = o.abs2().inv()
-        n = self * o.conjugate()
-        return ComplexPair(n.real * d, n.imag * d)
+        a, b = self.a + o.a, self.b + o.b
+        return ComplexBall(a, (self.ar + o.ar + _GAMMA1 * abs(a)) * _SLACK + _TINY,
+                           b, (self.br + o.br + _GAMMA1 * abs(b)) * _SLACK + _TINY)
 
+    __radd__ = __add__
 
-_NARROW = 2.0 ** -27
+    def __sub__(self, other):
+        o = other if type(other) is ComplexBall else self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.a - o.a, self.b - o.b
+        return ComplexBall(a, (self.ar + o.ar + _GAMMA1 * abs(a)) * _SLACK + _TINY,
+                           b, (self.br + o.br + _GAMMA1 * abs(b)) * _SLACK + _TINY)
 
+    def __mul__(self, other):
+        """(a c - b d) + i (a d + b c), its products as in _times, its parts as in _around."""
+        o = other if type(other) is ComplexBall else self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, ar, b, br = self.a, self.ar, self.b, self.br
+        c, cr, d, dr = o.a, o.ar, o.b, o.br
+        A, B, C, D = abs(a), abs(b), abs(c), abs(d)
+        if ((ar <= _NARROW * A or not a) and (br <= _NARROW * B or not b)
+                and (cr <= _NARROW * C or not c) and (dr <= _NARROW * D or not d)):
+            # each part's radius is at most 2^-27 of its midpoint, or that is 0:
+            # then the ball around a c of radius A cr + ar (C + cr) is the exact
+            # range of a product, or wider by 2 ar cr <= 2^-53 |a c|
+            ac, bd, ad, bc = a * c, b * d, a * d, b * c
+            real = A * cr + ar * (C + cr) + B * dr + br * (D + dr) + _GAMMA2 * (abs(ac) + abs(bd))
+            imag = A * dr + ar * (D + dr) + B * cr + br * (C + cr) + _GAMMA2 * (abs(ad) + abs(bc))
+            return ComplexBall(ac - bd, real * _SLACK + _TINY, ad + bc, imag * _SLACK + _TINY)
+        p1, s1, w1 = _times(a, ar, c, cr)
+        p2, s2, w2 = _times(b, br, d, dr)
+        p3, s3, w3 = _times(a, ar, d, dr)
+        p4, s4, w4 = _times(b, br, c, cr)
+        return ComplexBall(*_around(p1 - p2, s1 - s2, w1 + w2, _GAMMA2 * (abs(p1) + abs(p2) + abs(s1) + abs(s2))),
+                           *_around(p3 + p4, s3 + s4, w3 + w4, _GAMMA2 * (abs(p3) + abs(p4) + abs(s3) + abs(s4))))
 
-def _interval_pair_product(xr, xi, yr, yi) -> ComplexPair:
-    """The complex product for Interval parts, (xr yr - xi yi) + i (xr yi +
-    xi yr): each product as in _times, each part as in _around, with err
-    gamma_2 times the magnitudes of its two products and two shifts."""
-    a, ar, b, br = xr.m, xr.r, xi.m, xi.r
-    c, cr, d, dr = yr.m, yr.r, yi.m, yi.r
-    A, B, C, D = abs(a), abs(b), abs(c), abs(d)
-    if ((ar <= _NARROW * A or not a) and (br <= _NARROW * B or not b)
-            and (cr <= _NARROW * C or not c) and (dr <= _NARROW * D or not d)):
-        # each part's radius is at most 2^-27 of its midpoint, or that is 0:
-        # then the ball around a c of radius A cr + ar (C + cr) is the exact
-        # range of a product, or wider by 2 ar cr <= 2^-53 |a c|
-        ac, bd, ad, bc = a * c, b * d, a * d, b * c
-        real = A * cr + ar * (C + cr) + B * dr + br * (D + dr) + _GAMMA2 * (abs(ac) + abs(bd))
-        imag = A * dr + ar * (D + dr) + B * cr + br * (C + cr) + _GAMMA2 * (abs(ad) + abs(bc))
-        return ComplexPair(_ball(ac - bd, real * _SLACK + _TINY), _ball(ad + bc, imag * _SLACK + _TINY))
-    p1, s1, w1 = _times(a, ar, c, cr)
-    p2, s2, w2 = _times(b, br, d, dr)
-    p3, s3, w3 = _times(a, ar, d, dr)
-    p4, s4, w4 = _times(b, br, c, cr)
-    return ComplexPair(_around(p1 - p2, s1 - s2, w1 + w2, _GAMMA2 * (abs(p1) + abs(p2) + abs(s1) + abs(s2))),
-                       _around(p3 + p4, s3 + s4, w3 + w4, _GAMMA2 * (abs(p3) + abs(p4) + abs(s3) + abs(s4))))
-
-
-# A complex product is (xr yr) - (xi yi) + i ((xr yi) + (xi yr)).  The
-# products with a part that is the exact constant 0 (of a lifted real or
-# imaginary constant) are exactly 0 and are skipped: the factor with such a
-# part goes second, leaving (xr yr) + i (xi yr) or -(xi yi) + i (xr yi).
-# For Taylor-model parts, the function below forms each product and sum
-# from the parts' coefficients exactly as the real operations would, so the
-# bits are the same, and builds only the two result parts.
-
-
-def _taylor_pair_product(xr, xi, yr, yi) -> ComplexPair:
-    """The complex product for Taylor-model parts, from their coefficients
-    and remainders."""
-    if xi.is_zero() or xr.is_zero():
-        xr, xi, yr, yi = yr, yi, xr, xi
-    pw = xr.pw
-    if yi.is_zero():
-        return ComplexPair(TaylorModel(*_product(xr, yr), pw), TaylorModel(*_product(xi, yr), pw))
-    if yr.is_zero():
-        c, r = _product(xi, yi)
-        return ComplexPair(TaylorModel([-x for x in c], r, pw), TaylorModel(*_product(xr, yi), pw))
-    a, ra = _product(xr, yr)
-    b, rb = _product(xi, yi)
-    real = _summed(a, [-y for y in b], ra + rb, pw)
-    a, ra = _product(xr, yi)
-    b, rb = _product(xi, yr)
-    return ComplexPair(real, _summed(a, b, ra + rb, pw))
+    __rmul__ = __mul__
 
 
 def certified_sign(x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
     """Sign decision. Enclosures yield a certified verdict only when they
     exclude 0; point values are snapped to zero within ``zero_tol``."""
-    if isinstance(x, TaylorModel):
-        x = x.range()
-    if isinstance(x, Interval):
-        if x.m > x.r:
-            return SignVerdict.POSITIVE
-        if -x.m > x.r:
-            return SignVerdict.NEGATIVE
-        return SignVerdict.INDETERMINATE
+    if isinstance(x, _Scalar):
+        return x.sign()
     x = float(x)
     if x > zero_tol:
         return SignVerdict.POSITIVE
@@ -748,8 +807,8 @@ class TaylorBackend:
     mid + rad], through the backend protocol.  Reals are lifted from floats
     and Intervals through one unit scalar's ``_lift``: Taylor models of
     order ``TAYLOR_ORDER`` on a range (rad > 0), far tighter than naive
-    intervals on narrow ranges, and Intervals on a point (rad = 0).
-    Complex values are ComplexPairs of them, read like a Python complex."""
+    intervals on narrow ranges, and Intervals on a point (rad = 0).  Their
+    complex values, ComplexPairs and ComplexBalls, read like Python's."""
 
     rigorous = True
 
@@ -786,7 +845,7 @@ class TaylorBackend:
         return r
 
     def complex_(self, re, im=0.0):
-        return ComplexPair(self.real(re), self.real(im))
+        return self.real(re)._complex(self.real(im))
 
     def sqrt(self, x):
         return self.real(x).sqrt()

@@ -18,6 +18,7 @@ from cakecheck import numerics
 from cakecheck.numerics import (
     FAST,
     RIGOROUS,
+    ComplexBall,
     ComplexPair,
     DomainError,
     Interval,
@@ -129,6 +130,11 @@ def _interval_pool():
     return EDGE_INTERVALS + [_random_interval(rng) for _ in range(40)]
 
 
+def _complex_ball(re, im):
+    """The ComplexBall whose parts are the balls of the Intervals re, im."""
+    return ComplexBall(re.m, re.r, im.m, im.r)
+
+
 def _ends(x):
     """The exact ends m - r and m + r of a ball."""
     return Fraction(x.m) - Fraction(x.r), Fraction(x.m) + Fraction(x.r)
@@ -208,7 +214,8 @@ def test_interval_overflow_is_a_domain_error():
     for op in (lambda: big * big, lambda: big.sqr(), lambda: big / Interval(1e-200),
                lambda: Interval(1.7e308) + Interval(1.7e308),
                lambda: Interval(-1.7e308) - Interval(1.7e308),
-               lambda: ComplexPair(big, big) * ComplexPair(big, Interval(1.0))):
+               lambda: _complex_ball(big, big) * _complex_ball(big, Interval(1.0)),
+               lambda: ComplexBall(1.0, 0.0, math.inf, 0.0), lambda: ComplexBall(math.nan, 0.0, 1.0, 0.0)):
         with pytest.raises(DomainError, match="overflowed"):
             op()
 
@@ -238,17 +245,110 @@ def test_interval_complex_product_contains_the_exact_range():
     exact-zero part on either side included."""
     pool = _interval_pool()
     rng = random.Random(5)
-    pairs = [ComplexPair(a, b) for a in EDGE_INTERVALS[::2] for b in EDGE_INTERVALS[1::2]]
-    pairs += [ComplexPair(rng.choice(pool), rng.choice(pool)) for _ in range(120)]
-    z = ComplexPair(Interval(1.5, 2.0), Interval(-3.0, -1.0))
-    pairs += [z, ComplexPair(Interval(-0.5, 0.25), Interval(0.0)),
-              ComplexPair(Interval(-0.0, 0.0), Interval(4.0, 5.0))]
+    pairs = [_complex_ball(a, b) for a in EDGE_INTERVALS[::2] for b in EDGE_INTERVALS[1::2]]
+    pairs += [_complex_ball(rng.choice(pool), rng.choice(pool)) for _ in range(120)]
+    z = _complex_ball(Interval(1.5, 2.0), Interval(-3.0, -1.0))
+    pairs += [z, _complex_ball(Interval(-0.5, 0.25), Interval(0.0)),
+              _complex_ball(Interval(-0.0, 0.0), Interval(4.0, 5.0))]
     ends = [(x, (_ends(x.real), _ends(x.imag))) for x in pairs]
     for x, ex in ends:
         for y, ey in ends[::3] + ends[-3:]:
             real, real_summed, imag, imag_summed = _complex_range(ex, ey)
             _within(lambda: (x * y).real, real, real_summed)
             _within(lambda: (x * y).imag, imag, imag_summed)
+
+
+# The reference that ComplexBall's product matches to the bit: the complex
+# product of two pairs of Intervals, written out on their midpoints and radii.
+
+
+def _ref_around(f, s, w, err):
+    m = f + s
+    g, s = numerics._GAMMA1 * abs(m), abs(s)
+    return numerics._ball(m, (w + err + (g if g < s else s)) * numerics._SLACK + numerics._TINY)
+
+
+_NARROW = 2.0 ** -27
+
+
+def _ref_interval_pair_product(xr, xi, yr, yi):
+    _times, _ball = numerics._times, numerics._ball
+    _GAMMA2, _SLACK, _TINY = numerics._GAMMA2, numerics._SLACK, numerics._TINY
+    a, ar, b, br = xr.m, xr.r, xi.m, xi.r
+    c, cr, d, dr = yr.m, yr.r, yi.m, yi.r
+    A, B, C, D = abs(a), abs(b), abs(c), abs(d)
+    if ((ar <= _NARROW * A or not a) and (br <= _NARROW * B or not b)
+            and (cr <= _NARROW * C or not c) and (dr <= _NARROW * D or not d)):
+        ac, bd, ad, bc = a * c, b * d, a * d, b * c
+        real = A * cr + ar * (C + cr) + B * dr + br * (D + dr) + _GAMMA2 * (abs(ac) + abs(bd))
+        imag = A * dr + ar * (D + dr) + B * cr + br * (C + cr) + _GAMMA2 * (abs(ad) + abs(bc))
+        return _ball(ac - bd, real * _SLACK + _TINY), _ball(ad + bc, imag * _SLACK + _TINY)
+    p1, s1, w1 = _times(a, ar, c, cr)
+    p2, s2, w2 = _times(b, br, d, dr)
+    p3, s3, w3 = _times(a, ar, d, dr)
+    p4, s4, w4 = _times(b, br, c, cr)
+    return (_ref_around(p1 - p2, s1 - s2, w1 + w2, _GAMMA2 * (abs(p1) + abs(p2) + abs(s1) + abs(s2))),
+            _ref_around(p3 + p4, s3 + s4, w3 + w4, _GAMMA2 * (abs(p3) + abs(p4) + abs(s3) + abs(s4))))
+
+
+def _ball_bits(*parts):
+    return [x.hex() for p in parts for x in (p.m, p.r)]
+
+
+def _narrow(*parts):
+    return all(p.r <= _NARROW * abs(p.m) or not p.m for p in parts)
+
+
+def _ref_lift(k):
+    """k as a pair of Intervals, as the rigorous backend lifted it."""
+    if isinstance(k, complex):
+        return Interval(k.real), Interval(k.imag)
+    return (k if isinstance(k, Interval) else Interval(float(k))), Interval(0.0)
+
+
+def test_complex_ball_arithmetic_matches_the_interval_parts_bit_for_bit():
+    """ComplexBall's product gives the four floats of the reference product
+    of its parts as Intervals, in both operand orders (k * x for a lifted k
+    is x times k, as it was), through both of its branches, and overflows
+    where the reference does; its sum and difference are those of the
+    parts.  The pool reaches what the golden files cannot: signed zeros,
+    zero midpoints with radii, wide balls and values near overflow."""
+    rng = random.Random(20261021)
+    # balls of relative radius 2^-50 to 2^-25, about the narrow branch's bound 2^-27
+    narrow = [Interval(x, x + abs(x) * 2.0 ** e) for x, e in
+              ((2.22, -50), (-0.7, -40), (3e-5, -26.5), (-1e7, -26), (1.5, -27.5), (-4.0, -25))]
+    pool = EDGE_INTERVALS + narrow + [Interval(1e154, 2e154), Interval(-1e300, 1e300), Interval(1.3e154),
+                                      Interval(-1.7e308)] + [_random_interval(rng) for _ in range(4)]
+    xs = [(a, b) for a in pool for b in pool[rng.randrange(2)::2]]
+    ys = xs[::29] + [(rng.choice(pool), rng.choice(pool)) for _ in range(6)] + list(zip(narrow, narrow[::-1]))
+    ys = [(_complex_ball(*yp), yp) for yp in ys]
+    ks = [(k, _ref_lift(k)) for k in (3, -2.5, 0.0, -0.0, 2j, complex(1e-300, -7.0), Interval(0.5, 0.75))]
+    seen = {"narrow": 0, "wide": 0, "overflow": 0}
+    for xp in xs:
+        x = _complex_ball(*xp)
+        for y, yp in ys + ks:
+            lifted = type(y) is not ComplexBall
+            for op, parts in ((lambda: x * y, xp + yp), (lambda: y * x, xp + yp if lifted else yp + xp)):
+                try:
+                    want = _ball_bits(*_ref_interval_pair_product(*parts))
+                except DomainError:
+                    seen["overflow"] += 1
+                    with pytest.raises(DomainError, match="overflowed"):
+                        op()
+                    continue
+                seen["narrow" if _narrow(*parts) else "wide"] += 1
+                z = op()
+                assert _ball_bits(z.real, z.imag) == want, parts
+            for op in (operator.add, operator.sub) if not lifted else ():
+                try:
+                    want = _ball_bits(op(xp[0], yp[0]), op(xp[1], yp[1]))
+                except DomainError:
+                    with pytest.raises(DomainError, match="overflowed"):
+                        op(x, y)
+                    continue
+                z = op(x, y)
+                assert _ball_bits(z.real, z.imag) == want, (op, xp, yp)
+    assert min(seen.values()) > 1000, seen
 
 
 def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
@@ -264,7 +364,7 @@ def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
 
     for name in ("__mul__", "__rmul__"):
         counted(Interval, name, "interval")
-        counted(ComplexPair, name, "complex")
+        counted(ComplexBall, name, "complex")
     assert verify_all(2.22, "rigorous")["passed"]
     # 1362 Interval products while each complex product formed its parts'
     # products as Intervals; 428 complex products while every inner product
@@ -272,6 +372,31 @@ def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
     # scaling basis vectors
     assert counts["interval"] == 60
     assert counts["complex"] == 318
+
+
+def test_rigorous_verify_counts_the_scalars_it_builds(monkeypatch):
+    """One rigorous verify_all(2.22) builds 593 complex values, one object
+    each, and 335 Intervals: every complex operation writes its result's
+    four floats, and only real operations and reads of a complex value's
+    parts build Intervals."""
+    counts = {Interval: 0, ComplexBall: 0}
+    new = numerics._new
+
+    def counted_new(cls):
+        counts[cls] += 1
+        return new(cls)
+    monkeypatch.setattr(numerics, "_new", counted_new)
+    for cls in counts:
+        init = cls.__init__
+
+        def counted_init(self, *args, init=init, cls=cls):
+            counts[cls] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    assert verify_all(2.22, "rigorous")["passed"]
+    # 1331 Intervals and 593 ComplexPairs while each complex value was a
+    # ComplexPair of two Intervals
+    assert counts == {Interval: 335, ComplexBall: 593}
 
 
 def test_certified_sign_verdicts():
@@ -772,6 +897,8 @@ def test_taylor_backend_protocol_surface():
     assert backend.order == numerics.TAYLOR_ORDER
     assert TaylorBackend.for_interval(Interval(2.22, 2.22)).order == 0
     assert isinstance(TaylorBackend.for_interval(Interval(2.22, 2.22)).variable(), Interval)
+    # the real part's type picks the complex type: a ball on a point, a pair on a range
+    assert isinstance(RIGOROUS.theta, ComplexBall) and isinstance(backend.theta, ComplexPair)
     assert isinstance(RIGOROUS, TaylorBackend)
     th = backend.theta
     assert th is backend.theta  # built once, with the backend
@@ -866,8 +993,8 @@ def test_reflected_interval_operators_contain_the_exact_result():
             else:
                 with pytest.raises(DomainError, match="containing zero"):
                     k / x
-    pairs = [ComplexPair(Interval(1.5, 2.0), Interval(-3.0, -1.0)),
-             ComplexPair(Interval(-0.5, 0.25), Interval(4.0, 5.0)),
+    pairs = [_complex_ball(Interval(1.5, 2.0), Interval(-3.0, -1.0)),
+             _complex_ball(Interval(-0.5, 0.25), Interval(4.0, 5.0)),
              RIGOROUS.complex_(0.75, -2.5), RIGOROUS.complex_(-1.25)]
     for z in pairs:
         for k in _KS + (complex(1.5, -2.0), 3j):

@@ -334,7 +334,7 @@ def rigorous_enclosure_lines():
         for kind, read in (("value", lambda cid, v: v), ("positive", required_positive)):
             for cid, value in values.items():
                 v = read(cid, value)
-                parts = ((("re", v.real), ("im", v.imag)) if isinstance(v, numerics.ComplexPair)
+                parts = ((("re", v.real), ("im", v.imag)) if isinstance(v, numerics.ComplexBall)
                          else (("re", v),))
                 for part, x in parts:
                     lines.append(f"{t!r} {kind} {cid} {part} {x.lo.hex()} {x.hi.hex()}")
