@@ -34,8 +34,8 @@ and remainders; every polynomial product runs through a straight-line
 kernel for its pair of factor lengths, built on first use, that sums each
 coefficient in the order of the schoolbook loop, to the same bits.  An
 evaluation on [2.2, 2.20025] makes 318 complex products with 14 kernels
-and builds 1562 ``TaylorModel``s, three of them the backend's unit and the
-parts of its theta.
+and builds 1561 ``TaylorModel``s, two of them the parts of the backend's
+theta.
 """
 
 from __future__ import annotations
@@ -804,26 +804,28 @@ class FastBackend:
 
 class TaylorBackend:
     """Rigorous enclosures of functions of the parameter t on [mid - rad,
-    mid + rad], through the backend protocol.  Reals are lifted from floats
-    and Intervals through one unit scalar's ``_lift``: Taylor models of
-    order ``TAYLOR_ORDER`` on a range (rad > 0), far tighter than naive
-    intervals on narrow ranges, and Intervals on a point (rad = 0).  Their
-    complex values, ComplexPairs and ComplexBalls, read like Python's."""
+    mid + rad], through the backend protocol.  The backend holds the
+    enclosure of t, an Interval on a point (rad = 0) and a Taylor model of
+    order ``TAYLOR_ORDER`` on a range, far tighter than naive intervals on
+    narrow ranges, and lifts floats and Intervals to reals of its type.
+    Their complex values, ComplexBalls and ComplexPairs, read like Python's."""
 
     rigorous = True
 
     def __init__(self, mid: float, rad: float):
-        if rad < 0.0:
-            raise ValueError("negative Taylor model radius")
-        self._mid = float(mid)
-        self._rad = float(rad)
-        self.name = "rigorous-taylor" if self._rad > 0.0 else "rigorous"
-        self.order = TAYLOR_ORDER if self._rad > 0.0 else 0
-        pw = [1.0]
-        for _ in range(2 * self.order):
-            pw.append(_up(pw[-1] * self._rad))
-        self._pw = tuple(pw)
-        self._unit = TaylorModel([1.0], 0.0, self._pw) if self._rad > 0.0 else Interval(1.0)
+        if not rad >= 0.0:
+            raise ValueError(f"Taylor model radius must be a nonnegative number, not {rad!r}")
+        mid, rad = float(mid), float(rad)
+        if rad > 0.0:
+            self.name = "rigorous-taylor"
+            pw = [1.0]
+            for _ in range(2 * TAYLOR_ORDER):
+                pw.append(_up(pw[-1] * rad))
+            c, r = ([mid, 1.0], 0.0) if TAYLOR_ORDER else ([mid], rad)
+            self._t = TaylorModel(c, r, tuple(pw))
+        else:
+            self.name = "rigorous"
+            self._t = Interval(mid)
         self.theta = self.complex_(0.5, Interval(3.0).sqrt() / 2)  # exp(i*pi/3)
 
     @classmethod
@@ -832,14 +834,10 @@ class TaylorBackend:
 
     def variable(self):
         """The parameter itself as an enclosure."""
-        if self._rad == 0.0:
-            return Interval(self._mid)
-        if self.order == 0:
-            return TaylorModel([self._mid], self._rad, self._pw)
-        return TaylorModel([self._mid, 1.0], 0.0, self._pw)
+        return self._t
 
     def real(self, x):
-        r = self._unit._lift(x)
+        r = self._t._lift(x)
         if r is None:
             raise TypeError(f"{self.name} backend cannot lift {type(x).__name__} as a real")
         return r

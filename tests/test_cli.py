@@ -50,12 +50,26 @@ def test_verify_domain_error_is_usage(capsys):
     ["verify", "--t", "1e150"],
     ["verify", "--t", "1e300", "--backend", "rigorous"],
     ["verify", "--t", "1e12", "--backend", "rigorous"],
+    ["verify", "--t", "1.0000000000001e12"],
 ])
 def test_verify_beyond_double_precision_is_a_domain_error(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert "double precision cannot resolve" in err
     assert not any(word in err for word in ("isotropic", "signature", "minor"))
+
+
+@pytest.mark.parametrize("t", ["5e10", "1e11", "1e12"])
+def test_fast_verify_fails_only_4b_and_5_up_to_the_precision_edge(t, capsys):
+    """Up to t = 1e12 the fast report resolves the construction and fails
+    exactly the two conditions the paper's range excludes; just above 1e12
+    it is a domain error (above)."""
+    code, out, err = run(["verify", "--t", t], capsys)
+    assert code == EXIT_FAIL and err == ""
+    assert [line for line in out.splitlines() if "failure:" in line] == [
+        "  failure: condition 4b not certified positive",
+        "  failure: condition 5 not certified positive",
+    ]
 
 
 def test_domain_error_names_the_t_typed(capsys):
@@ -300,6 +314,15 @@ def test_output_matches_golden_file(argv, name, capsys):
     code, out, _ = run(argv, capsys)
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_rigorous_report_at_1e9_matches_golden_file(capsys):
+    """At t = 1e9 the point balls are wide: 4b and 5 are certified negative
+    and 6b and 6c undecided, paths the 2.22 golden files never reach.  The
+    report uses IEEE arithmetic only, so its bytes are the same everywhere."""
+    code, out, _ = run(["verify", "--t", "1e9", "--backend", "rigorous", "--format", "structured"], capsys)
+    assert code == EXIT_FAIL
+    assert out.encode() == (GOLDEN / "verify_rigorous_structured_1e9.txt").read_bytes()
 
 
 def test_fast_verify_matches_masked_golden_file(capsys):

@@ -374,11 +374,8 @@ def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
     assert counts["complex"] == 318
 
 
-def test_rigorous_verify_counts_the_scalars_it_builds(monkeypatch):
-    """One rigorous verify_all(2.22) builds 593 complex values, one object
-    each, and 335 Intervals: every complex operation writes its result's
-    four floats, and only real operations and reads of a complex value's
-    parts build Intervals."""
+def _count_point_scalars(monkeypatch) -> dict:
+    """Counts of the Intervals and ComplexBalls built from now on."""
     counts = {Interval: 0, ComplexBall: 0}
     new = numerics._new
 
@@ -393,10 +390,29 @@ def test_rigorous_verify_counts_the_scalars_it_builds(monkeypatch):
             counts[cls] += 1
             init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted_init)
+    return counts
+
+
+def test_rigorous_verify_counts_the_scalars_it_builds(monkeypatch):
+    """One rigorous verify_all(2.22) builds 593 complex values, one object
+    each, and 335 Intervals: every complex operation writes its result's
+    four floats, and only real operations and reads of a complex value's
+    parts build Intervals."""
+    counts = _count_point_scalars(monkeypatch)
     assert verify_all(2.22, "rigorous")["passed"]
     # 1331 Intervals and 593 ComplexPairs while each complex value was a
     # ComplexPair of two Intervals
     assert counts == {Interval: 335, ComplexBall: 593}
+
+
+def test_point_probe_counts_the_intervals_it_builds(monkeypatch):
+    box = Interval(2.2, 2.2)
+    counts = _count_point_scalars(monkeypatch)
+    complete, items = condition_enclosures(box)
+    assert complete and len(items) == 11
+    # 297 while the backend built a unit Interval to lift its reals through
+    # besides the enclosure of t
+    assert counts[Interval] == 296
 
 
 def test_certified_sign_verdicts():
@@ -781,11 +797,11 @@ def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
     # 428 and 1989 while G conj(v) was formed afresh for every inner product
     # and reflection; 2857 models while each complex product built its four
     # real products and its two sums as models, 1566 while each of the three
-    # reads of the backend's theta lifted its two parts again; two of the 1562
-    # are theta's parts and one is the backend's unit, through which it lifts
-    # its reals
+    # reads of the backend's theta lifted its two parts again, 1562 while the
+    # backend lifted its reals through a unit model; two of the 1561 are
+    # theta's parts, and the backend lifts through the enclosure of t
     assert counts["complex"] == 318
-    assert counts["model"] == 1562
+    assert counts["model"] == 1561
 
 
 def test_kernels_are_built_for_the_shapes_used(monkeypatch):
@@ -890,13 +906,18 @@ def test_taylor_domain_guards(monkeypatch):
                 y.sqrt()
 
 
-def test_taylor_backend_protocol_surface():
+def test_taylor_backend_protocol_surface(monkeypatch):
     backend = TaylorBackend.for_interval(Interval(2.21, 2.23))
     t = backend.variable()
     assert backend.rigorous
-    assert backend.order == numerics.TAYLOR_ORDER
-    assert TaylorBackend.for_interval(Interval(2.22, 2.22)).order == 0
-    assert isinstance(TaylorBackend.for_interval(Interval(2.22, 2.22)).variable(), Interval)
+    # the backend holds the enclosure of t and lifts its reals to t's type:
+    # Intervals on a point, models on the same powers of rad on a range
+    point = TaylorBackend.for_interval(Interval(2.22, 2.22))
+    for x in (point.variable(), point.real(2.0), point.real(Interval(1, 2))):
+        assert type(x) is Interval
+    assert t is backend.variable() and len(t.pw) == 2 * numerics.TAYLOR_ORDER + 1
+    for x in (backend.real(2.0), backend.real(Interval(1, 2))):
+        assert type(x) is TaylorModel and x.pw is t.pw
     # the real part's type picks the complex type: a ball on a point, a pair on a range
     assert isinstance(RIGOROUS.theta, ComplexBall) and isinstance(backend.theta, ComplexPair)
     assert isinstance(RIGOROUS, TaylorBackend)
@@ -906,6 +927,9 @@ def test_taylor_backend_protocol_surface():
     assert isinstance((th * th.conjugate()).real, TaylorModel)
     assert abs(mid(t) - 2.22) < 1e-12
     assert certified_sign(t) is SignVerdict.POSITIVE
+    # at order 0 the range variable is the midpoint, with the radius as remainder
+    t = _taylor_backend(monkeypatch, 0, 2.22, 0.01).variable()
+    assert (t.c, t.r, t.pw) == ([2.22], 0.01, (1.0,))
 
 
 @pytest.mark.parametrize(
@@ -948,8 +972,9 @@ def test_backends_lift_only_the_reals_they_hold():
     lifted = ranged.real(iv)
     assert isinstance(lifted, TaylorModel) and (lifted.c, lifted.r) == ([iv.m], iv.r)
     assert isinstance(ranged.real(3), TaylorModel) and ranged.real(3).c == [3.0]
-    with pytest.raises(ValueError, match="negative Taylor model radius"):
-        TaylorBackend(2.2, -1e-3)
+    for rad in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="radius must be a nonnegative number"):
+            TaylorBackend(2.2, rad)
 
 
 def test_fast_sqrt_snaps_only_rounding_level_negatives():
