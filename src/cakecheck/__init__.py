@@ -8,7 +8,6 @@ from .numerics import (
     RIGOROUS,
     Certificate,
     ComplexBall,
-    ComplexPair,
     Interval,
     SignVerdict,
     TaylorBackend,

@@ -23,19 +23,18 @@ balls, plus rounding: its midpoint is the float value, moved to the centre
 of that range where the range is lopsided about it (a product, quotient or
 square root of wide balls), and a point enclosure is a few ulps wide.
 
-A real part's type makes the complex type.  On a point it is one
-``ComplexBall``, the midpoints and radii of the two parts' balls in one
-object (as Arb's acb, Johansson 2017), whose operations do the float
-operations of the parts' Interval operations in one step: a rigorous
-``verify_all(2.22)`` makes 318 complex products and 60 ``Interval``
-products, and builds 593 ComplexBalls and 335 Intervals.  On a range it is
-a ``ComplexPair`` of Taylor models, multiplied from the coefficient lists
-and remainders; every polynomial product runs through a straight-line
-kernel for its pair of factor lengths, built on first use, that sums each
-coefficient in the order of the schoolbook loop, to the same bits.  An
-evaluation on [2.2, 2.20025] makes 318 complex products with 14 kernels
-and builds 1561 ``TaylorModel``s, two of them the parts of the backend's
-theta.
+A complex enclosure is one object.  On a point it is a ``ComplexBall``,
+the midpoints and radii of the two parts' balls (as Arb's acb, Johansson
+2017), whose operations do the float operations of the parts' Interval
+operations in one step: a rigorous ``verify_all(2.22)`` makes 318 complex
+products and 46 ``Interval`` products, and builds 593 ComplexBalls and 183
+Intervals.  On a range it is a ``TaylorModel`` with complex coefficients
+and a disc for its remainder, which runs through the same code as a real
+one; every polynomial product runs through a straight-line kernel for its
+pair of factor lengths, built on first use, that sums each coefficient in
+the order of the schoolbook loop, to the same bits.  An evaluation on
+[2.2, 2.20025] makes 325 complex products and 487 polynomial products
+with 14 kernels, and builds 1122 ``TaylorModel``s.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 _INF = math.inf
 
@@ -129,10 +129,51 @@ def _around(f: float, s: float, w: float, err: float):
     return m, (w + err + (g if g < s else s)) * _SLACK + _TINY
 
 
-def _ball_product(a: float, ar: float, b: float, br: float) -> "Interval":
-    """The product of the balls (a, ar) and (b, br) as an Interval."""
+def _mul(a: float, ar: float, b: float, br: float):
+    """(m, r): the product of the balls (a, ar) and (b, br)."""
     p, s, w = _times(a, ar, b, br)
-    return _ball(*_around(p, s, w, _GAMMA1 * (abs(p) + abs(s))))
+    return _around(p, s, w, _GAMMA1 * (abs(p) + abs(s)))
+
+
+def _sqr(a: float, ar: float):
+    """(m, r): the square of the ball (a, ar)."""
+    a = abs(a)
+    if a >= ar:
+        return _mul(a, ar, a, ar)
+    # [0, (a + ar)^2] as the ball (h, h): for the float s = a + ar,
+    # (a + ar)^2 <= (1 + gamma_1)^3 s s <= (1 + 2 gamma_2) s s <= 2 h
+    s = a + ar
+    h = 0.5 * (s * s)
+    h = (h + 2.0 * _GAMMA2 * h) * _SLACK + _TINY
+    return h, h
+
+
+def _quotient(a: float, ar: float, b: float, br: float):
+    """(m, r): the quotient of the balls (a, ar) and (b, br)."""
+    B = abs(b)
+    if not B > br:
+        raise DomainError("division by an interval containing zero")
+    d = B - br
+    if abs(a) < ar:  # [a - ar, a + ar] / (B - br), signed as b
+        c = a / d
+        return _around(c if b > 0.0 else -c, 0.0, ar / d, _GAMMA2 * abs(c))
+    # [|a| - ar, |a| + ar] / [B - br, B + br], signed: the ball around
+    # a/b +- q br / (B + br) of radius q B / (B + br), for q = (ar + |a/b|
+    # br) / (B - br), which a larger q contains.  q is two ratios, so no
+    # underflow is divided by a small d, and |a/b| < |m| + 2^-1074.
+    m = a / b
+    q = ar / d + (abs(m) + 5e-324) * (br / d)
+    s = q * (br / (B + br))
+    return _around(m, s if (a > 0.0) == (b > 0.0) else -s, q * (B / (B + br)),
+                   _GAMMA1 * abs(m) + _GAMMA * s)
+
+
+def _parts(x):
+    """(m, r) of a real that Interval lifts, an Interval, int or float, and
+    None for anything else."""
+    if isinstance(x, Interval):
+        return x.m, x.r
+    return (float(x), 0.0) if isinstance(x, (int, float)) else None
 
 
 class _Scalar:
@@ -199,8 +240,11 @@ class Interval(_Scalar):
             return _ball(float(x), 0.0)
         return None
 
-    def _complex(self, imag: "Interval") -> "ComplexBall":
-        return ComplexBall(self.m, self.r, imag.m, imag.r)
+    @staticmethod
+    def _complex(re, im) -> "ComplexBall | None":
+        """re + i im for reals Interval lifts, built from their balls."""
+        a, b = _parts(re), _parts(im)
+        return None if a is None or b is None else ComplexBall(*a, *b)
 
     def range(self) -> "Interval":
         return self
@@ -238,7 +282,7 @@ class Interval(_Scalar):
         o = other if type(other) is Interval else Interval._lift(other)
         if o is None:
             return NotImplemented
-        return _ball_product(self.m, self.r, o.m, o.r)
+        return _ball(*_mul(self.m, self.r, o.m, o.r))
 
     __rmul__ = __mul__
 
@@ -246,34 +290,10 @@ class Interval(_Scalar):
         o = Interval._lift(other)
         if o is None:
             return NotImplemented
-        a, ar, b, br = self.m, self.r, o.m, o.r
-        B = abs(b)
-        if not B > br:
-            raise DomainError("division by an interval containing zero")
-        d = B - br
-        if abs(a) < ar:  # [a - ar, a + ar] / (B - br), signed as b
-            c = a / d
-            return _ball(*_around(c if b > 0.0 else -c, 0.0, ar / d, _GAMMA2 * abs(c)))
-        # [|a| - ar, |a| + ar] / [B - br, B + br], signed: the ball around
-        # a/b +- q br / (B + br) of radius q B / (B + br), for q = (ar + |a/b|
-        # br) / (B - br), which a larger q contains.  q is two ratios, so no
-        # underflow is divided by a small d, and |a/b| < |m| + 2^-1074.
-        m = a / b
-        q = ar / d + (abs(m) + 5e-324) * (br / d)
-        s = q * (br / (B + br))
-        return _ball(*_around(m, s if (a > 0.0) == (b > 0.0) else -s, q * (B / (B + br)),
-                              _GAMMA1 * abs(m) + _GAMMA * s))
+        return _ball(*_quotient(self.m, self.r, o.m, o.r))
 
     def sqr(self) -> "Interval":
-        a, ar = abs(self.m), self.r
-        if a >= ar:
-            return _ball_product(a, ar, a, ar)
-        # [0, (a + ar)^2] as the ball (h, h): for the float s = a + ar,
-        # (a + ar)^2 <= (1 + gamma_1)^3 s s <= (1 + 2 gamma_2) s s <= 2 h
-        s = a + ar
-        h = 0.5 * (s * s)
-        h = (h + 2.0 * _GAMMA2 * h) * _SLACK + _TINY
-        return _ball(h, h)
+        return _ball(*_sqr(self.m, self.r))
 
     def sqrt(self) -> "Interval":
         a, ar = self.m, self.r
@@ -295,7 +315,7 @@ class Interval(_Scalar):
 
 
 # ---------------------------------------------------------------------------
-# order-n Taylor models with float coefficients
+# order-n Taylor models with float or complex coefficients
 #
 # Naive interval evaluation of the configuration suffers severe dependency
 # blowup: one parameter t feeds every matrix entry, and the enclosure width
@@ -306,17 +326,24 @@ class Interval(_Scalar):
 #
 # for all |delta| <= rad, with float coefficients ck and one remainder
 # radius r (Makino & Berz 2003; Revol, Makino & Berz 2005).  Its constant
-# term and remainder form a ball, as an Interval does.  Coefficients are
-# computed in round-to-nearest, and every operation adds to r a bound on
-# what the polynomial part leaves out, in the rounding model of the
-# Intervals above.  With |A| = sum |ak| rad^k, the bound of the polynomial
-# part of A over the box, these are:
+# term and remainder form a ball, as an Interval does.  A complex model has
+# complex coefficients and the disc |e| <= r in place of [-r, r]; its real
+# and imaginary parts are the real models of the coefficients' parts with
+# the same r, and two real models zip into one with remainder ra + rb.
+# Coefficients are computed in round-to-nearest, and every operation adds
+# to r a bound on what the polynomial part leaves out, in the rounding
+# model of the Intervals above.  With |A| = sum |ak| rad^k, the bound of
+# the polynomial part of A over the box, |ak| the modulus (abs()), these
+# are:
 #
-#   - rounding: a computed coefficient is a float sum of at most n + 1
-#     <= 31 products, off by at most _GAMMA >= gamma_31 times the sum of
-#     their magnitudes; over all coefficients of a product A*B that is
-#     _GAMMA |A| |B|, and _GAMMA |C| for a sum C = A + B or a scaled model
-#     C = x A;
+#   - rounding: a real coefficient is a float sum of at most n + 1
+#     products, off by at most gamma_(n+1) times the sum of their
+#     magnitudes.  Each part of a complex one is a float sum of at most
+#     2(n + 1) products, and |Re a Re b| + |Im a Im b| <= |a| |b|, so the
+#     modulus of its error is at most sqrt(2) gamma_(2(n+1)) sum |ai| |bj|.
+#     _GAMMA >= gamma_31 covers both for n <= 9; over all coefficients of
+#     a product A*B that is _GAMMA |A| |B|, and _GAMMA |C| for a sum C = A
+#     + B or a scaled model C = x A;
 #   - truncation: the product terms of degree > n that A*B drops, bounded
 #     by sum_{k>n} |pk| rad^k;
 #   - remainders: |A| rb + |B| ra + ra rb for A*B;
@@ -328,13 +355,19 @@ class Interval(_Scalar):
 #     |binom(1/2, n+1)| q^(n+1) / (1-q)^(n+1/2).
 #
 # Each bound is multiplied by _SLACK and increased by _TINY, as an
-# Interval's radius is.  range() is the ball of the float bounds of the
-# polynomial part, widened by their rounding and the remainder.  The range
-# enclosure has width
+# Interval's radius is; _SLACK also covers the ulp that abs() of a complex
+# may be off.  range(), sign(), sqrt() and inv() take real models only.
+# range() is the ball of the float bounds of the polynomial part, widened
+# by their rounding and the remainder.  The range enclosure has width
 # ~ |f'| * 2 rad + O(rad^(n+1)) instead of K * 2 rad for a huge dependency
 # constant K, which is what makes range certification feasible.
+#
+# Complex coefficients are multiplied by CPython's complex product, and
+# their moduli come from its abs().  tests/golden/taylor_enclosures.txt
+# pins the bits these give on the usual builds; a build that contracts
+# the product into fused multiply-adds may move them, within the bound.
 
-TAYLOR_ORDER = 6
+TAYLOR_ORDER = 6  # at most 9, where _GAMMA still covers a complex coefficient
 
 
 def _series_coefficients(a: Fraction, terms: int) -> tuple:
@@ -384,10 +417,10 @@ def _kernel(la: int, lb: int):
 
 def _scaled(m: "TaylorModel", x: float, xr: float):
     """Coefficients and remainder of the model m times a constant known to
-    lie in [x - xr, x + xr]."""
+    lie within xr of x."""
     na = m._bound()
-    if x == 0.0:
-        return [0.0], xr * (na + m.r) * _SLACK + _TINY
+    if x == 0.0:  # an exact 0, complex if either factor is
+        return [0j if complex in (type(x), type(m.c[0])) else 0.0], xr * (na + m.r) * _SLACK + _TINY
     ax = abs(x)
     return [x * ck for ck in m.c], (ax * m.r + xr * (na + m.r) + _GAMMA * ax * na) * _SLACK + _TINY
 
@@ -426,12 +459,15 @@ def _summed(a: list, b: list, r: float, pw: tuple) -> "TaylorModel":
 
 
 class TaylorModel(_Scalar):
-    """Real Taylor model in one parameter: float coefficients ``c`` of a
-    polynomial of degree len(c) - 1 <= n in delta = t - mid, and a
-    remainder radius ``r``, valid for |delta| <= rad.  ``pw`` holds
-    upward-rounded powers rad^0 .. rad^(2n), shared by all models of one
-    backend, whose order n is len(pw) // 2.  A constant has one
-    coefficient.  ``nb`` caches the bound |c| of the polynomial part."""
+    """Taylor model in one parameter: coefficients ``c`` of a polynomial of
+    degree len(c) - 1 <= n in delta = t - mid, and a remainder radius
+    ``r``, valid for |delta| <= rad.  Like Python's own numbers, a real
+    model has float coefficients and a complex one complex coefficients,
+    its constant term complex whenever any term is; a real model's
+    remainder is an interval [-r, r], a complex one's the disc |e| <= r.
+    ``pw`` holds upward-rounded powers rad^0 .. rad^(2n), shared by all
+    models of one backend, whose order n is len(pw) // 2.  A constant has
+    one coefficient.  ``nb`` caches the bound |c| of the polynomial part."""
 
     __slots__ = ("c", "r", "pw", "nb")
 
@@ -452,8 +488,15 @@ class TaylorModel(_Scalar):
     def _const(self, v: float, r: float = 0.0) -> "TaylorModel":
         return TaylorModel([v], r, self.pw)
 
-    def _complex(self, imag: "TaylorModel") -> "ComplexPair":
-        return ComplexPair(self, imag)
+    def _complex(self, re, im) -> "TaylorModel | None":
+        """re + i im for reals the model lifts: their coefficients zipped,
+        with the remainder ra + rb, rounded up."""
+        x, y = self._lift(re), self._lift(im)
+        if x is None or y is None or complex in (type(re), type(im)):
+            return None
+        r = x.r + y.r
+        return TaylorModel([complex(a, b) for a, b in zip_longest(x.c, y.c, fillvalue=0.0)],
+                           _up(r) if x.r and y.r else r, self.pw)
 
     def _lift(self, x):
         if isinstance(x, TaylorModel):
@@ -462,7 +505,24 @@ class TaylorModel(_Scalar):
             return self._const(x.m, x.r)
         if isinstance(x, (int, float)):
             return self._const(float(x))
-        return None
+        return self._const(x) if isinstance(x, complex) else None
+
+    @property
+    def real(self) -> "TaylorModel":
+        if type(self.c[0]) is not complex:
+            return self
+        return TaylorModel([x.real for x in self.c], self.r, self.pw)
+
+    @property
+    def imag(self) -> "TaylorModel":
+        if type(self.c[0]) is not complex:
+            return self._const(0.0)
+        return TaylorModel([x.imag for x in self.c], self.r, self.pw)
+
+    def conjugate(self) -> "TaylorModel":
+        if type(self.c[0]) is not complex:
+            return self
+        return TaylorModel([x.conjugate() for x in self.c], self.r, self.pw, self.nb)
 
     def range(self) -> Interval:
         """Plain interval enclosure of all values on the parameter interval."""
@@ -482,14 +542,16 @@ class TaylorModel(_Scalar):
         m = 0.5 * (lo + hi)
         return _ball(m, (max(hi - m, m - lo) + _GAMMA * mag + self.r) * _SLACK + _TINY)
 
-    def mid(self) -> float:
+    def mid(self) -> float | complex:
+        if type(self.c[0]) is complex:
+            return complex(self.real.mid(), self.imag.mid())
         return self.range().m
 
     def sign(self) -> SignVerdict:
         return self.range().sign()
 
     def __neg__(self):
-        return TaylorModel([-x for x in self.c], self.r, self.pw)
+        return TaylorModel([-x for x in self.c], self.r, self.pw, self.nb)
 
     def _shift(self, v: float) -> "TaylorModel":
         c = list(self.c)
@@ -527,13 +589,15 @@ class TaylorModel(_Scalar):
             return self._scale(float(other))
         if isinstance(other, Interval):
             return self._scale(other.m, other.r)
-        return NotImplemented
+        return self._scale(other) if isinstance(other, complex) else NotImplemented
 
     __rmul__ = __mul__
 
     def _series_argument(self, op: str):
         """``(g, q)`` with self = c0 (1 + g) and |g| <= q < 1 on the box."""
         c0 = self.c[0]
+        if type(c0) is complex:
+            raise TypeError(f"{op} of a complex Taylor model")
         if c0 != 0.0:
             inv0 = 1.0 / c0
             dev = TaylorModel([0.0] + self.c[1:], self.r, self.pw)
@@ -566,6 +630,8 @@ class TaylorModel(_Scalar):
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if type(o.c[0]) is complex:  # self conj(o) / (Re(o)^2 + Im(o)^2)
+            return self * o.conjugate() * (o.real.sqr() + o.imag.sqr()).inv()
         return self * o.inv()
 
     def sqr(self) -> "TaylorModel":
@@ -584,106 +650,12 @@ class TaylorModel(_Scalar):
         s0 = math.sqrt(c0)
         return p._scale(s0, _GAMMA * s0)
 
-    def is_zero(self) -> bool:
-        return self.r == 0.0 and len(self.c) == 1 and self.c[0] == 0.0
 
-    def _complex_product(self, xi, yr, yi) -> "ComplexPair":
-        """(xr + i xi) (yr + i yi) for xr = self, formed from the coefficients
-        and remainders as the real operations form (xr yr) - (xi yi) + i ((xr
-        yi) + (xi yr)), to the same bits, with only the two parts built.  A
-        product with an exact-0 part is skipped: that factor goes second,
-        leaving (xr yr) + i (xi yr) or -(xi yi) + i (xr yi)."""
-        xr, xi, yr, yi = (yr, yi, self, xi) if xi.is_zero() or self.is_zero() else (self, xi, yr, yi)
-        pw = xr.pw
-        if yi.is_zero():
-            return ComplexPair(TaylorModel(*_product(xr, yr), pw), TaylorModel(*_product(xi, yr), pw))
-        if yr.is_zero():
-            c, r = _product(xi, yi)
-            return ComplexPair(TaylorModel([-x for x in c], r, pw), TaylorModel(*_product(xr, yi), pw))
-        a, ra = _product(xr, yr)
-        b, rb = _product(xi, yi)
-        real = _summed(a, [-y for y in b], ra + rb, pw)
-        a, ra = _product(xr, yi)
-        b, rb = _product(xi, yr)
-        return ComplexPair(real, _summed(a, b, ra + rb, pw))
-
-
-class _Complex(_Scalar):
-    """What the complex enclosure types share, read through their parts."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.real!r}, {self.imag!r})"
-
-    def mid(self) -> complex:
-        return complex(self.real.mid(), self.imag.mid())
-
-    def abs2(self):
-        return self.real.sqr() + self.imag.sqr()
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2().inv()
-        n = self * o.conjugate()
-        return (n.real * d)._complex(n.imag * d)
-
-
-class ComplexPair(_Complex):
-    """Complex enclosure on a range: a pair of Taylor models, whose product
-    is the parts' ``_complex_product``."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag):
-        self.real, self.imag = real, imag
-
-    def _lift(self, x):
-        if isinstance(x, ComplexPair):
-            return x
-        if isinstance(x, complex):
-            return ComplexPair(self.real._lift(x.real), self.real._lift(x.imag))
-        lifted = self.real._lift(x)
-        return None if lifted is None else ComplexPair(lifted, self.real._lift(0.0))
-
-    def range(self) -> "ComplexBall":
-        return self.real.range()._complex(self.imag.range())
-
-    def conjugate(self) -> "ComplexPair":
-        return ComplexPair(self.real, -self.imag)
-
-    def __neg__(self):
-        return ComplexPair(-self.real, -self.imag)
-
-    def __add__(self, other):
-        o = other if type(other) is ComplexPair else self._lift(other)
-        if o is None:
-            return NotImplemented
-        return ComplexPair(self.real + o.real, self.imag + o.imag)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = other if type(other) is ComplexPair else self._lift(other)
-        if o is None:
-            return NotImplemented
-        return ComplexPair(self.real - o.real, self.imag - o.imag)
-
-    def __mul__(self, other):
-        o = other if type(other) is ComplexPair else self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.real._complex_product(self.imag, o.real, o.imag)
-
-    __rmul__ = __mul__
-
-
-class ComplexBall(_Complex):
+class ComplexBall(_Scalar):
     """Complex point enclosure: the balls (a, ar) of the real part and (b,
     br) of the imaginary part, in one object.  Each operation does the float
-    operations of the same operation on the parts as Intervals."""
+    operations of the same operations on the parts as Intervals, to the same
+    bits, and builds no Interval in between."""
 
     __slots__ = ("a", "ar", "b", "br")
 
@@ -691,6 +663,9 @@ class ComplexBall(_Complex):
         if not (abs(a) + ar < _INF and abs(b) + br < _INF):
             raise DomainError(f"enclosure {complex(a, b)!r} +- {max(ar, br)!r} overflowed")
         self.a, self.ar, self.b, self.br = a, ar, b, br
+
+    def __repr__(self):
+        return f"ComplexBall({self.real!r}, {self.imag!r})"
 
     @property
     def real(self) -> Interval:
@@ -700,14 +675,17 @@ class ComplexBall(_Complex):
     def imag(self) -> Interval:
         return _ball(self.b, self.br)
 
+    def mid(self) -> complex:
+        return complex(self.a, self.b)
+
     @staticmethod
     def _lift(x):
         if isinstance(x, ComplexBall):
             return x
         if isinstance(x, complex):
             return ComplexBall(x.real, 0.0, x.imag, 0.0)
-        x = Interval._lift(x)
-        return None if x is None else ComplexBall(x.m, x.r, 0.0, 0.0)
+        x = _parts(x)
+        return None if x is None else ComplexBall(*x, 0.0, 0.0)
 
     def conjugate(self) -> "ComplexBall":
         return ComplexBall(self.a, self.ar, -self.b, self.br)
@@ -759,6 +737,22 @@ class ComplexBall(_Complex):
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """self conj(o) times the inverse of |o|^2 = Re(o)^2 + Im(o)^2, each
+        step the float operations of the Intervals' sqr, +, 1 / x and *."""
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        m, r = _sqr(o.a, o.ar)
+        n, nr = _sqr(o.b, o.br)
+        m += n
+        r = (r + nr + _GAMMA1 * abs(m)) * _SLACK + _TINY
+        if not abs(m) + r < _INF:
+            raise DomainError(f"enclosure {m!r} +- {r!r} overflowed")
+        d, dr = _quotient(1.0, 0.0, m, r)
+        n = self * ComplexBall(o.a, o.ar, -o.b, o.br)
+        return ComplexBall(*_mul(n.a, n.ar, d, dr), *_mul(n.b, n.br, d, dr))
+
 
 def certified_sign(x, zero_tol: float = DEFAULT_ZERO_TOL) -> SignVerdict:
     """Sign decision. Enclosures yield a certified verdict only when they
@@ -808,7 +802,8 @@ class TaylorBackend:
     enclosure of t, an Interval on a point (rad = 0) and a Taylor model of
     order ``TAYLOR_ORDER`` on a range, far tighter than naive intervals on
     narrow ranges, and lifts floats and Intervals to reals of its type.
-    Their complex values, ComplexBalls and ComplexPairs, read like Python's."""
+    Their complex values, ComplexBalls on a point and Taylor models with
+    complex coefficients on a range, read like Python's."""
 
     rigorous = True
 
@@ -838,12 +833,16 @@ class TaylorBackend:
 
     def real(self, x):
         r = self._t._lift(x)
-        if r is None:
+        if r is None or isinstance(x, complex):
             raise TypeError(f"{self.name} backend cannot lift {type(x).__name__} as a real")
         return r
 
     def complex_(self, re, im=0.0):
-        return self.real(re)._complex(self.real(im))
+        z = self._t._complex(re, im)
+        if z is None:
+            raise TypeError(f"{self.name} backend cannot lift {type(re).__name__}, "
+                            f"{type(im).__name__} as a complex")
+        return z
 
     def sqrt(self, x):
         return self.real(x).sqrt()

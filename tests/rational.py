@@ -10,17 +10,18 @@ never approximated.  Square roots round by ``math.isqrt``.  ``lo`` and
 
 The type plugs into the package as a third real type: it subclasses
 ``numerics._Scalar``, so ``certified_sign`` and ``mid`` read it, and its
-complex values are ``numerics.ComplexPair``s of two of them, multiplied by
-``_complex_product``.  ``RationalBackend`` makes its scalars through the
-backend protocol, with theta = 1/2 + i sqrt(3)/2 in the same type, so the
-unmodified construction and conditions run on it.
+complex values are ``RationalComplex`` pairs of two of them, whose
+operations are the textbook ones on the parts, independent of how the
+package forms its own complex enclosures.  ``RationalBackend`` makes its
+scalars through the backend protocol, with theta = 1/2 + i sqrt(3)/2 in
+the same type, so the unmodified construction and conditions run on it.
 """
 
 import math
 from fractions import Fraction
 
 from cakecheck import numerics
-from cakecheck.numerics import ComplexPair, DomainError, SignVerdict
+from cakecheck.numerics import DomainError, SignVerdict
 
 PREC = 300
 _ONE = 1 << PREC
@@ -70,13 +71,6 @@ class Rational(numerics._Scalar):
         if isinstance(x, (int, float, Fraction)):
             return Rational.exact(x)
         return None
-
-    def _complex(self, imag: "Rational") -> ComplexPair:
-        return ComplexPair(self, imag)
-
-    def _complex_product(self, xi, yr, yi) -> ComplexPair:
-        """(self + i xi) (yr + i yi)."""
-        return ComplexPair(self * yr - xi * yi, self * yi + xi * yr)
 
     def range(self) -> "Rational":
         return self
@@ -142,6 +136,66 @@ class Rational(numerics._Scalar):
         return Rational(math.isqrt(self.a << PREC), _ceil_sqrt(self.b << PREC))
 
 
+class RationalComplex(numerics._Scalar):
+    """The complex box real + i imag of two Rationals."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: Rational, imag: Rational):
+        self.real, self.imag = real, imag
+
+    def __repr__(self):
+        return f"RationalComplex({self.real!r}, {self.imag!r})"
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, RationalComplex):
+            return x
+        if isinstance(x, complex):
+            return RationalComplex(Rational.exact(x.real), Rational.exact(x.imag))
+        x = Rational._lift(x)
+        return None if x is None else RationalComplex(x, Rational(0, 0))
+
+    def mid(self) -> complex:
+        return complex(self.real.mid(), self.imag.mid())
+
+    def conjugate(self) -> "RationalComplex":
+        return RationalComplex(self.real, -self.imag)
+
+    def __neg__(self):
+        return RationalComplex(-self.real, -self.imag)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return RationalComplex(self.real + o.real, self.imag + o.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return RationalComplex(self.real - o.real, self.imag - o.imag)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        return RationalComplex(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        n, d = self * o.conjugate(), (o.real.sqr() + o.imag.sqr()).inv()
+        return RationalComplex(n.real * d, n.imag * d)
+
+
 class RationalBackend:
     """The backend protocol over Rationals."""
 
@@ -158,7 +212,7 @@ class RationalBackend:
         return r
 
     def complex_(self, re, im=0):
-        return self.real(re)._complex(self.real(im))
+        return RationalComplex(self.real(re), self.real(im))
 
     def sqrt(self, x):
         return self.real(x).sqrt()

@@ -305,6 +305,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["scan", "--backend", "rigorous"], "scan_rigorous.csv"),
     (["certify"], "certify.txt"),
     (["verify", "--backend", "rigorous"], "verify_rigorous_text.txt"),
+    (["certify", "--lo", "2.1228615", "--hi", "2.343115"], "certify_sharp.txt"),
 ])
 def test_output_matches_golden_file(argv, name, capsys):
     """These outputs use only IEEE + - * /, sqrt and nextafter, so they are

@@ -19,7 +19,6 @@ from cakecheck.numerics import (
     FAST,
     RIGOROUS,
     ComplexBall,
-    ComplexPair,
     DomainError,
     Interval,
     SignVerdict,
@@ -32,6 +31,7 @@ from cakecheck.numerics import (
     replay_certificate,
 )
 from cakecheck.verification import certify_range, condition_enclosures, verify_all
+from rational import RATIONAL, Rational
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +351,41 @@ def test_complex_ball_arithmetic_matches_the_interval_parts_bit_for_bit():
     assert min(seen.values()) > 1000, seen
 
 
+def _ref_interval_pair_quotient(xr, xi, yr, yi):
+    """x / y on the parts as Intervals: x conj(y) times 1 / |y|^2."""
+    d = (yr.sqr() + yi.sqr()).inv()
+    real, imag = _ref_interval_pair_product(xr, xi, yr, -yi)
+    return real * d, imag * d
+
+
+def test_complex_ball_division_matches_the_interval_parts_bit_for_bit():
+    """ComplexBall's quotient, with either operand lifted, gives the four
+    floats of the reference quotient of its parts as Intervals, and fails
+    where the reference fails, with the same reason."""
+    rng = random.Random(20261022)
+    pool = EDGE_INTERVALS + [Interval(1e154, 2e154), Interval(-1e-160, 1e-150), Interval(1.3e154),
+                             Interval(3e-200)] + [_random_interval(rng) for _ in range(8)]
+    xs = [(a, b) for a in pool for b in pool[rng.randrange(2)::2]]
+    ks = [(k, _ref_lift(k)) for k in (3, -2.5, 0.0, 2j, complex(1e-300, -7.0), Interval(0.5, 0.75))]
+    seen = {"quotient": 0, "overflowed": 0, "containing zero": 0}
+    for xp in xs:
+        x = _complex_ball(*xp)
+        for y, yp in [(_complex_ball(*yp), yp) for yp in xs[::7]] + ks:
+            for op, parts in ((lambda: x / y, xp + yp), (lambda: y / x, yp + xp)):
+                try:
+                    want = _ball_bits(*_ref_interval_pair_quotient(*parts))
+                except DomainError as exc:
+                    reason = "overflowed" if "overflowed" in str(exc) else "containing zero"
+                    seen[reason] += 1
+                    with pytest.raises(DomainError, match=reason):
+                        op()
+                    continue
+                seen["quotient"] += 1
+                z = op()
+                assert _ball_bits(z.real, z.imag) == want, parts
+    assert min(seen.values()) > 100, seen
+
+
 def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
     counts = {"interval": 0, "complex": 0}
 
@@ -369,8 +404,9 @@ def test_rigorous_verify_counts_interval_and_complex_products(monkeypatch):
     # 1362 Interval products while each complex product formed its parts'
     # products as Intervals; 428 complex products while every inner product
     # and reflection formed G conj(v) afresh and points were built by
-    # scaling basis vectors
-    assert counts["interval"] == 60
+    # scaling basis vectors; 60 while each of the 7 complex divisions
+    # multiplied its parts by 1 / |o|^2 as Intervals
+    assert counts["interval"] == 46
     assert counts["complex"] == 318
 
 
@@ -395,14 +431,16 @@ def _count_point_scalars(monkeypatch) -> dict:
 
 def test_rigorous_verify_counts_the_scalars_it_builds(monkeypatch):
     """One rigorous verify_all(2.22) builds 593 complex values, one object
-    each, and 335 Intervals: every complex operation writes its result's
-    four floats, and only real operations and reads of a complex value's
-    parts build Intervals."""
+    each, and 183 Intervals: every complex operation, division and lift
+    included, writes its result's four floats, and only real operations and
+    reads of a complex value's parts build Intervals."""
     counts = _count_point_scalars(monkeypatch)
     assert verify_all(2.22, "rigorous")["passed"]
-    # 1331 Intervals and 593 ComplexPairs while each complex value was a
-    # ComplexPair of two Intervals
-    assert counts == {Interval: 335, ComplexBall: 593}
+    # 1331 Intervals and 593 pairs while each complex value was a pair of
+    # two Intervals; 335 Intervals while a complex division formed |o|^2,
+    # its inverse and the two parts of its result as Intervals and the
+    # backend lifted each part of a complex value to an Interval first
+    assert counts == {Interval: 183, ComplexBall: 593}
 
 
 def test_point_probe_counts_the_intervals_it_builds(monkeypatch):
@@ -411,8 +449,9 @@ def test_point_probe_counts_the_intervals_it_builds(monkeypatch):
     complete, items = condition_enclosures(box)
     assert complete and len(items) == 11
     # 297 while the backend built a unit Interval to lift its reals through
-    # besides the enclosure of t
-    assert counts[Interval] == 296
+    # besides the enclosure of t; 296 while complex divisions and lifts
+    # built Intervals
+    assert counts[Interval] == 147
 
 
 def test_certified_sign_verdicts():
@@ -580,8 +619,8 @@ def test_taylor_complex_division_contains_exact_values(order):
     m, rad = 2.2, 1e-3
     backend = TaylorBackend(m, rad)
     x = backend.variable()
-    z = ComplexPair(x * 2 - 1, x * x)
-    w = ComplexPair(x + 3, 1 - x)
+    z = backend.complex_(x * 2 - 1, x * x)
+    w = backend.complex_(x + 3, 1 - x)
     q = z / w
     for _ in range(10):
         delta = Fraction(rng.randint(-1000, 1000), 1000) * Fraction(rad)
@@ -597,10 +636,11 @@ def test_taylor_complex_product_with_zero_part_contains_exact_values(order):
     (a lifted real or imaginary constant) enclose the exact values."""
     rng = random.Random(13 + order)
     m, rad = 2.2, 1e-3
-    x = TaylorBackend(m, rad).variable()
-    z = ComplexPair(x * 2 - 1, x * x)
-    real = ComplexPair(x + 3, x._const(0.0))
-    imag = ComplexPair(x._const(0.0), x + 3)
+    backend = TaylorBackend(m, rad)
+    x = backend.variable()
+    z = backend.complex_(x * 2 - 1, x * x)
+    real = backend.complex_(x + 3)
+    imag = backend.complex_(0, x + 3)
     iv = z * Interval(0.5, 0.75)
     cases = [
         (z * 3, lambda zr, zi, t: (3 * zr, 3 * zi)),
@@ -653,7 +693,7 @@ def test_interval_complex_product_with_zero_part_contains_exact_values():
 
 
 # ---------------------------------------------------------------------------
-# the Taylor product kernels and the fused complex product, bit for bit
+# the Taylor product kernels, bit for bit
 
 
 def _schoolbook(a, b):
@@ -748,35 +788,6 @@ def test_taylor_product_matches_the_schoolbook_loop(order):
             assert _bits(x * y) == _bits(_ref_product(x, y)), (x, y)
 
 
-def _ref_taylor_complex_product(x, y):
-    """The ComplexPair product of Taylor-model parts operation by operation,
-    with the products that have an exact-zero part skipped."""
-    a, b = (y, x) if x.imag.is_zero() or x.real.is_zero() else (x, y)
-    if b.imag.is_zero():
-        return a.real * b.real, a.imag * b.real
-    if b.real.is_zero():
-        return -(a.imag * b.imag), a.real * b.imag
-    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
-
-
-def _parts(z):
-    return z.real, z.imag
-
-
-def test_fused_taylor_complex_product_matches_operation_by_operation(order):
-    rng = random.Random(29 + order)
-    pw = TaylorBackend(2.2, 1e-3).variable().pw
-    pool = _model_pool(rng, pw)
-    zero = TaylorModel([0.0], 0.0, pw)
-    # an exact-zero imaginary or real part, on either side, and full pairs
-    pairs = [ComplexPair(m, zero) for m in pool[::3]] + [ComplexPair(zero, m) for m in pool[1::3]]
-    pairs += [ComplexPair(rng.choice(pool), rng.choice(pool)) for _ in range(24)]
-    for x in pairs:
-        for y in pairs:
-            got = [_bits(p) for p in _parts(x * y)]
-            assert got == [_bits(p) for p in _ref_taylor_complex_product(x, y)], (x, y)
-
-
 def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
     counts = {"model": 0, "complex": 0}
     init = TaylorModel.__init__
@@ -786,22 +797,26 @@ def test_taylor_evaluation_counts_complex_products_and_models(monkeypatch):
         init(self, *args)
     monkeypatch.setattr(TaylorModel, "__init__", counted_init)
     for name in ("__mul__", "__rmul__"):
-        fn = ComplexPair.__dict__[name]
+        fn = TaylorModel.__dict__[name]
 
         def wrapper(*args, fn=fn):
-            counts["complex"] += 1
-            return fn(*args)
-        monkeypatch.setattr(ComplexPair, name, wrapper)
+            z = fn(*args)
+            counts["complex"] += type(z.c[0]) is complex
+            return z
+        monkeypatch.setattr(TaylorModel, name, wrapper)
     complete, items = condition_enclosures(Interval(2.2, 2.20025))
     assert complete and len(items) == 11
     # 428 and 1989 while G conj(v) was formed afresh for every inner product
     # and reflection; 2857 models while each complex product built its four
     # real products and its two sums as models, 1566 while each of the three
     # reads of the backend's theta lifted its two parts again, 1562 while the
-    # backend lifted its reals through a unit model; two of the 1561 are
-    # theta's parts, and the backend lifts through the enclosure of t
-    assert counts["complex"] == 318
-    assert counts["model"] == 1561
+    # backend lifted its reals through a unit model, 1561 while a complex
+    # value was a pair of real models and each complex product formed its
+    # parts' products; 318 complex products while a quotient multiplied
+    # the two parts of self conj(o) by 1 / |o|^2 apart, where each of the
+    # 7 divisions now makes one complex product
+    assert counts["complex"] == 325
+    assert counts["model"] == 1122
 
 
 def test_kernels_are_built_for_the_shapes_used(monkeypatch):
@@ -821,6 +836,94 @@ def test_kernels_are_built_for_the_shapes_used(monkeypatch):
     assert certify_range().evaluations == 4
     assert set(numerics._KERNELS) == shapes
     assert len(shapes) == 14
+
+
+# ---------------------------------------------------------------------------
+# complex Taylor models against the exact-rational oracle
+
+
+def _part_shapes(backend):
+    """The shapes a part of a complex value takes in an evaluation, as the
+    model and the oracle's value at t: a non-constant part, one with a
+    remainder, a nonzero constant, an exact zero and a 0.0 constant with a
+    _TINY-sized radius, which stands for its midpoint here."""
+    x = backend.variable()
+    return [(x * 2 - 1, lambda t: 2 * t - 1),
+            ((x * x - x + 1) / (x + 2), lambda t: (t * t - t + 1) / (t + 2)),
+            (backend.real(-2.5), lambda t: Rational.exact(-2.5)),
+            (backend.real(0), lambda t: Rational.exact(0)),
+            (backend.real(numerics._ball(0.0, numerics._TINY)), lambda t: Rational.exact(0))]
+
+
+def _holds_real(model, delta, exact) -> bool:
+    """The real model at delta, and its range, contain the oracle's interval."""
+    lo, hi = _exact_bounds(model, delta)
+    rng = model.range()
+    return (type(model.c[0]) is float and lo <= exact.lo and exact.hi <= hi
+            and Fraction(rng.lo) <= exact.lo and exact.hi <= Fraction(rng.hi))
+
+
+def _holds_complex(model, delta, exact) -> bool:
+    """The disc of the complex model at delta contains the oracle's box."""
+    re, im = _poly_value(model.real, delta), _poly_value(model.imag, delta)
+    r2 = Fraction(model.r) ** 2
+    return type(model.c[0]) is complex and all(
+        (re - a) ** 2 + (im - b) ** 2 <= r2
+        for a in (exact.real.lo, exact.real.hi) for b in (exact.imag.lo, exact.imag.hi))
+
+
+def test_complex_taylor_arithmetic_contains_the_rational_enclosures(order):
+    """Products, sums, differences, quotients, conjugates and parts of
+    complex models, and products and quotients of a real and a complex
+    model, built from every pair of part shapes, contain the oracle's
+    enclosures of the same quantities at a seeded rational t in the box."""
+    rng = random.Random(37 + order)
+    m, rad = 2.2, 1e-3
+    backend = TaylorBackend(m, rad)
+    reals = _part_shapes(backend)
+    zs = [(backend.complex_(a, b), lambda t, fa=fa, fb=fb: RATIONAL.complex_(fa(t), fb(t)))
+          for a, fa in reals for b, fb in reals]
+    nonzero = reals[:3]
+    divisors = [z for i, z in enumerate(zs) if i // 5 < 3 or i % 5 < 3]
+    cases = []
+    for z, fz in zs:
+        cases += [(z.conjugate(), lambda t, fz=fz: fz(t).conjugate()),
+                  (z.real, lambda t, fz=fz: fz(t).real), (z.imag, lambda t, fz=fz: fz(t).imag)]
+        for w, fw in zs:
+            cases += [(z * w, lambda t, fz=fz, fw=fw: fz(t) * fw(t)),
+                      (z + w, lambda t, fz=fz, fw=fw: fz(t) + fw(t)),
+                      (z - w, lambda t, fz=fz, fw=fw: fz(t) - fw(t))]
+        for w, fw in divisors:
+            cases.append((z / w, lambda t, fz=fz, fw=fw: fz(t) / fw(t)))
+        for a, fa in reals:
+            cases += [(a * z, lambda t, fa=fa, fz=fz: fa(t) * fz(t)),
+                      (z * a, lambda t, fa=fa, fz=fz: fz(t) * fa(t))]
+        for a, fa in nonzero:
+            cases.append((z / a, lambda t, fa=fa, fz=fz: fz(t) / fa(t)))
+    for w, fw in divisors:
+        for a, fa in reals:
+            cases.append((a / w, lambda t, fa=fa, fw=fw: fa(t) / fw(t)))
+    assert len(cases) == 25 * 3 + 25 * 25 * 3 + 25 * 21 + 25 * 5 * 2 + 25 * 3 + 21 * 5
+    delta = Fraction(rng.randint(-999, 999), 1000) * Fraction(rad)
+    t = Rational.exact(Fraction(m) + delta)
+    for model, exact in cases:
+        want = exact(t)
+        holds = _holds_real if isinstance(want, Rational) else _holds_complex
+        assert holds(model, delta, want), (order, model, want)
+
+
+def test_real_taylor_models_read_as_complex():
+    """A real model is its own real part and conjugate, and its imaginary
+    part is the exact zero; a complex model's mid is its parts' midpoints."""
+    backend = TaylorBackend(2.2, 1e-3)
+    x = backend.variable()
+    assert x.real is x and x.conjugate() is x
+    assert (x.imag.c, x.imag.r) == ([0.0], 0.0)
+    z = backend.complex_(x * 2 - 1, x * x)
+    assert mid(z) == complex(mid(z.real), mid(z.imag))
+    for bad in (z.range, z.sign, z.sqrt, z.inv):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_taylor_scalar_encloses_true_values(monkeypatch):
@@ -873,15 +976,15 @@ def test_taylor_complex_division_round_trip(monkeypatch):
     for order in ORDERS:
         backend = _taylor_backend(monkeypatch, order, 2.2, 1e-5)
         x = backend.variable()
-        z = ComplexPair(x * 2 - 1, x * x)
-        w = ComplexPair(x + 3, 1 - x)
+        z = backend.complex_(x * 2 - 1, x * x)
+        w = backend.complex_(x + 3, 1 - x)
         back = (z / w) * w
         for _ in range(10):
             t = rng.uniform(2.2 - 1e-5, 2.2 + 1e-5)
             want = complex(2 * t - 1, t * t)
-            got = back.range()
-            assert got.real.lo - 1e-9 <= want.real <= got.real.hi + 1e-9
-            assert got.imag.lo - 1e-9 <= want.imag <= got.imag.hi + 1e-9
+            real, imag = back.real.range(), back.imag.range()
+            assert real.lo - 1e-9 <= want.real <= real.hi + 1e-9
+            assert imag.lo - 1e-9 <= want.imag <= imag.hi + 1e-9
 
 
 def test_taylor_domain_guards(monkeypatch):
@@ -918,8 +1021,10 @@ def test_taylor_backend_protocol_surface(monkeypatch):
     assert t is backend.variable() and len(t.pw) == 2 * numerics.TAYLOR_ORDER + 1
     for x in (backend.real(2.0), backend.real(Interval(1, 2))):
         assert type(x) is TaylorModel and x.pw is t.pw
-    # the real part's type picks the complex type: a ball on a point, a pair on a range
-    assert isinstance(RIGOROUS.theta, ComplexBall) and isinstance(backend.theta, ComplexPair)
+    # the real part's type picks the complex type: a ball on a point, a model
+    # with complex coefficients on a range
+    assert isinstance(RIGOROUS.theta, ComplexBall) and isinstance(backend.theta, TaylorModel)
+    assert [type(x) for x in backend.theta.c] == [complex]
     assert isinstance(RIGOROUS, TaylorBackend)
     th = backend.theta
     assert th is backend.theta  # built once, with the backend
@@ -972,6 +1077,12 @@ def test_backends_lift_only_the_reals_they_hold():
     lifted = ranged.real(iv)
     assert isinstance(lifted, TaylorModel) and (lifted.c, lifted.r) == ([iv.m], iv.r)
     assert isinstance(ranged.real(3), TaylorModel) and ranged.real(3).c == [3.0]
+    with pytest.raises(TypeError, match="rigorous-taylor backend cannot lift complex"):
+        ranged.real(1j)
+    for backend in (RIGOROUS, ranged):
+        for re, im in (("2", 0.0), (1.0, 1j)):
+            with pytest.raises(TypeError, match="backend cannot lift"):
+                backend.complex_(re, im)
     for rad in (-1e-3, math.nan):
         with pytest.raises(ValueError, match="radius must be a nonnegative number"):
             TaylorBackend(2.2, rad)
@@ -1035,9 +1146,10 @@ def test_reflected_taylor_operators_contain_the_exact_result(order):
     rng = random.Random(31 + order)
     for _ in range(4):
         m, rad = rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-6, -2)
-        x = TaylorBackend(m, rad).variable()
+        backend = TaylorBackend(m, rad)
+        x = backend.variable()
         a, _, fa, _ = _oracle_operands(x)
-        z = ComplexPair(x * 2 - 1, x * x)
+        z = backend.complex_(x * 2 - 1, x * x)
         for k in _KS:
             q = Fraction(k)
             cases = [(k - a, lambda t: q - fa(t)), (k / a, lambda t: q / fa(t)),
@@ -1048,7 +1160,7 @@ def test_reflected_taylor_operators_contain_the_exact_result(order):
                 t = Fraction(m) + delta
                 for model, exact in cases:
                     want = exact(t)
-                    if isinstance(model, ComplexPair):
+                    if type(model.c[0]) is complex:
                         assert _encloses(model.real, delta, want[0]), (order, k, j)
                         assert _encloses(model.imag, delta, want[1]), (order, k, j)
                     else:
@@ -1059,8 +1171,9 @@ def test_reflected_taylor_operators_contain_the_exact_result(order):
 def test_unsupported_operands_raise_type_error(bad):
     """Each enclosure type declines an operand it cannot lift, on either
     side of +, -, * and /, so Python raises TypeError."""
-    x = TaylorBackend(2.2, 1e-3).variable()
-    scalars = [Interval(1.0, 2.0), x, RIGOROUS.complex_(0.75, -2.5), ComplexPair(x, x * x)]
+    backend = TaylorBackend(2.2, 1e-3)
+    x = backend.variable()
+    scalars = [Interval(1.0, 2.0), x, RIGOROUS.complex_(0.75, -2.5), backend.complex_(x, x * x)]
     for s in scalars:
         for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):

@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from cakecheck.construction import build_configuration
-from cakecheck.numerics import RIGOROUS, DomainError, Interval, _Complex
+from cakecheck.numerics import RIGOROUS, ComplexBall, DomainError, Interval
 from cakecheck.verification import condition_enclosures, condition_items, required_positive
-from rational import PREC, RATIONAL, Rational
+from rational import PREC, RATIONAL, Rational, RationalComplex
 
 POINTS = (1.505, 2.13, 2.22, 2.34, 100.0, 1e9, 2.1228615, 2.343115)
 NAMED_POINTS = ("p1", "p2", "p3", "m1", "m2", "m3", "c1", "c2", "c3", "d1", "d2", "d3",
@@ -22,7 +22,7 @@ NAMED_POINTS = ("p1", "p2", "p3", "m1", "m2", "m3", "c1", "c2", "c3", "d1", "d2"
 
 def _parts(name, x):
     """(name, real) for the real x, or for each part of the complex x."""
-    if isinstance(x, _Complex):
+    if isinstance(x, (ComplexBall, RationalComplex)):
         return [(f"{name}.re", x.real), (f"{name}.im", x.imag)]
     return [(name, x)]
 
